@@ -8,154 +8,26 @@ explicit parameter loops, continuation tracking of root bundles, and
 the permutations those loops induce on labeled roots.
 """
 
-from .equation import (
-    CriticalPoint,
-    EXP_RE_MAX,
-    ExpAffineFamily,
-    FAMILY,
-    critical_height,
-    critical_point,
-    critical_value,
-    nearest_critical,
-    real_root,
-    to_b,
-    to_x,
-    to_z,
-)
-from .errors import (
-    BoundaryTooCloseError,
-    CollisionError,
-    ConvergenceError,
-    EvalRangeError,
-    MonoError,
-    NumericalError,
-    PathContinuityError,
-    PreconditionError,
-    ResidualTooLargeError,
-    SingularArgumentError,
-    StepUnderflowError,
-    SubdivisionError,
-    UnmatchedRootError,
-)
-from .jsonio import atomic_write_text, canonical_json
-from .lambertw import lambert_w, oracle_roots
-from .paths import (
-    ArcSegment,
-    BASEPOINT,
-    DEFAULT_RHO,
-    HorizontalImageTrace,
-    KEYHOLE_CORRIDOR_RE,
-    LineSegment,
-    ParamPath,
-    VerticalImageTrace,
-    circle_path,
-    composite_loop,
-    concat,
-    conjugate_path,
-    horizontal_image,
-    horizontal_stop,
-    keyhole_loop,
-    loop_around,
-    reverse_path,
-    sample,
-    vertical_image,
-)
-from .permutation import (
-    ClosureResult,
-    Generator,
-    Permutation,
-    compose,
-    cycles,
-    extract_permutation,
-    group_order,
-    inverse,
-    is_transposition,
-    transitivity_check,
-)
-from .rootsets import (
-    LabeledRootSet,
-    NEAR_MERGE_RADIUS,
-    RootEntry,
-    SEPARATION_FLOOR,
-    Window,
-    canonical_root_set,
-    match_positions,
-)
-from .rootwindow import count_roots, find_roots
-from .tracking import TrackConfig, TrackReport, step_control, track_bundle
+from .errors import MonoError, NumericalError, PreconditionError
+from .lambertw import oracle_roots
+from .paths import keyhole_loop
+from .permutation import extract_permutation, group_order
+from .rootsets import Window
+from .rootwindow import find_roots
+from .tracking import TrackConfig, track_bundle
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArcSegment",
-    "BASEPOINT",
-    "BoundaryTooCloseError",
-    "ClosureResult",
-    "CollisionError",
-    "ConvergenceError",
-    "CriticalPoint",
-    "DEFAULT_RHO",
-    "EXP_RE_MAX",
-    "EvalRangeError",
-    "ExpAffineFamily",
-    "FAMILY",
-    "Generator",
-    "HorizontalImageTrace",
-    "KEYHOLE_CORRIDOR_RE",
-    "LabeledRootSet",
-    "LineSegment",
     "MonoError",
-    "NEAR_MERGE_RADIUS",
     "NumericalError",
-    "ParamPath",
-    "PathContinuityError",
-    "Permutation",
     "PreconditionError",
-    "ResidualTooLargeError",
-    "RootEntry",
-    "SEPARATION_FLOOR",
-    "SingularArgumentError",
-    "StepUnderflowError",
-    "SubdivisionError",
     "TrackConfig",
-    "TrackReport",
-    "UnmatchedRootError",
-    "VerticalImageTrace",
     "Window",
-    "atomic_write_text",
-    "canonical_json",
-    "canonical_root_set",
-    "circle_path",
-    "compose",
-    "composite_loop",
-    "concat",
-    "conjugate_path",
-    "count_roots",
-    "critical_height",
-    "critical_point",
-    "critical_value",
-    "cycles",
     "extract_permutation",
     "find_roots",
     "group_order",
-    "horizontal_image",
-    "horizontal_stop",
-    "inverse",
-    "is_transposition",
     "keyhole_loop",
-    "lambert_w",
-    "loop_around",
-    "match_positions",
-    "nearest_critical",
     "oracle_roots",
-    "real_root",
-    "reverse_path",
-    "sample",
-    "step_control",
-    "to_b",
-    "to_x",
-    "to_z",
     "track_bundle",
-    "transitivity_check",
-    "vertical_image",
 ]

@@ -50,28 +50,42 @@ EXIT_NUMERICAL = 3
 
 
 def _parse_complex(s) -> complex:
-    if isinstance(s, (int, float)):
-        return complex(s)
-    if isinstance(s, (list, tuple)) and len(s) == 2:
-        return complex(s[0], s[1])
-    txt = str(s).strip()
-    if "," in txt:
-        re_s, im_s = txt.split(",", 1)
-        return complex(float(re_s), float(im_s))
-    return complex(txt.replace(" ", ""))
+    try:
+        if isinstance(s, (int, float)):
+            return complex(s)
+        if isinstance(s, (list, tuple)) and len(s) == 2:
+            return complex(s[0], s[1])
+        txt = str(s).strip()
+        if "," in txt:
+            re_s, im_s = txt.split(",", 1)
+            return complex(float(re_s), float(im_s))
+        return complex(txt.replace(" ", ""))
+    except (TypeError, ValueError):
+        raise PreconditionError(f"complex value must be re,im, got {s!r}") from None
 
 
 def _parse_window(s) -> Window:
     if isinstance(s, Window):
         return s
-    if isinstance(s, (list, tuple)) and len(s) == 4:
-        return Window(*map(float, s))
-    parts = str(s).split(",")
-    if len(parts) != 4:
+    parts = s if isinstance(s, (list, tuple)) else str(s).split(",")
+    try:
+        bounds = [float(v) for v in parts]
+    except (TypeError, ValueError):
+        bounds = []
+    if len(bounds) != 4:
+        raise PreconditionError(f"window must be re_min,re_max,im_min,im_max, got {s!r}")
+    return Window(*bounds)
+
+
+def _parse_loops(raw) -> list[int]:
+    try:
+        if isinstance(raw, str):
+            return [int(v) for v in raw.split(",") if v.strip()]
+        return [int(v) for v in raw]
+    except (TypeError, ValueError):
         raise PreconditionError(
-            f"window must be re_min,re_max,im_min,im_max, got {s!r}"
-        )
-    return Window(*map(float, parts))
+            f"loops must be comma-separated critical indices, got {raw!r}"
+        ) from None
 
 
 def _cpx(z: complex) -> list[float]:
@@ -85,8 +99,17 @@ class _Resolver:
         self.args = args
         self.section = {}
         if getattr(args, "config", None):
-            with open(args.config) as fh:
-                cfg = json.load(fh)
+            try:
+                with open(args.config) as fh:
+                    cfg = json.load(fh)
+            except OSError as exc:
+                raise PreconditionError(
+                    f"cannot read config file {args.config!r}: {exc.strerror}"
+                ) from None
+            except ValueError as exc:
+                raise PreconditionError(
+                    f"config file {args.config!r} is not valid JSON: {exc}"
+                ) from None
             if not isinstance(cfg, dict):
                 raise PreconditionError("config file must hold a JSON object")
             self.section = cfg.get(command, {})
@@ -317,11 +340,7 @@ def cmd_homotopy_check(args) -> tuple[dict, int]:
 
 def cmd_group(args) -> tuple[dict, int]:
     r = _Resolver(args, "group")
-    loops_raw = r.get("loops", "-1,0,1,2")
-    if isinstance(loops_raw, str):
-        loop_ns = [int(s) for s in loops_raw.split(",") if s.strip()]
-    else:
-        loop_ns = [int(v) for v in loops_raw]
+    loop_ns = _parse_loops(r.get("loops", "-1,0,1,2"))
     if not loop_ns:
         raise PreconditionError("no loop indices given")
     rho = float(r.get("rho", DEFAULT_RHO))

@@ -63,6 +63,27 @@ class ExpAffineFamily:
 FAMILY = ExpAffineFamily()
 
 
+def newton(z: complex, a: complex, tol: float, max_iter: int):
+    """Newton for f(z) = a from z; (z, |f(z) - a|) or None within max_iter.
+
+    Gives up (None) on a vanishing derivative, a non-finite iterate, or a
+    residual still above tol after max_iter updates.
+    """
+    for _ in range(max_iter):
+        fz = FAMILY.eval(z) - a
+        r = abs(fz)
+        if r <= tol:
+            return z, r
+        d = FAMILY.deriv(z)
+        if d == 0:
+            return None
+        z = z - fz / d
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            return None
+    r = abs(FAMILY.eval(z) - a)
+    return (z, r) if r <= tol else None
+
+
 @dataclass(frozen=True)
 class CriticalPoint:
     """Critical point z_n = (2n+1) pi i with its critical value a_n = z_n - 1."""

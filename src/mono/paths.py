@@ -46,6 +46,8 @@ DEFAULT_RHO = 0.5
 KEYHOLE_CORRIDOR_RE = -2.0
 BASEPOINT = 0j
 _MAX_REFINE_DEPTH = 42
+# sampling step winding_number starts from; it halves until increments settle
+_WINDING_STEP = 0.05
 _GOLDEN = 2.0 - (1.0 + math.sqrt(5.0)) / 2.0  # 1 - 1/phi = 0.381966...
 
 
@@ -309,12 +311,12 @@ class ParamPath:
         closed = abs(other.end - self.start) <= CONTINUITY_TOL
         return ParamPath(segs, closed=closed, encircles=None)
 
-    def winding_number(self, point: complex, *, initial_step: float = 0.05) -> int:
+    def winding_number(self, point: complex) -> int:
         """Winding of the closed path around point, by summed phase increments."""
         if not self.closed:
             raise PreconditionError("winding number needs a closed path")
         point = require_finite(point, "point")
-        step = initial_step
+        step = _WINDING_STEP
         for _ in range(14):
             pts = self.sample(step)
             rel = [p - point for p in pts]
@@ -546,20 +548,9 @@ def keyhole_loop(
     )
 
 
-def conjugate_path(path: ParamPath) -> ParamPath:
-    return path.conjugate()
-
-
-def reverse_path(path: ParamPath) -> ParamPath:
-    return path.reverse()
-
-
 def concat(first: ParamPath, *rest: ParamPath) -> ParamPath:
     out = first
     for p in rest:
         out = out.concat(p)
     return out
 
-
-def sample(path: ParamPath, max_step: float) -> list[complex]:
-    return path.sample(max_step)

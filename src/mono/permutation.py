@@ -165,7 +165,11 @@ def group_order(gens, *, cap: int = _DEFAULT_CAP, size: int | None = None) -> Cl
 
 
 def transitivity_check(gens, *, size: int | None = None) -> bool:
-    """Whether the generated group moves label 1 onto every label."""
+    """Whether the generated group moves label 1 onto every label.
+
+    Forward images suffice: in a finite group each inverse is a positive
+    power, so the orbit under the generators is the group orbit.
+    """
     perms = _as_perms(gens)
     if not perms:
         if size is None:
@@ -179,10 +183,10 @@ def transitivity_check(gens, *, size: int | None = None) -> bool:
     while frontier:
         i = frontier.pop()
         for p in perms:
-            for j in (p(i), inverse(p)(i)):
-                if j not in orbit:
-                    orbit.add(j)
-                    frontier.append(j)
+            j = p(i)
+            if j not in orbit:
+                orbit.add(j)
+                frontier.append(j)
     return len(orbit) == n
 
 

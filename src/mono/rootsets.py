@@ -137,15 +137,13 @@ class LabeledRootSet:
                     )
         flagged = {tuple(sorted(p)) for p in self.near_merge_pairs}
         es = self.entries
-        for i in range(len(es)):
-            for j in range(i + 1, len(es)):
-                d = abs(es[i].z - es[j].z)
-                pair = tuple(sorted((es[i].label, es[j].label)))
-                if d <= SEPARATION_FLOOR and pair not in flagged:
-                    raise PreconditionError(
-                        f"labels {pair} are {d:.3g} apart, below the separation "
-                        f"floor, and not flagged as near-merge"
-                    )
+        for i, j, d in pair_distances([e.z for e in es]):
+            pair = tuple(sorted((es[i].label, es[j].label)))
+            if d <= SEPARATION_FLOOR and pair not in flagged:
+                raise PreconditionError(
+                    f"labels {pair} are {d:.3g} apart, below the separation "
+                    f"floor, and not flagged as near-merge"
+                )
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -173,12 +171,7 @@ class LabeledRootSet:
         return bool(self.near_merge_pairs) or any(e.multiplicity > 1 for e in self.entries)
 
     def min_pairwise_distance(self) -> float:
-        es = self.entries
-        best = math.inf
-        for i in range(len(es)):
-            for j in range(i + 1, len(es)):
-                best = min(best, abs(es[i].z - es[j].z))
-        return best
+        return min_separation([e.z for e in self.entries])
 
     def validate_residuals(self, family, tol: float = 1e-10) -> float:
         """Worst residual |f(z) - a| over simple entries; raises if any exceeds tol."""
@@ -236,13 +229,25 @@ def match_positions(ps, qs, tol: float) -> tuple[bool, float]:
     return True, worst
 
 
+def pair_distances(zs):
+    """Yield (i, j, |zs[i] - zs[j]|) for every index pair i < j, in order."""
+    for i in range(len(zs)):
+        zi = zs[i]
+        for j in range(i + 1, len(zs)):
+            yield i, j, abs(zi - zs[j])
+
+
+def min_separation(zs) -> float:
+    """Smallest pairwise distance among zs; inf for fewer than two points."""
+    return min((d for _, _, d in pair_distances(zs)), default=math.inf)
+
+
 def _near_merge_pairs(entries) -> tuple[tuple[int, int], ...]:
-    out = []
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            if abs(entries[i].z - entries[j].z) < NEAR_MERGE_RADIUS:
-                out.append(tuple(sorted((entries[i].label, entries[j].label))))
-    return tuple(out)
+    return tuple(
+        tuple(sorted((entries[i].label, entries[j].label)))
+        for i, j, d in pair_distances([e.z for e in entries])
+        if d < NEAR_MERGE_RADIUS
+    )
 
 
 def canonical_root_set(

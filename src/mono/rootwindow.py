@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .equation import FAMILY
+from .equation import FAMILY, newton, require_finite
 from .errors import (
     BoundaryTooCloseError,
     NumericalError,
@@ -26,11 +26,15 @@ from .errors import (
 from .rootsets import LabeledRootSet, Window, canonical_root_set
 
 BOUNDARY_CLEARANCE = 1e-9
-WINDING_RESIDUAL_MAX = 0.25
 # tighter internal agreement target between quadrature and phase count
 _AGREE_TOL = 0.05
 _PHASE_INC_MAX = 0.5 * math.pi
 NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 60
+# boundary samples per edge before doubling, and how often to double
+_EDGE_SAMPLES = 64
+_MAX_DOUBLINGS = 12
+_MAX_DEPTH = 48
 _CLUSTER_DIAMETER = 1e-7
 _JITTER_STEP = 1e-3
 _JITTER_TRIES = 10
@@ -47,13 +51,7 @@ def _edge_samples(z0: complex, z1: complex, m: int, a: complex):
     return z, fz, fpz
 
 
-def count_roots(
-    a: complex,
-    window: Window,
-    *,
-    n0: int = 64,
-    max_doublings: int = 12,
-) -> int:
+def count_roots(a: complex, window: Window) -> int:
     """Number of roots of z + e^z = a inside the window, by winding number.
 
     The boundary integral (1/2 pi i) of f'/(f - a) is computed by the
@@ -65,9 +63,9 @@ def count_roots(
     ResidualTooLargeError if refinement is exhausted.
     """
     corners = window.corners()
-    m = n0
+    m = _EDGE_SAMPLES
     last_misfit = math.inf
-    for _ in range(max_doublings + 1):
+    for _ in range(_MAX_DOUBLINGS + 1):
         integral = 0j
         boundary_f = []
         min_abs = math.inf
@@ -103,7 +101,7 @@ def count_roots(
         last_misfit = misfit
         m *= 2
     raise ResidualTooLargeError(
-        f"boundary quadrature did not settle after {max_doublings} doublings "
+        f"boundary quadrature did not settle after {_MAX_DOUBLINGS} doublings "
         f"(misfit {last_misfit:.3g}, min boundary |f - a| = {min_abs:.3g})"
     )
 
@@ -125,21 +123,6 @@ def _count_with_jitter(a: complex, window: Window) -> tuple[int, Window]:
     )
 
 
-def _newton_polish(z: complex, a: complex, tol: float = NEWTON_TOL, max_iter: int = 60):
-    for _ in range(max_iter):
-        fz = FAMILY.eval(z) - a
-        if abs(fz) <= tol:
-            return z
-        d = FAMILY.deriv(z)
-        if d == 0:
-            return None
-        step = fz / d
-        z = z - step
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            return None
-    return z if abs(FAMILY.eval(z) - a) <= tol else None
-
-
 def _critical_polish(z: complex, max_iter: int = 60):
     # Newton on f' to land on the nearby critical point
     for _ in range(max_iter):
@@ -157,10 +140,10 @@ def _solve_isolated(win: Window, a: complex) -> complex | None:
     c = win.center
     seeds += [c + complex(sx * qw, sy * qh) for sx in (-1, 1) for sy in (-1, 1)]
     for z0 in seeds:
-        z = _newton_polish(z0, a)
+        polished = newton(z0, a, NEWTON_TOL, _NEWTON_MAX_ITER)
         # strict containment: a neighbor cell's root must not be claimed
-        if z is not None and win.contains(z, margin=1e-9):
-            return z
+        if polished is not None and win.contains(polished[0], margin=1e-9):
+            return polished[0]
     return None
 
 
@@ -189,7 +172,7 @@ def _split_counted(win: Window, a: complex, expected: int):
     )
 
 
-def find_roots(a: complex, window: Window, *, max_depth: int = 48) -> LabeledRootSet:
+def find_roots(a: complex, window: Window) -> LabeledRootSet:
     """All roots of z + e^z = a in the window, canonically labeled.
 
     Quadtree subdivision isolates roots counted by count_roots; isolated
@@ -202,7 +185,7 @@ def find_roots(a: complex, window: Window, *, max_depth: int = 48) -> LabeledRoo
     If a root lands on the window edge the window is expanded in steps of
     1e-3 (up to ten times); the effective window is recorded on the result.
     """
-    a = complex(a)
+    a = require_finite(a, "a")
     total, w_eff = _count_with_jitter(a, window)
     positions: list[complex] = []
     multiplicities: list[int] = []
@@ -211,7 +194,7 @@ def find_roots(a: complex, window: Window, *, max_depth: int = 48) -> LabeledRoo
         win, cnt, depth = stack.pop()
         if cnt == 0:
             continue
-        if depth > max_depth:
+        if depth > _MAX_DEPTH:
             raise SubdivisionError(
                 f"subdivision depth {depth} exceeded near {win.center!r}"
             )

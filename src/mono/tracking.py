@@ -3,12 +3,15 @@
 Each accepted step moves the parameter a along the path by at most
 max_step, predicts every root by the first-order motion dz = da / f'(z),
 and corrects with full Newton back to residual corrector_tol.  The step
-size is additionally capped by collision_fraction * d_min * min|f'|,
+size is additionally capped by COLLISION_FRACTION * d_min * min|f'|,
 which keeps every predicted move below a third of the current minimum
-root separation, so labels cannot jump between roots mid-flight.  Steps
-that fail to correct are rejected and halved; halving below min_step
-aborts with the nearest critical value attached, since stalling happens
-exactly when the path runs into one.
+root separation, so labels cannot jump between roots mid-flight.  The
+bundle's d_min and its f' values are computed once per accepted step
+and carried to the next one.  Steps that fail to correct are rejected
+and halved; halving below min_step aborts with the nearest critical
+value attached, since stalling happens exactly when the path runs into
+one.  Bundles whose roots start closer than NEAR_CRITICAL_RADIUS are
+refused.
 """
 
 from __future__ import annotations
@@ -17,18 +20,23 @@ import csv
 import math
 from dataclasses import dataclass, field
 
-from .equation import FAMILY, nearest_critical
+from .equation import FAMILY, nearest_critical, newton
 from .errors import (
     CollisionError,
     PreconditionError,
     StepUnderflowError,
 )
 from .paths import ParamPath
-from .rootsets import LabeledRootSet, RootEntry, _near_merge_pairs
+from .rootsets import LabeledRootSet, RootEntry, _near_merge_pairs, min_separation
 
 _CORRECTOR_MAX_ITER = 8
 _GROWTH = 1.6
 _COLLISION_ABORT = 1e-6
+# Every predicted root move is capped at COLLISION_FRACTION * d_min.  Two
+# roots closing on each other move a combined 2 * fraction * d_min, so
+# anything above 1/2 could let them cross in a single step.
+COLLISION_FRACTION = 1.0 / 3.0
+NEAR_CRITICAL_RADIUS = 1e-3
 
 
 @dataclass(frozen=True)
@@ -36,8 +44,6 @@ class TrackConfig:
     corrector_tol: float = 1e-12
     max_step: float = 0.05
     min_step: float = 1e-9
-    collision_fraction: float = 1.0 / 3.0
-    near_critical_radius: float = 1e-3
     record_trajectories: bool = False
 
     def __post_init__(self):
@@ -45,12 +51,6 @@ class TrackConfig:
             raise PreconditionError("corrector_tol must be positive")
         if not (0 < self.min_step < self.max_step):
             raise PreconditionError("need 0 < min_step < max_step")
-        # two roots closing on each other move a combined 2 * fraction * d_min,
-        # so anything above 1/2 could let them cross in a single step
-        if not (0 < self.collision_fraction <= 0.5):
-            raise PreconditionError("collision_fraction must lie in (0, 0.5]")
-        if self.near_critical_radius <= 0:
-            raise PreconditionError("near_critical_radius must be positive")
 
 
 @dataclass
@@ -82,49 +82,18 @@ class TrackReport:
             write(target)
 
 
-def _min_pairwise(zs) -> float:
-    best = math.inf
-    for i in range(len(zs)):
-        for j in range(i + 1, len(zs)):
-            d = abs(zs[i] - zs[j])
-            if d < best:
-                best = d
-    return best
-
-
-def step_control(current_roots, da_proposed, cfg: TrackConfig) -> float:
-    """Largest admissible |da| for the bundle at its current positions.
+def step_control(dmin: float, derivs, da_proposed, cfg: TrackConfig) -> float:
+    """Largest admissible |da| given the bundle's d_min and its f' values.
 
     Caps the proposal by max_step and by
-    collision_fraction * d_min * min|f'|: since each root moves by about
+    COLLISION_FRACTION * d_min * min|f'|: since each root moves by about
     da / f'(z), this bounds every predicted displacement by
-    collision_fraction times the minimum separation.
+    COLLISION_FRACTION times the minimum separation.
     """
     step = min(cfg.max_step, abs(da_proposed))
-    zs = list(current_roots)
-    if len(zs) >= 2:
-        dmin = _min_pairwise(zs)
-        fmin = min(abs(FAMILY.deriv(z)) for z in zs)
-        step = min(step, cfg.collision_fraction * dmin * fmin)
+    if len(derivs) >= 2:
+        step = min(step, COLLISION_FRACTION * dmin * min(abs(d) for d in derivs))
     return step
-
-
-def _correct(z: complex, a: complex, tol: float):
-    """Newton for f(z) = a; returns (z, residual) or None within budget."""
-    for _ in range(_CORRECTOR_MAX_ITER):
-        fz = FAMILY.eval(z) - a
-        r = abs(fz)
-        if r <= tol:
-            return z, r
-        d = FAMILY.deriv(z)
-        if d == 0:
-            return None
-        z = z - fz / d
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            return None
-    fz = FAMILY.eval(z) - a
-    r = abs(fz)
-    return (z, r) if r <= tol else None
 
 
 def track_bundle(
@@ -157,15 +126,16 @@ def track_bundle(
             )
     labels = [e.label for e in start.entries]
     zs = [complex(e.z) for e in start.entries]
-    if len(zs) >= 2 and _min_pairwise(zs) < cfg.near_critical_radius:
+    # bundle state carried from one accepted step to the next
+    dmin = min_separation(zs)
+    if dmin < NEAR_CRITICAL_RADIUS:
         raise PreconditionError(
-            f"bundle separation {_min_pairwise(zs):.3g} below "
-            f"near_critical_radius {cfg.near_critical_radius:g}"
+            f"bundle separation {dmin:.3g} below "
+            f"NEAR_CRITICAL_RADIUS {NEAR_CRITICAL_RADIUS:g}"
         )
+    derivs = [FAMILY.deriv(z) for z in zs]
 
-    report = TrackReport()
-    if len(zs) >= 2:
-        report.min_pairwise_distance = _min_pairwise(zs)
+    report = TrackReport(min_pairwise_distance=dmin)
     a_cur = path.start
     if cfg.record_trajectories:
         for lab, z in zip(labels, zs):
@@ -180,7 +150,7 @@ def track_bundle(
         du = 0.25
         while u < 1.0:
             du = min(du, 1.0 - u)
-            allowed = step_control(zs, cfg.max_step, cfg)
+            allowed = step_control(dmin, derivs, cfg.max_step, cfg)
             # geometric sizing: shrink du until the chord fits the cap
             for _ in range(80):
                 u_next = 1.0 if 1.0 - (u + du) < 1e-14 else u + du
@@ -204,28 +174,20 @@ def track_bundle(
                     nearest_critical=(n_near, d_near),
                 )
 
-            dmin_prev = _min_pairwise(zs) if len(zs) >= 2 else math.inf
             step_a = a_next - a_cur
-            ok = True
             new_zs = []
             worst = 0.0
-            for z in zs:
-                d = FAMILY.deriv(z)
+            for z, d in zip(zs, derivs):
                 if d == 0:
-                    ok = False
                     break
-                corrected = _correct(z + step_a / d, a_next, cfg.corrector_tol)
-                if corrected is None:
-                    ok = False
-                    break
-                z_new, res = corrected
+                predicted = z + step_a / d
+                corrected = newton(predicted, a_next, cfg.corrector_tol, _CORRECTOR_MAX_ITER)
                 # corrector must stay inside the predictor's basin
-                if len(zs) >= 2 and abs(z_new - (z + step_a / d)) > cfg.collision_fraction * dmin_prev:
-                    ok = False
+                if corrected is None or abs(corrected[0] - predicted) > COLLISION_FRACTION * dmin:
                     break
-                new_zs.append(z_new)
-                worst = max(worst, res)
-            if not ok:
+                new_zs.append(corrected[0])
+                worst = max(worst, corrected[1])
+            if len(new_zs) < len(zs):
                 report.steps_rejected += 1
                 du *= 0.5
                 est = da * 0.5
@@ -238,16 +200,16 @@ def track_bundle(
                         nearest_critical=(n_near, d_near),
                     )
                 continue
-            if len(new_zs) >= 2:
-                dmin_new = _min_pairwise(new_zs)
-                if dmin_new < _COLLISION_ABORT:
-                    raise CollisionError(
-                        f"roots within {dmin_new:.3g} at arc {i_seg + u_next:.6f}",
-                        arc_param=i_seg + u_next,
-                        distance=dmin_new,
-                    )
-                report.min_pairwise_distance = min(report.min_pairwise_distance, dmin_new)
+            dmin = min_separation(new_zs)
+            if dmin < _COLLISION_ABORT:
+                raise CollisionError(
+                    f"roots within {dmin:.3g} at arc {i_seg + u_next:.6f}",
+                    arc_param=i_seg + u_next,
+                    distance=dmin,
+                )
+            report.min_pairwise_distance = min(report.min_pairwise_distance, dmin)
             zs = new_zs
+            derivs = [FAMILY.deriv(z) for z in zs]
             a_cur = a_next
             u = u_next
             report.steps_accepted += 1

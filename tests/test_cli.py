@@ -6,11 +6,13 @@ installed console script works end to end.
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import mono
 from mono.cli import main
 
 
@@ -186,10 +188,43 @@ def test_unknown_flag_is_usage_error():
 
 
 def test_console_script_installed():
+    # the child finds mono where this process does, installed or from src/
+    src = os.path.dirname(os.path.dirname(mono.__file__))
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     proc = subprocess.run(
         [sys.executable, "-m", "mono.cli", "critical", "--n-from", "0", "--n-to", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     d = json.loads(proc.stdout)
     assert [p["n"] for p in d["points"]] == [0, 1]
+
+
+def _config(tmp_path, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp: ["roots", "--a=foo"],
+        lambda tmp: ["roots", "--a=inf,0"],
+        lambda tmp: ["group", "--loops=a"],
+        lambda tmp: ["roots", "--window=a,b,c,d"],
+        lambda tmp: ["roots", "--config", str(tmp / "missing.json")],
+        lambda tmp: ["roots", "--config", _config(tmp, "{not json")],
+        lambda tmp: ["group", "--config", _config(tmp, '{"group": {"loops": 5}}')],
+    ],
+    ids=[
+        "complex", "complex-not-finite", "loops", "window",
+        "config-missing", "config-not-json", "config-loops-type",
+    ],
+)
+def test_bad_input_exits_two_without_traceback(capsys, tmp_path, argv):
+    code, payload, err = run(capsys, *argv(tmp_path))
+    assert code == 2
+    assert payload is None
+    assert err.startswith("precondition error: ")
