@@ -4,8 +4,12 @@ Every command prints one canonical-JSON document on stdout;
 --json-out additionally writes it to a file atomically.  Exit codes:
 0 success, 1 completed with a non-clean verdict (near-merge warning,
 cross-check mismatch), 2 precondition violation, 3 numerical failure.
-A JSON config file (--config) supplies per-command defaults; explicit
-flags win over the config, which wins over built-in defaults.
+Each option is declared once, in OPTIONS, with the parser that types
+it; COMMANDS lists each subcommand's options and their defaults, and
+build_parser generates the flags from both tables.  A JSON config file
+(--config) supplies per-command values under the same names; explicit
+flags win over the config, which wins over built-in defaults, and the
+winner goes through the option's parser whichever source it came from.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .paths import (
     loop_around,
 )
 from .permutation import (
-    Generator,
     cycles,
     extract_permutation,
     group_order,
@@ -47,6 +50,27 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_PRECONDITION = 2
 EXIT_NUMERICAL = 3
+
+
+def _scalar(kind: type, accepts: tuple):
+    """Strict parser: values of the accepted types only, never a bool
+    where a number is wanted, so a config value is typed like its flag."""
+
+    def parse(v):
+        if isinstance(v, accepts) and (kind is bool or not isinstance(v, bool)):
+            try:
+                return kind(v)
+            except ValueError:
+                pass
+        raise PreconditionError(f"expected {kind.__name__}, got {v!r}")
+
+    return parse
+
+
+_int = _scalar(int, (int, str))
+_float = _scalar(float, (int, float, str))
+_bool = _scalar(bool, (bool,))
+_str = _scalar(str, (str,))
 
 
 def _parse_complex(s) -> complex:
@@ -65,8 +89,6 @@ def _parse_complex(s) -> complex:
 
 
 def _parse_window(s) -> Window:
-    if isinstance(s, Window):
-        return s
     parts = s if isinstance(s, (list, tuple)) else str(s).split(",")
     try:
         bounds = [float(v) for v in parts]
@@ -79,68 +101,88 @@ def _parse_window(s) -> Window:
 
 def _parse_loops(raw) -> list[int]:
     try:
-        if isinstance(raw, str):
-            return [int(v) for v in raw.split(",") if v.strip()]
-        return [int(v) for v in raw]
-    except (TypeError, ValueError):
+        parts = [v for v in raw.split(",") if v.strip()] if isinstance(raw, str) else list(raw)
+        return [_int(v) for v in parts]
+    except (TypeError, PreconditionError):
         raise PreconditionError(
             f"loops must be comma-separated critical indices, got {raw!r}"
         ) from None
+
+
+# name -> (parser, help); a flag is --name with "_" spelled "-", and
+# options parsed by _bool are store_true flags
+OPTIONS = {
+    "n_from": (_int, "first critical index"),
+    "n_to": (_int, "last critical index"),
+    "a": (_parse_complex, "parameter, as re,im"),
+    "k_from": (_int, "first Lambert W branch"),
+    "k_to": (_int, "last Lambert W branch"),
+    "window": (_parse_window, "re_min,re_max,im_min,im_max"),
+    "compare": (_bool, "cross-check against the contour root finder"),
+    "path": (_str, "keyhole, composite, loop or circle"),
+    "n": (_int, "critical index"),
+    "rho": (_float, "radius around the critical value"),
+    "turns": (_int, "number of turns"),
+    "corridor_re": (_float, "real part of the keyhole corridor"),
+    "center": (_parse_complex, "circle center, as re,im"),
+    "csv_out": (_str, "write trajectory CSV here"),
+    "max_step": (_float, "largest step along the path"),
+    "control_winding_zero": (_bool, "use a winding-0 corridor as keyhole (negative control)"),
+    "loops": (_parse_loops, "comma-separated critical indices, e.g. -1,0,1,2"),
+    "which": (_str, "all or comma-separated figure names"),
+}
+
+
+def _config_section(args) -> dict:
+    if not getattr(args, "config", None):
+        return {}
+    try:
+        with open(args.config) as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise PreconditionError(
+            f"cannot read config file {args.config!r}: {exc.strerror}"
+        ) from None
+    except ValueError as exc:
+        raise PreconditionError(
+            f"config file {args.config!r} is not valid JSON: {exc}"
+        ) from None
+    if not isinstance(cfg, dict):
+        raise PreconditionError("config file must hold a JSON object")
+    section = cfg.get(args.command, {})
+    if not isinstance(section, dict):
+        raise PreconditionError(f"config section {args.command!r} must be an object")
+    return section
+
+
+def _resolve(args, defaults: dict) -> argparse.Namespace:
+    """Set each of the command's options on args to the flag, else the
+    config value, else the default, passed through the option's parser.
+    Only an option whose default is None may be left None."""
+    section = _config_section(args)
+    unknown = sorted(set(section) - set(defaults))
+    if unknown:
+        raise PreconditionError(f"unknown keys {unknown} in config section {args.command!r}")
+    for key, default in defaults.items():
+        flag = getattr(args, key)
+        value = flag if flag is not None else section.get(key, default)
+        if value is not None or default is not None:
+            try:
+                value = OPTIONS[key][0](value)
+            except PreconditionError as exc:
+                raise PreconditionError(f"{args.command}.{key}: {exc}") from None
+        setattr(args, key, value)
+    return args
 
 
 def _cpx(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-class _Resolver:
-    """Flag > config-file > built-in default."""
-
-    def __init__(self, args, command):
-        self.args = args
-        self.section = {}
-        if getattr(args, "config", None):
-            try:
-                with open(args.config) as fh:
-                    cfg = json.load(fh)
-            except OSError as exc:
-                raise PreconditionError(
-                    f"cannot read config file {args.config!r}: {exc.strerror}"
-                ) from None
-            except ValueError as exc:
-                raise PreconditionError(
-                    f"config file {args.config!r} is not valid JSON: {exc}"
-                ) from None
-            if not isinstance(cfg, dict):
-                raise PreconditionError("config file must hold a JSON object")
-            self.section = cfg.get(command, {})
-            if not isinstance(self.section, dict):
-                raise PreconditionError(f"config section {command!r} must be an object")
-
-    def get(self, key, default):
-        v = getattr(self.args, key, None)
-        if v is not None and v is not False:
-            return v
-        if key in self.section:
-            return self.section[key]
-        return default
-
-
-def _track_cfg(r: _Resolver, *, record=False) -> TrackConfig:
-    return TrackConfig(
-        corrector_tol=float(r.get("corrector_tol", 1e-12)),
-        max_step=float(r.get("max_step", 0.05)),
-        min_step=float(r.get("min_step", 1e-9)),
-        record_trajectories=bool(record),
-    )
-
-
-def cmd_critical(args) -> tuple[dict, int]:
-    r = _Resolver(args, "critical")
-    n_from = int(r.get("n_from", -3))
-    n_to = int(r.get("n_to", 3))
-    if n_from > n_to:
+def cmd_critical(o) -> tuple[dict, int]:
+    if o.n_from > o.n_to:
         raise PreconditionError("need n_from <= n_to")
-    pts = [critical_point(n) for n in range(n_from, n_to + 1)]
+    pts = [critical_point(n) for n in range(o.n_from, o.n_to + 1)]
     spacing_err = 0.0
     for p, q in zip(pts, pts[1:]):
         spacing_err = max(spacing_err, abs((q.a - p.a) - 2j * math.pi))
@@ -153,15 +195,12 @@ def cmd_critical(args) -> tuple[dict, int]:
     }, EXIT_OK
 
 
-def cmd_roots(args) -> tuple[dict, int]:
-    r = _Resolver(args, "roots")
-    a = _parse_complex(r.get("a", "0,0"))
-    window = _parse_window(r.get("window", DEFAULT_WINDOW))
-    rs = find_roots(a, window)
-    n_crit, d_crit = nearest_critical(a)
+def cmd_roots(o) -> tuple[dict, int]:
+    rs = find_roots(o.a, o.window)
+    n_crit, d_crit = nearest_critical(o.a)
     payload = {
         "command": "roots",
-        "a": _cpx(a),
+        "a": _cpx(o.a),
         "count": rs.total_multiplicity(),
         "roots": rs.to_json()["roots"],
         "near_merge_pairs": [list(p) for p in rs.near_merge_pairs],
@@ -174,29 +213,22 @@ def cmd_roots(args) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
-def cmd_oracle(args) -> tuple[dict, int]:
-    r = _Resolver(args, "oracle")
-    a = _parse_complex(r.get("a", "0,0"))
-    k_from = int(r.get("k_from", -3))
-    k_to = int(r.get("k_to", 3))
-    window = r.get("window", None)
-    window = _parse_window(window) if window is not None else None
-    if k_from > k_to:
+def cmd_oracle(o) -> tuple[dict, int]:
+    if o.k_from > o.k_to:
         raise PreconditionError("need k_from <= k_to")
-    ks = range(k_from, k_to + 1)
-    rs = oracle_roots(a, ks, window=window)
+    rs = oracle_roots(o.a, range(o.k_from, o.k_to + 1), window=o.window)
     payload = {
         "command": "oracle",
-        "a": _cpx(a),
-        "k_range": [k_from, k_to],
+        "a": _cpx(o.a),
+        "k_range": [o.k_from, o.k_to],
         "count": len(rs),
         "roots": rs.to_json()["roots"],
         "near_merge_pairs": [list(p) for p in rs.near_merge_pairs],
     }
     code = EXIT_OK
-    if r.get("compare", False):
-        cmp_window = _parse_window(r.get("window", DEFAULT_WINDOW))
-        located = find_roots(a, cmp_window)
+    if o.compare:
+        cmp_window = o.window if o.window is not None else _parse_window(DEFAULT_WINDOW)
+        located = find_roots(o.a, cmp_window)
         inside = [e.z for e in rs if located.window.contains(e.z)]
         ok, worst = match_positions(
             inside, [e.z for e in located.entries], 1e-9
@@ -213,22 +245,16 @@ def cmd_oracle(args) -> tuple[dict, int]:
     return payload, code
 
 
-def _build_path(r: _Resolver) -> ParamPath:
-    kind = r.get("path", "keyhole")
-    n = int(r.get("n", 0))
-    rho = float(r.get("rho", DEFAULT_RHO))
-    turns = int(r.get("turns", 1))
-    corridor = float(r.get("corridor_re", KEYHOLE_CORRIDOR_RE))
-    if kind == "keyhole":
-        return keyhole_loop(n, rho, corridor_re=corridor)
-    if kind == "composite":
-        return composite_loop(n, rho)
-    if kind == "loop":
-        return loop_around(n, rho, turns)
-    if kind == "circle":
-        center = _parse_complex(r.get("center", "0,0"))
-        return circle_path(center, rho, turns)
-    raise PreconditionError(f"unknown path kind {kind!r}")
+def _build_path(o) -> ParamPath:
+    if o.path == "keyhole":
+        return keyhole_loop(o.n, o.rho, corridor_re=o.corridor_re)
+    if o.path == "composite":
+        return composite_loop(o.n, o.rho)
+    if o.path == "loop":
+        return loop_around(o.n, o.rho, o.turns)
+    if o.path == "circle":
+        return circle_path(o.center, o.rho, o.turns)
+    raise PreconditionError(f"unknown path kind {o.path!r}")
 
 
 def _permutation_block(start, end) -> dict:
@@ -244,13 +270,10 @@ def _permutation_block(start, end) -> dict:
     }
 
 
-def cmd_track(args) -> tuple[dict, int]:
-    r = _Resolver(args, "track")
-    window = _parse_window(r.get("window", DEFAULT_WINDOW))
-    path = _build_path(r)
-    csv_out = r.get("csv_out", None)
-    start = find_roots(path.start, window)
-    cfg = _track_cfg(r, record=bool(csv_out) or bool(r.get("record", False)))
+def cmd_track(o) -> tuple[dict, int]:
+    path = _build_path(o)
+    start = find_roots(path.start, o.window)
+    cfg = TrackConfig(max_step=o.max_step, record_trajectories=bool(o.csv_out))
     end, report = track_bundle(start, path, cfg)
     payload = {
         "command": "track",
@@ -267,26 +290,21 @@ def cmd_track(args) -> tuple[dict, int]:
     }
     if path.closed:
         payload["permutation"] = _permutation_block(start, end)
-    if csv_out:
-        report.to_csv(_out_path(args, csv_out))
-        payload["csv"] = _out_path(args, csv_out)
+    if o.csv_out:
+        report.to_csv(_out_path(o, o.csv_out))
+        payload["csv"] = _out_path(o, o.csv_out)
     return payload, EXIT_OK
 
 
-def cmd_loop(args) -> tuple[dict, int]:
-    r = _Resolver(args, "loop")
-    n = int(r.get("n", 0))
-    rho = float(r.get("rho", DEFAULT_RHO))
-    turns = int(r.get("turns", 1))
-    window = _parse_window(r.get("window", DEFAULT_WINDOW))
-    path = loop_around(n, rho, turns)
-    start = find_roots(path.start, window)
-    end, report = track_bundle(start, path, _track_cfg(r))
+def cmd_loop(o) -> tuple[dict, int]:
+    path = loop_around(o.n, o.rho, o.turns)
+    start = find_roots(path.start, o.window)
+    end, report = track_bundle(start, path, TrackConfig())
     payload = {
         "command": "loop",
-        "n": n,
-        "rho": rho,
-        "turns": turns,
+        "n": o.n,
+        "rho": o.rho,
+        "turns": o.turns,
         "basepoint": _cpx(path.start),
         "window": start.window.to_json(),
         "start": start.to_json(),
@@ -300,32 +318,27 @@ def cmd_loop(args) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
-def cmd_homotopy_check(args) -> tuple[dict, int]:
-    r = _Resolver(args, "homotopy-check")
-    n = int(r.get("n", 0))
-    rho = float(r.get("rho", DEFAULT_RHO))
-    corridor = float(r.get("corridor_re", KEYHOLE_CORRIDOR_RE))
-    window = _parse_window(r.get("window", DEFAULT_WINDOW))
-    composite = composite_loop(n, rho)
-    keyhole = keyhole_loop(n, rho, corridor_re=corridor)
-    if r.get("control_winding_zero", False):
+def cmd_homotopy_check(o) -> tuple[dict, int]:
+    composite = composite_loop(o.n, o.rho)
+    keyhole = keyhole_loop(o.n, o.rho, corridor_re=o.corridor_re)
+    if o.control_winding_zero:
         # negative control: corridor out and back, no circle, winding 0
         segs = keyhole.segments
         mid = len(segs) // 2
         keyhole = ParamPath(segs[:mid] + segs[mid + 1 :], closed=True)
-    start = find_roots(0j, window)
-    cfg = _track_cfg(r)
+    start = find_roots(0j, o.window)
+    cfg = TrackConfig()
     end_c, _ = track_bundle(start, composite, cfg)
     end_k, _ = track_bundle(start, keyhole, cfg)
     block_c = _permutation_block(start, end_c)
     block_k = _permutation_block(start, end_k)
-    a_n = critical_point(n).a
+    a_n = critical_point(o.n).a
     equal = block_c["images"] == block_k["images"]
     payload = {
         "command": "homotopy-check",
-        "n": n,
-        "rho": rho,
-        "corridor_re": corridor,
+        "n": o.n,
+        "rho": o.rho,
+        "corridor_re": o.corridor_re,
         "window": start.window.to_json(),
         "composite": block_c,
         "keyhole": block_k,
@@ -338,34 +351,28 @@ def cmd_homotopy_check(args) -> tuple[dict, int]:
     return payload, EXIT_OK if equal else EXIT_VERDICT
 
 
-def cmd_group(args) -> tuple[dict, int]:
-    r = _Resolver(args, "group")
-    loop_ns = _parse_loops(r.get("loops", "-1,0,1,2"))
-    if not loop_ns:
+def cmd_group(o) -> tuple[dict, int]:
+    if not o.loops:
         raise PreconditionError("no loop indices given")
-    rho = float(r.get("rho", DEFAULT_RHO))
-    corridor = float(r.get("corridor_re", KEYHOLE_CORRIDOR_RE))
-    window = _parse_window(r.get("window", DEFAULT_WINDOW))
-    cap = int(r.get("cap", 200000))
-    start = find_roots(0j, window)
-    cfg = _track_cfg(r)
+    start = find_roots(0j, o.window)
+    cfg = TrackConfig()
     gens = []
     gen_blocks = []
-    for n in loop_ns:
-        path = keyhole_loop(n, rho, corridor_re=corridor)
+    for n in o.loops:
+        path = keyhole_loop(n, o.rho, corridor_re=o.corridor_re)
         end, _ = track_bundle(start, path, cfg)
         perm = extract_permutation(start, end)
-        gens.append(Generator(perm, provenance=f"keyhole n={n} rho={rho}"))
+        gens.append(perm)
         gen_blocks.append(
             {"n": n, "cycle_string": perm.cycle_string(), "images": list(perm.images)}
         )
-    closure = group_order(gens, cap=cap)
+    closure = group_order(gens)
     payload = {
         "command": "group",
         "window": start.window.to_json(),
         "labels": list(start.labels()),
-        "rho": rho,
-        "corridor_re": corridor,
+        "rho": o.rho,
+        "corridor_re": o.corridor_re,
         "generators": gen_blocks,
         "order": closure.order,
         "cap_exceeded": closure.cap_exceeded,
@@ -375,42 +382,48 @@ def cmd_group(args) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
-def cmd_figures(args) -> tuple[dict, int]:
-    r = _Resolver(args, "figures")
-    which = r.get("which", "all")
-    names = list(FIGURES) if which == "all" else [w.strip() for w in str(which).split(",")]
+def cmd_figures(o) -> tuple[dict, int]:
+    names = list(FIGURES) if o.which == "all" else [w.strip() for w in o.which.split(",")]
     unknown = [n for n in names if n not in FIGURES]
     if unknown:
         raise PreconditionError(f"unknown figures {unknown}; available: {sorted(FIGURES)}")
     manifest = {}
     for name in names:
         svg = FIGURES[name]()
-        path = _out_path(args, f"fig_{name}.svg")
+        path = _out_path(o, f"fig_{name}.svg")
         atomic_write_text(path, svg)
         manifest[name] = path
     return {"command": "figures", "written": manifest}, EXIT_OK
 
 
-def _out_dir(args) -> str:
-    out = getattr(args, "out_dir", None) or os.environ.get("MONO_OUT") or "."
-    return out
-
-
 def _out_path(args, name: str) -> str:
     if os.path.isabs(name):
         return name
-    return os.path.join(_out_dir(args), name)
+    out_dir = getattr(args, "out_dir", None) or os.environ.get("MONO_OUT") or "."
+    return os.path.join(out_dir, name)
 
 
-_COMMANDS = {
-    "critical": cmd_critical,
-    "roots": cmd_roots,
-    "oracle": cmd_oracle,
-    "track": cmd_track,
-    "loop": cmd_loop,
-    "homotopy-check": cmd_homotopy_check,
-    "group": cmd_group,
-    "figures": cmd_figures,
+# name -> (handler, help, {option: default})
+COMMANDS = {
+    "critical": (cmd_critical, "critical points and values a_n = -1 + (2n+1) pi i",
+                 {"n_from": -3, "n_to": 3}),
+    "roots": (cmd_roots, "locate roots in a window by contour counting",
+              {"a": "0,0", "window": DEFAULT_WINDOW}),
+    "oracle": (cmd_oracle, "closed-form roots a - W_k(e^a)",
+               {"a": "0,0", "k_from": -3, "k_to": 3, "window": None, "compare": False}),
+    "track": (cmd_track, "transport a root bundle along a path",
+              {"path": "keyhole", "n": 0, "rho": DEFAULT_RHO, "turns": 1,
+               "corridor_re": KEYHOLE_CORRIDOR_RE, "center": "0,0", "window": DEFAULT_WINDOW,
+               "csv_out": None, "max_step": TrackConfig.max_step}),
+    "loop": (cmd_loop, "simple circle around a critical value",
+             {"n": 0, "rho": DEFAULT_RHO, "turns": 1, "window": DEFAULT_WINDOW}),
+    "homotopy-check": (cmd_homotopy_check, "composite loop vs keyhole loop around the same a_n",
+                       {"n": 0, "rho": DEFAULT_RHO, "corridor_re": KEYHOLE_CORRIDOR_RE,
+                        "window": DEFAULT_WINDOW, "control_winding_zero": False}),
+    "group": (cmd_group, "group generated by keyhole loop permutations",
+              {"loops": "-1,0,1,2", "rho": DEFAULT_RHO, "corridor_re": KEYHOLE_CORRIDOR_RE,
+               "window": DEFAULT_WINDOW}),
+    "figures": (cmd_figures, "write SVG figures", {"which": "all"}),
 }
 
 
@@ -419,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     # accepted both before and after the subcommand name.  With a plain
     # default the subparser pass would overwrite a value parsed earlier.
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--config", help="JSON file with per-command option defaults")
+    common.add_argument("--config", help="JSON file with per-command option values")
     common.add_argument("--out-dir", dest="out_dir", help="output directory (or $MONO_OUT)")
     common.add_argument("--json-out", dest="json_out", help="also write the JSON result here")
     common.add_argument("--seed", type=int, help="recorded in output for reproducibility")
@@ -430,70 +443,24 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
-
-    p = add_parser("critical", help="critical points and values a_n = -1 + (2n+1) pi i")
-    p.add_argument("--n-from", dest="n_from", type=int)
-    p.add_argument("--n-to", dest="n_to", type=int)
-
-    p = add_parser("roots", help="locate roots in a window by contour counting")
-    p.add_argument("--a", help="parameter, as re,im")
-    p.add_argument("--window", help="re_min,re_max,im_min,im_max")
-
-    p = add_parser("oracle", help="closed-form roots a - W_k(e^a)")
-    p.add_argument("--a", help="parameter, as re,im")
-    p.add_argument("--k-from", dest="k_from", type=int)
-    p.add_argument("--k-to", dest="k_to", type=int)
-    p.add_argument("--window", help="restrict to a window")
-    p.add_argument("--compare", action="store_true",
-                   help="cross-check against the contour root finder")
-
-    p = add_parser("track", help="transport a root bundle along a path")
-    p.add_argument("--path", choices=["keyhole", "composite", "loop", "circle"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--turns", type=int)
-    p.add_argument("--corridor-re", dest="corridor_re", type=float)
-    p.add_argument("--center", help="circle center, as re,im")
-    p.add_argument("--window", help="window defining the bundle")
-    p.add_argument("--csv-out", dest="csv_out", help="write trajectory CSV here")
-    p.add_argument("--max-step", dest="max_step", type=float)
-
-    p = add_parser("loop", help="simple circle around a critical value")
-    p.add_argument("--n", type=int)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--turns", type=int)
-    p.add_argument("--window", help="window defining the bundle")
-
-    p = add_parser("homotopy-check",
-                       help="composite loop vs keyhole loop around the same a_n")
-    p.add_argument("--n", type=int)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--corridor-re", dest="corridor_re", type=float)
-    p.add_argument("--window", help="window defining the bundle")
-    p.add_argument("--control-winding-zero", dest="control_winding_zero",
-                   action="store_true",
-                   help="replace the keyhole by a winding-0 corridor (negative control)")
-
-    p = add_parser("group", help="group generated by keyhole loop permutations")
-    p.add_argument("--loops", help="comma-separated critical indices, e.g. -1,0,1,2")
-    p.add_argument("--rho", type=float)
-    p.add_argument("--corridor-re", dest="corridor_re", type=float)
-    p.add_argument("--window")
-    p.add_argument("--cap", type=int)
-
-    p = add_parser("figures", help="write SVG figures")
-    p.add_argument("--which", help="all or comma-separated figure names")
-
+    for name, (_, help_text, defaults) in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for key in defaults:
+            parse, option_help = OPTIONS[key]
+            flag = "--" + key.replace("_", "-")
+            if parse is _bool:
+                p.add_argument(flag, dest=key, action="store_true", default=None,
+                               help=option_help)
+            else:
+                p.add_argument(flag, dest=key, help=option_help)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    handler, _, defaults = COMMANDS[args.command]
     try:
-        payload, code = _COMMANDS[args.command](args)
+        payload, code = handler(_resolve(args, defaults))
     except PreconditionError as exc:
         sys.stderr.write(f"precondition error: {exc}\n")
         return EXIT_PRECONDITION

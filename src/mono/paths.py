@@ -183,14 +183,6 @@ class HorizontalImageTrace:
         return {"kind": "horizontal-image", "y": self.y, "s0": self.s0, "s1": self.s1}
 
 
-_SEGMENT_KINDS = {
-    "line": LineSegment,
-    "arc": ArcSegment,
-    "vertical-image": VerticalImageTrace,
-    "horizontal-image": HorizontalImageTrace,
-}
-
-
 def _cj(z: complex) -> list[float]:
     return [z.real, z.imag]
 

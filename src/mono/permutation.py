@@ -2,20 +2,20 @@
 
 Conventions: labels are 1-based; compose(p, q) applies p first and then
 q, matching the composition of loops traversed p's loop first.  Group
-closure is plain breadth-first enumeration, exact for the label counts
-this package works with (N <= 8, orders up to 40320).
+closure takes transpositions, the permutations loops around single
+first-order critical values induce, and reads the group's order off
+the connected components of their graph on the labels, for any label
+count.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import PreconditionError, UnmatchedRootError
 from .rootsets import LabeledRootSet
-
-_DEFAULT_CAP = 200000
-MAX_CLOSURE_LABELS = 8
 
 
 @dataclass(frozen=True)
@@ -109,59 +109,50 @@ def is_transposition(p: Permutation) -> tuple[bool, tuple[int, int] | None]:
 
 
 @dataclass(frozen=True)
-class Generator:
-    """A permutation together with a description of the loop that induced it."""
-
-    perm: Permutation
-    provenance: str = ""
-
-
-@dataclass(frozen=True)
 class ClosureResult:
-    order: int | None
+    order: int
     cap_exceeded: bool
     explored: int
 
 
-def _as_perms(gens) -> list[Permutation]:
-    out = []
-    for g in gens:
-        out.append(g.perm if isinstance(g, Generator) else g)
-    return out
+def group_order(gens, *, size: int | None = None) -> ClosureResult:
+    """Order of the group generated by transpositions and identities.
 
-
-def group_order(gens, *, cap: int = _DEFAULT_CAP, size: int | None = None) -> ClosureResult:
-    """Order of the group generated by gens, by breadth-first closure.
-
-    A cap on explored elements bounds the enumeration; exceeding it is
-    reported in the result, not raised.  size is needed only for an
-    empty generator list.
+    Transpositions generate the product of the symmetric groups on the
+    connected components C of their graph on the labels, so the order is
+    the product of |C|!; the components come from a union-find.  Any
+    other permutation is refused: a loop around one first-order critical
+    value induces at most a transposition.  size is needed only for an
+    empty generator list.  cap_exceeded is always False and explored is
+    the label count.
     """
-    perms = _as_perms(gens)
-    if not perms:
+    if not gens:
         if size is None:
             raise PreconditionError("empty generator list needs an explicit size")
-        return ClosureResult(order=1, cap_exceeded=False, explored=1)
-    n = perms[0].size
-    if any(p.size != n for p in perms):
+        return ClosureResult(order=1, cap_exceeded=False, explored=size)
+    n = gens[0].size
+    if any(p.size != n for p in gens):
         raise PreconditionError("generators act on different label counts")
-    if n > MAX_CLOSURE_LABELS:
-        raise PreconditionError(
-            f"exact closure supported for up to {MAX_CLOSURE_LABELS} labels, got {n}"
-        )
-    ident = Permutation.identity(n)
-    seen = {ident.images}
-    queue = deque([ident])
-    while queue:
-        p = queue.popleft()
-        for g in perms:
-            q = compose(p, g)
-            if q.images not in seen:
-                if len(seen) >= cap:
-                    return ClosureResult(order=None, cap_exceeded=True, explored=len(seen))
-                seen.add(q.images)
-                queue.append(q)
-    return ClosureResult(order=len(seen), cap_exceeded=False, explored=len(seen))
+    parent = list(range(n + 1))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for p in gens:
+        if p.is_identity():
+            continue
+        ok, pair = is_transposition(p)
+        if not ok:
+            raise PreconditionError(
+                f"closure takes transpositions and identities, got {p.cycle_string()}"
+            )
+        parent[root(pair[0])] = root(pair[1])
+    components = Counter(root(i) for i in range(1, n + 1))
+    order = math.prod(math.factorial(c) for c in components.values())
+    return ClosureResult(order=order, cap_exceeded=False, explored=n)
 
 
 def transitivity_check(gens, *, size: int | None = None) -> bool:
@@ -170,19 +161,18 @@ def transitivity_check(gens, *, size: int | None = None) -> bool:
     Forward images suffice: in a finite group each inverse is a positive
     power, so the orbit under the generators is the group orbit.
     """
-    perms = _as_perms(gens)
-    if not perms:
+    if not gens:
         if size is None:
             raise PreconditionError("empty generator list needs an explicit size")
         return size == 1
-    n = perms[0].size
-    if any(p.size != n for p in perms):
+    n = gens[0].size
+    if any(p.size != n for p in gens):
         raise PreconditionError("generators act on different label counts")
     orbit = {1}
     frontier = [1]
     while frontier:
         i = frontier.pop()
-        for p in perms:
+        for p in gens:
             j = p(i)
             if j not in orbit:
                 orbit.add(j)

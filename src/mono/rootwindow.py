@@ -15,9 +15,10 @@ import math
 
 import numpy as np
 
-from .equation import FAMILY, newton, require_finite
+from .equation import EXP_RE_MAX, FAMILY, newton, require_finite
 from .errors import (
     BoundaryTooCloseError,
+    EvalRangeError,
     NumericalError,
     PreconditionError,
     ResidualTooLargeError,
@@ -59,9 +60,15 @@ def count_roots(a: complex, window: Window) -> int:
     discrete phase increments of f - a along the boundary all stay below
     pi/2 and the quadrature agrees with the integer phase winding.
     Raises BoundaryTooCloseError when |f - a| dips below the clearance
-    floor on the boundary (caller should jitter the window) and
-    ResidualTooLargeError if refinement is exhausted.
+    floor on the boundary (caller should jitter the window),
+    ResidualTooLargeError if refinement is exhausted, and EvalRangeError
+    for a window reaching past EXP_RE_MAX, where e^z overflows.
     """
+    if window.re_max > EXP_RE_MAX:
+        raise EvalRangeError(
+            f"exp would overflow: window re_max = {window.re_max:.6g} "
+            f"exceeds {EXP_RE_MAX:.6g}"
+        )
     corners = window.corners()
     m = _EDGE_SAMPLES
     last_misfit = math.inf

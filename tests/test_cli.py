@@ -137,6 +137,19 @@ def test_group_command(capsys):
     assert gen_cycles == ["(1 2)", "(1 3)"]
 
 
+def test_group_command_nineteen_roots(capsys):
+    # the closure has no label bound: 19 labels, loops (1 9)(1 11)(1 12)(1 13)
+    code, d, _ = run(capsys, "group", "--loops=-1,0,1,2", "--window=-5,5,-60,60")
+    assert code == 0
+    assert len(d["labels"]) == 19
+    assert [g["cycle_string"] for g in d["generators"]] == [
+        "(1 9)", "(1 11)", "(1 12)", "(1 13)",
+    ]
+    assert d["order"] == 120
+    assert d["transitive"] is False
+    assert d["cap_exceeded"] is False
+
+
 def test_figures_command(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("MONO_OUT", str(tmp_path))
     code, d, _ = run(capsys, "figures", "--which", "real_graph")
@@ -217,10 +230,21 @@ def _config(tmp_path, text):
         lambda tmp: ["roots", "--config", str(tmp / "missing.json")],
         lambda tmp: ["roots", "--config", _config(tmp, "{not json")],
         lambda tmp: ["group", "--config", _config(tmp, '{"group": {"loops": 5}}')],
+        lambda tmp: ["loop", "--config", _config(tmp, '{"loop": {"n": "x"}}')],
+        lambda tmp: ["loop", "--config", _config(tmp, '{"loop": {"n": 1.7}}')],
+        lambda tmp: ["critical", "--config", _config(tmp, '{"critical": {"n_from": [1]}}')],
+        lambda tmp: ["group", "--config", _config(tmp, '{"group": {"rho": "big"}}')],
+        lambda tmp: ["oracle", "--config", _config(tmp, '{"oracle": {"compare": "no"}}')],
+        lambda tmp: ["group", "--config", _config(tmp, '{"group": {"loops": [0, 1.7]}}')],
+        lambda tmp: ["group", "--config", _config(tmp, '{"group": {"cap": 5}}')],
+        lambda tmp: ["roots", "--a=0,0", "--window=-5,710,-1,1"],
     ],
     ids=[
         "complex", "complex-not-finite", "loops", "window",
         "config-missing", "config-not-json", "config-loops-type",
+        "config-int-type", "config-int-fraction", "config-int-list",
+        "config-float-type", "config-bool-type", "config-loops-fraction", "config-unknown-key",
+        "window-exp-overflow",
     ],
 )
 def test_bad_input_exits_two_without_traceback(capsys, tmp_path, argv):

@@ -1,6 +1,10 @@
 """Label permutations, group closure, and extraction from moved bundles."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mono.errors import PreconditionError, UnmatchedRootError
 from mono.permutation import (
@@ -75,11 +79,12 @@ def test_three_labels():
     assert group_order(gens).order == 6
 
 
-def test_closure_cap_reported_not_fatal():
-    gens = [Permutation.transposition(6, 1, k) for k in range(2, 7)]
-    res = group_order(gens, cap=100)
-    assert res.cap_exceeded
-    assert res.explored >= 100
+def test_closure_nine_label_star():
+    gens = [Permutation.transposition(9, 1, k) for k in range(2, 10)]
+    res = group_order(gens)
+    assert res.order == math.factorial(9)
+    assert not res.cap_exceeded
+    assert res.explored == 9
 
 
 def test_intransitive_generators():
@@ -88,10 +93,41 @@ def test_intransitive_generators():
     assert group_order(gens).order == 4
 
 
-def test_closure_label_bound():
-    gens = [Permutation.transposition(9, 1, 2)]
+def test_closure_refuses_three_cycle():
+    gens = [Permutation.transposition(3, 1, 2), Permutation((2, 3, 1))]
     with pytest.raises(PreconditionError):
         group_order(gens)
+
+
+def _bfs_order(gens: list[Permutation]) -> int:
+    n = gens[0].size
+    seen = {Permutation.identity(n)}
+    frontier = list(seen)
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            q = compose(p, g)
+            if q not in seen:
+                seen.add(q)
+                frontier.append(q)
+    return len(seen)
+
+
+@st.composite
+def _transpositions_and_identities(draw):
+    n = draw(st.integers(2, 6))
+    pairs = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)
+    gen = st.one_of(
+        st.just(Permutation.identity(n)),
+        pairs.map(lambda ij: Permutation.transposition(n, *ij)),
+    )
+    return draw(st.lists(gen, min_size=1, max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_transpositions_and_identities())
+def test_closure_matches_bfs(gens):
+    assert group_order(gens).order == _bfs_order(gens)
 
 
 def test_mixed_sizes_rejected():
