@@ -71,28 +71,29 @@ _int = _scalar(int, (int, str))
 _float = _scalar(float, (int, float, str))
 _bool = _scalar(bool, (bool,))
 _str = _scalar(str, (str,))
+_number = _scalar(float, (int, float))
 
 
 def _parse_complex(s) -> complex:
     try:
         if isinstance(s, (int, float)):
-            return complex(s)
+            return complex(_number(s))
         if isinstance(s, (list, tuple)) and len(s) == 2:
-            return complex(s[0], s[1])
+            return complex(_number(s[0]), _number(s[1]))
         txt = str(s).strip()
         if "," in txt:
             re_s, im_s = txt.split(",", 1)
             return complex(float(re_s), float(im_s))
         return complex(txt.replace(" ", ""))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, PreconditionError):
         raise PreconditionError(f"complex value must be re,im, got {s!r}") from None
 
 
 def _parse_window(s) -> Window:
     parts = s if isinstance(s, (list, tuple)) else str(s).split(",")
     try:
-        bounds = [float(v) for v in parts]
-    except (TypeError, ValueError):
+        bounds = [_float(v) for v in parts]
+    except PreconditionError:
         bounds = []
     if len(bounds) != 4:
         raise PreconditionError(f"window must be re_min,re_max,im_min,im_max, got {s!r}")

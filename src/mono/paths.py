@@ -1,26 +1,21 @@
 """Parameter-plane paths: segments, loops, and the named constructions.
 
-Paths live in the a-plane of z + e^z = a.  Segments are lines, circular
-arcs, or the two analytic traces swept by distinguished root motions:
-
-  vertical_image(n):   a(t) = x(1 - cos t) + i (t - x sin t), t in [0, y_n],
-                       the parameter values hit when the root starting at
-                       the real root x climbs vertically to x + i t;
-  horizontal_image(n): a(s) = s - e^s + i y_n, the values hit when a root
-                       at height y_n = (2n+1) pi slides horizontally.
-
-The two traces meet exactly: at s = x the horizontal value is
-x - e^x + i y_n = 2x + i y_n (because e^x = -x), which is the endpoint of
-the vertical trace.  composite_loop chains vertical out, horizontal out,
-a full circle around the critical value a_n, then retraces home.
+Paths live in the a-plane of z + e^z = a.  A segment is a line, a
+circular arc, or an ImageSegment: f(z) = z + e^z applied to a z-plane
+line, the parameter values along which one root moves exactly along
+that line.  composite_loop joins two of them.  The first is the image
+of the upward line from the real root x to x + i y_n, y_n = (2n+1) pi,
+which starts at a = 0 and ends at 2x + i y_n, since e^x = -x and
+e^{i y_n} = -1.  The second is the image of the height-y_n line going
+left, a(s) = s - e^s + i y_n, up to the radius-rho circle around the
+critical value a_n.  The loop circles a_n once and retraces both images.
 keyhole_loop reaches the same circle along a rectangular corridor whose
 vertical leg runs at re(a) = -2 by default: left of the line re(a) = -1
-carrying the critical values, like the composite trace it replaces, so
-the two loops are homotopic in the punctured plane and induce the same
-permutation.  A corridor right of the line (for instance at re(a) = 0)
-is NOT homotopic to it for n >= 1 and conjugates the resulting
-transposition; keyhole_loop accepts corridor_re to let callers study
-exactly that effect.
+carrying the critical values, like the composite loop, so the two loops
+are homotopic in the punctured plane and induce the same permutation.
+A corridor right of the line (for instance at re(a) = 0) is NOT
+homotopic to it for n >= 1 and conjugates the resulting transposition;
+keyhole_loop accepts corridor_re to let callers study that effect.
 """
 
 from __future__ import annotations
@@ -89,8 +84,8 @@ class ArcSegment:
     kind = "arc"
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise PreconditionError(f"arc radius must be positive, got {self.radius}")
+        if not 0.0 < self.radius < math.inf:
+            raise PreconditionError(f"arc radius must be finite and positive, got {self.radius}")
 
     def point(self, t: float) -> complex:
         th = self.theta0 + t * (self.theta1 - self.theta0)
@@ -121,17 +116,16 @@ class ArcSegment:
 
 
 @dataclass(frozen=True)
-class VerticalImageTrace:
-    """a(t) = x (1 - cos t) + i (t - x sin t) for t from t0 to t1."""
+class ImageSegment:
+    """f(z) = z + e^z applied to the z-plane line from z0 to z1."""
 
-    x: float
-    t0: float
-    t1: float
-    kind = "vertical-image"
+    z0: complex
+    z1: complex
+    kind = "image"
 
     def point(self, t: float) -> complex:
-        tau = self.t0 + t * (self.t1 - self.t0)
-        return complex(self.x * (1.0 - math.cos(tau)), tau - self.x * math.sin(tau))
+        z = self.z0 + t * (self.z1 - self.z0)
+        return z + cmath.exp(z)
 
     @property
     def start(self) -> complex:
@@ -141,63 +135,19 @@ class VerticalImageTrace:
     def end(self) -> complex:
         return self.point(1.0)
 
-    def reversed(self) -> "VerticalImageTrace":
-        return VerticalImageTrace(self.x, self.t1, self.t0)
+    def reversed(self) -> "ImageSegment":
+        return ImageSegment(self.z1, self.z0)
 
-    def conjugated(self) -> "VerticalImageTrace":
-        # conj(a(tau)) = a(-tau) for this trace
-        return VerticalImageTrace(self.x, -self.t0, -self.t1)
-
-    def to_json(self) -> dict:
-        return {"kind": "vertical-image", "x": self.x, "t0": self.t0, "t1": self.t1}
-
-
-@dataclass(frozen=True)
-class HorizontalImageTrace:
-    """a(s) = s - e^s + i y for s from s0 to s1."""
-
-    y: float
-    s0: float
-    s1: float
-    kind = "horizontal-image"
-
-    def point(self, t: float) -> complex:
-        s = self.s0 + t * (self.s1 - self.s0)
-        return complex(s - math.exp(s), self.y)
-
-    @property
-    def start(self) -> complex:
-        return self.point(0.0)
-
-    @property
-    def end(self) -> complex:
-        return self.point(1.0)
-
-    def reversed(self) -> "HorizontalImageTrace":
-        return HorizontalImageTrace(self.y, self.s1, self.s0)
-
-    def conjugated(self) -> "HorizontalImageTrace":
-        return HorizontalImageTrace(-self.y, self.s0, self.s1)
+    def conjugated(self) -> "ImageSegment":
+        # f(conj z) = conj f(z)
+        return ImageSegment(self.z0.conjugate(), self.z1.conjugate())
 
     def to_json(self) -> dict:
-        return {"kind": "horizontal-image", "y": self.y, "s0": self.s0, "s1": self.s1}
+        return {"kind": "image", "z0": _cj(self.z0), "z1": _cj(self.z1)}
 
 
 def _cj(z: complex) -> list[float]:
     return [z.real, z.imag]
-
-
-def segment_from_json(d: dict):
-    kind = d.get("kind")
-    if kind == "line":
-        return LineSegment(complex(*d["z0"]), complex(*d["z1"]))
-    if kind == "arc":
-        return ArcSegment(complex(*d["center"]), d["radius"], d["theta0"], d["theta1"])
-    if kind == "vertical-image":
-        return VerticalImageTrace(d["x"], d["t0"], d["t1"])
-    if kind == "horizontal-image":
-        return HorizontalImageTrace(d["y"], d["s0"], d["s1"])
-    raise PreconditionError(f"unknown segment kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -220,13 +170,13 @@ class ParamPath:
             raise PreconditionError("path needs at least one segment")
         for s0, s1 in zip(self.segments, self.segments[1:]):
             gap = abs(s1.start - s0.end)
-            if gap > CONTINUITY_TOL:
+            if not gap <= CONTINUITY_TOL:  # a NaN gap fails too
                 raise PathContinuityError(
                     f"segments join with gap {gap:.3g} > {CONTINUITY_TOL:g}"
                 )
         if self.closed:
             gap = abs(self.end - self.start)
-            if gap > CONTINUITY_TOL:
+            if not gap <= CONTINUITY_TOL:
                 raise PathContinuityError(
                     f"closed path fails to close: gap {gap:.3g}"
                 )
@@ -293,16 +243,6 @@ class ParamPath:
             encircles=enc,
         )
 
-    def concat(self, other: "ParamPath") -> "ParamPath":
-        gap = abs(other.start - self.end)
-        if gap > CONTINUITY_TOL:
-            raise PathContinuityError(
-                f"concat endpoints disagree by {gap:.3g} > {CONTINUITY_TOL:g}"
-            )
-        segs = self.segments + other.segments
-        closed = abs(other.end - self.start) <= CONTINUITY_TOL
-        return ParamPath(segs, closed=closed, encircles=None)
-
     def winding_number(self, point: complex) -> int:
         """Winding of the closed path around point, by summed phase increments."""
         if not self.closed:
@@ -323,9 +263,6 @@ class ParamPath:
                 return int(w)
             step *= 0.5
         raise NumericalError("winding number did not resolve under refinement")
-
-    def min_distance_to(self, point: complex, *, max_step: float = 0.01) -> float:
-        return min(abs(p - point) for p in self.sample(max_step))
 
     def critical_clearance(self) -> tuple[float, int]:
         """Distance from the sampled path to the nearest critical value.
@@ -356,15 +293,6 @@ class ParamPath:
             d["encircles"] = {"n": self.encircles[0], "radius": self.encircles[1]}
         return d
 
-    @classmethod
-    def from_json(cls, d: dict) -> "ParamPath":
-        enc = d.get("encircles")
-        return cls(
-            tuple(segment_from_json(s) for s in d["segments"]),
-            closed=d.get("closed", False),
-            encircles=(enc["n"], enc["radius"]) if enc else None,
-        )
-
 
 def _validate_rho(rho: float) -> float:
     rho = float(rho)
@@ -383,24 +311,9 @@ def _validate_index(n: int) -> int:
     return n
 
 
-def vertical_image(n: int) -> ParamPath:
-    """Trace of a(t) as the root x + i t climbs from the real root to z_n.
-
-    Defined for n >= 0 (the climb moves upward); mirror with
-    ParamPath.conjugate for negative n.  Starts at 0, ends at
-    2x + i y_n, which lies left of the critical line re(a) = -1 since
-    x < -1/2.
-    """
-    n = _validate_index(n)
-    if n < 0:
-        raise PreconditionError("vertical_image needs n >= 0; conjugate for n < 0")
-    x = real_root()
-    return ParamPath((VerticalImageTrace(x, 0.0, critical_height(n)),))
-
-
 def horizontal_stop(rho: float) -> float:
-    """The s < 0 with s - e^s = -(1 + rho): where the horizontal trace
-    meets the circle of radius rho around a critical value, approaching
+    """The s < 0 with s - e^s = -(1 + rho): where the image of a
+    height-y_n line meets the circle of radius rho around a_n, approaching
     from the left."""
     rho = _validate_rho(rho)
     target = -(1.0 + rho)
@@ -417,31 +330,8 @@ def horizontal_stop(rho: float) -> float:
     return s
 
 
-def horizontal_image(
-    n: int,
-    s_start: float | None = None,
-    s_end: float | None = None,
-    *,
-    rho: float = DEFAULT_RHO,
-) -> ParamPath:
-    """Trace of a(s) = s - e^s + i y_n as a root slides at height y_n.
-
-    Defaults run from s = x (the endpoint of the vertical trace, an
-    exact join since x - e^x = 2x) to the s where the trace meets the
-    radius-rho circle around a_n.
-    """
-    n = _validate_index(n)
-    if s_start is None:
-        s_start = real_root()
-    if s_end is None:
-        s_end = horizontal_stop(rho)
-    if not (s_start < 0.0 and s_end < 0.0):
-        raise PreconditionError("horizontal trace needs s < 0 throughout")
-    return ParamPath((HorizontalImageTrace(critical_height(n), s_start, s_end),))
-
-
-def circle_path(center: complex, rho: float, turns: int = 1, *, theta0: float = math.pi) -> ParamPath:
-    """turns full circles of radius rho around center, starting at angle theta0.
+def circle_path(center: complex, rho: float, turns: int = 1) -> ParamPath:
+    """turns full circles of radius rho around center, starting at angle pi.
 
     Positive turns run counterclockwise.  Not flagged as encircling a
     critical value; use loop_around for that.
@@ -449,7 +339,7 @@ def circle_path(center: complex, rho: float, turns: int = 1, *, theta0: float = 
     center = require_finite(center, "center")
     if not isinstance(turns, int):
         raise PreconditionError("turns must be an int")
-    arc = ArcSegment(center, float(rho), theta0, theta0 + 2.0 * math.pi * turns)
+    arc = ArcSegment(center, float(rho), math.pi, math.pi + 2.0 * math.pi * turns)
     return ParamPath((arc,), closed=True)
 
 
@@ -473,7 +363,7 @@ def loop_around(n: int, rho: float, turns: int = 1) -> ParamPath:
 
 
 def composite_loop(n: int, rho: float = DEFAULT_RHO) -> ParamPath:
-    """Vertical trace out, horizontal trace out, circle around a_n, retrace home.
+    """Image of the upward line, image of the height-y_n line, circle, retrace.
 
     Closed loop based at 0 that encircles exactly a_n once,
     counterclockwise.  For n < 0 the loop reflects the one for -n - 1
@@ -487,8 +377,8 @@ def composite_loop(n: int, rho: float = DEFAULT_RHO) -> ParamPath:
     x = real_root()
     y = critical_height(n)
     s_rho = horizontal_stop(rho)
-    v = VerticalImageTrace(x, 0.0, y)
-    h = HorizontalImageTrace(y, x, s_rho)
+    v = ImageSegment(complex(x, 0.0), complex(x, y))
+    h = ImageSegment(complex(x, y), complex(s_rho, y))
     circle = ArcSegment(critical_value(n), rho, math.pi, 3.0 * math.pi)
     return ParamPath(
         (v, h, circle, h.reversed(), v.reversed()),
@@ -515,7 +405,7 @@ def keyhole_loop(
     """
     n = _validate_index(n)
     rho = _validate_rho(rho)
-    corridor_re = float(corridor_re)
+    corridor_re = require_finite(corridor_re, "corridor_re").real
     if abs(corridor_re + 1.0) < rho + 0.05:
         raise PreconditionError(
             f"corridor at re = {corridor_re} would cut the radius-{rho} circle "
@@ -540,9 +430,9 @@ def keyhole_loop(
     )
 
 
-def concat(first: ParamPath, *rest: ParamPath) -> ParamPath:
-    out = first
-    for p in rest:
-        out = out.concat(p)
-    return out
+def concat(*parts: ParamPath) -> ParamPath:
+    """Join paths end to start; the result is closed when it returns home."""
+    segs = tuple(s for p in parts for s in p.segments)
+    closed = bool(segs) and abs(segs[-1].end - segs[0].start) <= CONTINUITY_TOL
+    return ParamPath(segs, closed=closed)
 

@@ -88,10 +88,6 @@ class Window:
             "im_max": self.im_max,
         }
 
-    @classmethod
-    def from_json(cls, d: dict) -> "Window":
-        return cls(d["re_min"], d["re_max"], d["im_min"], d["im_max"])
-
 
 @dataclass(frozen=True)
 class RootEntry:

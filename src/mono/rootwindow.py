@@ -232,12 +232,3 @@ def find_roots(a: complex, window: Window) -> LabeledRootSet:
         )
     result.validate_residuals(FAMILY, tol=1e-10)
     return result
-
-
-def count_matches_oracle(a: complex, window: Window, k_range) -> bool:
-    """Cross-check: contour count inside window equals oracle root count."""
-    from .lambertw import oracle_roots
-
-    n_contour, w_eff = _count_with_jitter(a, window)
-    oracle = oracle_roots(a, k_range, window=w_eff)
-    return n_contour == len(oracle)

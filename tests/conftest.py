@@ -5,9 +5,15 @@ single most expensive setup step, so they are session scoped.
 """
 
 import pytest
+from hypothesis import settings
 
 from mono.rootsets import Window
 from mono.rootwindow import find_roots
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a tier-1 run is deterministic.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 # verdict lines registered by the acceptance tests; echoed after the run
 ACCEPTANCE_LINES: list[str] = []

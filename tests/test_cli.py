@@ -4,6 +4,7 @@ Most cases drive main() in process; one subprocess test proves the
 installed console script works end to end.
 """
 
+import cmath
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import pytest
 
 import mono
 from mono.cli import main
+from mono.paths import CONTINUITY_TOL
 
 
 def run(capsys, *argv):
@@ -89,6 +91,26 @@ def test_track_closed_loop_permutation(capsys, tmp_path):
     assert d["report"]["max_residual"] < 1e-12
     header = csv.read_text().splitlines()[0]
     assert header == "arc_param,label,re_z,im_z,re_a,im_a,residual"
+
+
+def test_track_composite_segment_records(capsys):
+    code, d, _ = run(capsys, "track", "--path", "composite", "--n", "2")
+    assert code == 0
+    segs = d["path"]["segments"]
+    assert [s["kind"] for s in segs] == ["image", "image", "arc", "image", "image"]
+
+    def at(rec, end):
+        if rec["kind"] == "image":
+            z = complex(*rec["z1" if end else "z0"])
+            return z + cmath.exp(z)
+        theta = rec["theta1" if end else "theta0"]
+        return complex(*rec["center"]) + rec["radius"] * cmath.exp(1j * theta)
+
+    # the loop is closed, so each segment's neighbour wraps around
+    for i, rec in enumerate(segs):
+        if rec["kind"] == "image":
+            assert abs(at(rec, False) - at(segs[i - 1], True)) < CONTINUITY_TOL
+            assert abs(at(rec, True) - at(segs[(i + 1) % len(segs)], False)) < CONTINUITY_TOL
 
 
 def test_track_through_critical_value_exit_three(capsys):
@@ -238,13 +260,19 @@ def _config(tmp_path, text):
         lambda tmp: ["group", "--config", _config(tmp, '{"group": {"loops": [0, 1.7]}}')],
         lambda tmp: ["group", "--config", _config(tmp, '{"group": {"cap": 5}}')],
         lambda tmp: ["roots", "--a=0,0", "--window=-5,710,-1,1"],
+        lambda tmp: ["roots", "--config", _config(tmp, '{"roots": {"a": true}}')],
+        lambda tmp: ["roots", "--config", _config(tmp, '{"roots": {"window": [true, 5, -6, 6]}}')],
+        lambda tmp: ["track", "--path", "keyhole", "--corridor-re=nan"],
+        lambda tmp: ["group", "--corridor-re=inf"],
+        lambda tmp: ["track", "--path", "circle", "--rho=nan"],
     ],
     ids=[
         "complex", "complex-not-finite", "loops", "window",
         "config-missing", "config-not-json", "config-loops-type",
         "config-int-type", "config-int-fraction", "config-int-list",
         "config-float-type", "config-bool-type", "config-loops-fraction", "config-unknown-key",
-        "window-exp-overflow",
+        "window-exp-overflow", "config-complex-bool", "config-window-bool",
+        "corridor-nan", "corridor-inf", "circle-radius-nan",
     ],
 )
 def test_bad_input_exits_two_without_traceback(capsys, tmp_path, argv):

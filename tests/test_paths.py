@@ -1,27 +1,22 @@
 """Parameter-plane paths: segments, loops, winding numbers, clearances."""
 
-import cmath
-import json
 import math
 
 import pytest
 
-from mono.equation import critical_value, real_root
+from mono.equation import critical_height, critical_value, real_root
 from mono.errors import PreconditionError
 from mono.paths import (
     ArcSegment,
-    HorizontalImageTrace,
+    ImageSegment,
     LineSegment,
     ParamPath,
-    VerticalImageTrace,
     circle_path,
     composite_loop,
     concat,
-    horizontal_image,
+    horizontal_stop,
     keyhole_loop,
     loop_around,
-    segment_from_json,
-    vertical_image,
 )
 
 
@@ -42,21 +37,32 @@ def test_arc_segment_parametrization():
 
 
 def test_image_trace_joints():
-    # the vertical trace ends where the horizontal trace starts, exactly:
-    # at x = real_root(), x - e^x equals 2x with no rounding slack
+    # the two image legs share the z-point x + i y_n, so they join exactly,
+    # at 2x + i y_n: x - e^x equals 2x with no rounding slack
     x = real_root()
-    v = vertical_image(0)
-    h = horizontal_image(0)
+    v, h = composite_loop(0).segments[:2]
     assert v.end == h.start
+    assert abs(h.start - complex(2.0 * x, math.pi)) < 1e-15
     assert abs((x - math.exp(x)) - 2.0 * x) < 1e-16
+    seg = ImageSegment(1.0 + 2.0j, -0.5 + 0.25j)
+    assert seg.reversed().point(0.25) == seg.point(0.75)
+    assert seg.conjugated().point(0.3) == seg.point(0.3).conjugate()
 
 
 def test_vertical_trace_shape():
-    v = vertical_image(1)
+    x, y = real_root(), critical_height(1)
+    v, h = composite_loop(1).segments[:2]
     # starts at the origin, ends at height (2n+1) pi on the curve
     assert v.start == 0j
     assert abs(v.end.imag - 3.0 * math.pi) < 1e-12
     assert v.end.real < -1.0  # lands left of the critical line
+    # both legs are the closed forms a(t) = x(1 - cos t) + i(t - x sin t)
+    # and a(s) = s - e^s + i y_n, to an ulp
+    s_rho = horizontal_stop(0.5)
+    for u in (0.0, 0.3, 0.7, 1.0):
+        t, s = u * y, x + u * (s_rho - x)
+        assert abs(v.point(u) - complex(x * (1 - math.cos(t)), t - x * math.sin(t))) < 1e-15
+        assert abs(h.point(u) - complex(s - math.exp(s), y)) < 1e-15
 
 
 def test_path_continuity_enforced():
@@ -165,35 +171,3 @@ def test_loop_radius_bounds():
         loop_around(0, 0.01)
     with pytest.raises(PreconditionError):
         loop_around(0, 4.0)  # would swallow the neighboring critical value
-
-
-def test_path_json_round_trip():
-    loop = keyhole_loop(1, 0.4)
-    data = json.loads(json.dumps(loop.to_json()))
-    again = ParamPath.from_json(data)
-    assert again.closed == loop.closed
-    assert again.encircles == loop.encircles
-    assert len(again.segments) == len(loop.segments)
-    for t in (0.0, 0.37, 1.0):
-        for s, s2 in zip(loop.segments, again.segments):
-            assert abs(s.point(t) - s2.point(t)) < 1e-15
-
-
-def test_segment_json_round_trip():
-    x = real_root()
-    segs = [
-        LineSegment(1.0 + 2.0j, -1.0 + 0.5j),
-        ArcSegment(center=-1.0 + 3.0j, radius=0.5, theta0=math.pi, theta1=3 * math.pi),
-        VerticalImageTrace(x, 0.0, math.pi),
-        HorizontalImageTrace(math.pi, x, -1.5),
-    ]
-    for seg in segs:
-        again = segment_from_json(json.loads(json.dumps(seg.to_json())))
-        for t in (0.0, 0.5, 1.0):
-            assert abs(again.point(t) - seg.point(t)) < 1e-15
-
-
-def test_min_distance_to():
-    circ = circle_path(0j, 1.0, 1)
-    assert abs(circ.min_distance_to(0j) - 1.0) < 1e-3
-    assert circ.min_distance_to(3.0 + 0j) == pytest.approx(2.0, abs=1e-3)

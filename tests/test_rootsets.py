@@ -1,7 +1,5 @@
 """Windows, labeled root sets, and canonical labeling."""
 
-import json
-
 import pytest
 
 from mono.equation import FAMILY
@@ -48,12 +46,6 @@ def test_window_degenerate_rejected():
         Window(1.0, 1.0, 0.0, 2.0)
     with pytest.raises(PreconditionError):
         Window(2.0, 1.0, 0.0, 2.0)
-
-
-def test_window_json_round_trip():
-    w = Window(-5.0, 5.0, -6.0, 18.0)
-    again = Window.from_json(json.loads(json.dumps(w.to_json())))
-    assert again == w
 
 
 def test_root_set_validation():

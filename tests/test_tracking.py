@@ -92,6 +92,30 @@ def test_residuals_stay_tight(bundle5):
     assert rep.min_pairwise_distance > 0.5
 
 
+@pytest.mark.parametrize("n", [-1, 0, 2])
+def test_root_follows_image_segment_line(bundle5, n):
+    # on an image segment one root moves along the known z-line exactly
+    loop = composite_loop(n)
+    _, rep = track_bundle(bundle5, loop, TrackConfig(record_trajectories=True))
+    rows: dict = {}
+    for arc, _lab, z, _a, _res in rep.trajectory:
+        rows.setdefault(arc, []).append(z)
+    checked = 0
+    for i, seg in enumerate(loop.segments):
+        if seg.kind != "image":
+            continue
+        d = seg.z1 - seg.z0
+        for arc, zs in rows.items():
+            if i <= arc <= i + 1:
+                on_line = (
+                    abs(seg.z0 + min(1.0, max(0.0, ((z - seg.z0) / d).real)) * d - z)
+                    for z in zs
+                )
+                assert min(on_line) < 1e-10
+                checked += 1
+    assert checked > 100
+
+
 def test_underflow_through_critical_value(bundle3):
     # circle passes exactly through a_0 halfway along; stepping must die
     # with a diagnostic pointing at the lattice, not wander off
