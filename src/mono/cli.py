@@ -286,7 +286,7 @@ def cmd_track(o) -> tuple[dict, int]:
             "steps_accepted": report.steps_accepted,
             "steps_rejected": report.steps_rejected,
             "max_residual": report.max_residual,
-            "min_pairwise_distance": report.min_pairwise_distance,
+            "min_pairwise_distance": report.min_pairwise_distance if len(start) > 1 else None,
         },
     }
     if path.closed:
@@ -462,6 +462,9 @@ def main(argv=None) -> int:
     handler, _, defaults = COMMANDS[args.command]
     try:
         payload, code = handler(_resolve(args, defaults))
+        if getattr(args, "seed", None) is not None:
+            payload["seed"] = args.seed
+        text = canonical_json(payload)
     except PreconditionError as exc:
         sys.stderr.write(f"precondition error: {exc}\n")
         return EXIT_PRECONDITION
@@ -471,9 +474,6 @@ def main(argv=None) -> int:
     except MonoError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERICAL
-    if getattr(args, "seed", None) is not None:
-        payload["seed"] = args.seed
-    text = canonical_json(payload)
     sys.stdout.write(text)
     if getattr(args, "json_out", None):
         atomic_write_text(_out_path(args, args.json_out), text)

@@ -32,11 +32,13 @@ def require_finite(z: complex, name: str = "value") -> complex:
     return z
 
 
+def _exp_overflow(z: complex) -> EvalRangeError:
+    return EvalRangeError(f"exp would overflow: re(z) = {z.real:.6g} exceeds {EXP_RE_MAX:.6g}")
+
+
 def checked_exp(z: complex) -> complex:
     if z.real > EXP_RE_MAX:
-        raise EvalRangeError(
-            f"exp would overflow: re(z) = {z.real:.6g} exceeds {EXP_RE_MAX:.6g}"
-        )
+        raise _exp_overflow(z)
     return cmath.exp(z)
 
 
@@ -64,24 +66,27 @@ FAMILY = ExpAffineFamily()
 
 
 def newton(z: complex, a: complex, tol: float, max_iter: int):
-    """Newton for f(z) = a from z; (z, |f(z) - a|) or None within max_iter.
+    """Newton for f(z) = a from z: (z, |f(z) - a|, f'(z)) or None.
 
-    Gives up (None) on a vanishing derivative, a non-finite iterate, or a
-    residual still above tol after max_iter updates.
+    One e^z per iterate gives both z + e^z - a and f' = 1 + e^z, the same
+    floats as FAMILY.eval and FAMILY.deriv.  None on a non-finite iterate
+    (the start too), f' = 0, or a residual above tol after max_iter
+    updates; an iterate past EXP_RE_MAX raises EvalRangeError.
     """
-    for _ in range(max_iter):
-        fz = FAMILY.eval(z) - a
+    for k in range(max_iter + 1):
+        if not cmath.isfinite(z):
+            return None
+        if z.real > EXP_RE_MAX:
+            raise _exp_overflow(z)
+        e = cmath.exp(z)
+        fz = z + e - a
         r = abs(fz)
+        d = 1.0 + e
         if r <= tol:
-            return z, r
-        d = FAMILY.deriv(z)
-        if d == 0:
+            return z, r, d
+        if k == max_iter or d == 0:
             return None
         z = z - fz / d
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            return None
-    r = abs(FAMILY.eval(z) - a)
-    return (z, r) if r <= tol else None
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import PreconditionError
 
 SEPARATION_FLOOR = 1e-8
@@ -234,8 +236,18 @@ def pair_distances(zs):
 
 
 def min_separation(zs) -> float:
-    """Smallest pairwise distance among zs; inf for fewer than two points."""
-    return min((d for _, _, d in pair_distances(zs)), default=math.inf)
+    """Smallest pairwise distance among zs; inf for fewer than two points.
+
+    One numpy distance matrix.  np.hypot, unlike np.abs, gives the floats
+    Python's abs gives over pair_distances, to the last bit.
+    """
+    if len(zs) < 2:
+        return math.inf
+    z = np.array(zs, dtype=complex)
+    diff = z[:, None] - z
+    dist = np.hypot(diff.real, diff.imag)
+    dist.flat[:: len(z) + 1] = math.inf  # the diagonal
+    return float(dist.min())
 
 
 def _near_merge_pairs(entries) -> tuple[tuple[int, int], ...]:

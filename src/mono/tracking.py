@@ -6,12 +6,14 @@ and corrects with full Newton back to residual corrector_tol.  The step
 size is additionally capped by COLLISION_FRACTION * d_min * min|f'|,
 which keeps every predicted move below a third of the current minimum
 root separation, so labels cannot jump between roots mid-flight.  The
-bundle's d_min and its f' values are computed once per accepted step
-and carried to the next one.  Steps that fail to correct are rejected
-and halved; halving below min_step aborts with the nearest critical
-value attached, since stalling happens exactly when the path runs into
-one.  Bundles whose roots start closer than NEAR_CRITICAL_RADIUS are
-refused.
+bundle's f' values come from the corrector (equation.newton returns
+f' at each accepted root) and its d_min from one numpy distance
+matrix (rootsets.min_separation); both are carried to the next step.
+Steps that fail to correct (a non-finite corrector start included) are
+rejected and halved; halving below min_step aborts with the nearest
+critical value attached, since stalling happens exactly when the path
+runs into one.  Bundles whose roots start closer than
+NEAR_CRITICAL_RADIUS are refused.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ def step_control(dmin: float, derivs, da_proposed, cfg: TrackConfig) -> float:
     """
     step = min(cfg.max_step, abs(da_proposed))
     if len(derivs) >= 2:
-        step = min(step, COLLISION_FRACTION * dmin * min(abs(d) for d in derivs))
+        step = min(step, COLLISION_FRACTION * dmin * min(map(abs, derivs)))
     return step
 
 
@@ -175,7 +177,9 @@ def track_bundle(
                 )
 
             step_a = a_next - a_cur
+            basin = COLLISION_FRACTION * dmin
             new_zs = []
+            new_derivs = []
             worst = 0.0
             for z, d in zip(zs, derivs):
                 if d == 0:
@@ -183,9 +187,10 @@ def track_bundle(
                 predicted = z + step_a / d
                 corrected = newton(predicted, a_next, cfg.corrector_tol, _CORRECTOR_MAX_ITER)
                 # corrector must stay inside the predictor's basin
-                if corrected is None or abs(corrected[0] - predicted) > COLLISION_FRACTION * dmin:
+                if corrected is None or abs(corrected[0] - predicted) > basin:
                     break
                 new_zs.append(corrected[0])
+                new_derivs.append(corrected[2])
                 worst = max(worst, corrected[1])
             if len(new_zs) < len(zs):
                 report.steps_rejected += 1
@@ -209,7 +214,7 @@ def track_bundle(
                 )
             report.min_pairwise_distance = min(report.min_pairwise_distance, dmin)
             zs = new_zs
-            derivs = [FAMILY.deriv(z) for z in zs]
+            derivs = new_derivs
             a_cur = a_next
             u = u_next
             report.steps_accepted += 1

@@ -93,6 +93,22 @@ def test_track_closed_loop_permutation(capsys, tmp_path):
     assert header == "arc_param,label,re_z,im_z,re_a,im_a,residual"
 
 
+@pytest.mark.parametrize(
+    "argv, n_roots",
+    [
+        (["--center=0.5,0", "--rho", "0.3", "--window=-1,0,-1,1"], 1),
+        (["--center=1e300,0", "--rho", "0.5"], 0),
+    ],
+    ids=["one-root", "no-root"],
+)
+def test_track_below_two_roots_has_null_separation(capsys, argv, n_roots):
+    # no pair, no distance: null rather than an unserializable inf
+    code, d, err = run(capsys, "track", "--path", "circle", *argv)
+    assert (code, err) == (0, "")
+    assert len(d["start"]["roots"]) == n_roots
+    assert d["report"]["min_pairwise_distance"] is None
+
+
 def test_track_composite_segment_records(capsys):
     code, d, _ = run(capsys, "track", "--path", "composite", "--n", "2")
     assert code == 0

@@ -4,6 +4,8 @@ import cmath
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mono.equation import (
     EXP_RE_MAX,
@@ -15,6 +17,7 @@ from mono.equation import (
     critical_point,
     critical_value,
     nearest_critical,
+    newton,
     real_root,
     to_b,
     to_x,
@@ -120,3 +123,62 @@ def test_non_finite_rejected():
         FAMILY.eval(complex(math.nan, 0.0))
     with pytest.raises(PreconditionError):
         nearest_critical(complex(math.inf, 1.0))
+
+
+def _reference_newton(z, a, tol, max_iter):
+    # the unfused loop on the guarded family: two exps per iterate
+    for _ in range(max_iter):
+        fz = FAMILY.eval(z) - a
+        r = abs(fz)
+        if r <= tol:
+            return z, r
+        d = FAMILY.deriv(z)
+        if d == 0:
+            return None
+        z = z - fz / d
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            return None
+    r = abs(FAMILY.eval(z) - a)
+    return (z, r) if r <= tol else None
+
+
+def _outcome(solver, *args):
+    try:
+        return solver(*args)
+    except EvalRangeError:
+        return EvalRangeError
+
+
+_im = st.floats(-60.0, 60.0)
+
+
+@settings(max_examples=300)
+@given(
+    z=st.builds(complex, st.floats(-30.0, 700.0), _im),
+    a=st.builds(complex, st.floats(-30.0, 700.0), _im),
+    tol=st.sampled_from([1e-12, 1e-8]),
+    max_iter=st.integers(0, 60),
+)
+def test_newton_matches_unfused_reference(z, a, tol, max_iter):
+    got = _outcome(newton, z, a, tol, max_iter)
+    want = _outcome(_reference_newton, z, a, tol, max_iter)
+    if want is None or want is EvalRangeError:
+        assert got is want
+        return
+    assert got[:2] == want
+    # f' at the accepted root, bit for bit
+    assert got[2] == FAMILY.deriv(got[0])
+
+
+def test_newton_iterate_past_exp_guard_raises():
+    # the start is tame, but f' ~ -1e-3 there throws the first update to
+    # re(z) ~ 1e6
+    z0 = complex(1e-3, math.pi)
+    assert z0.real < EXP_RE_MAX
+    with pytest.raises(EvalRangeError, match="exp would overflow"):
+        newton(z0, complex(-1000.0, math.pi), 1e-12, 8)
+
+
+def test_newton_non_finite_start_gives_none():
+    assert newton(complex(math.nan, 0.0), 0j, 1e-12, 8) is None
+    assert newton(complex(0.0, math.inf), 0j, 1e-12, 8) is None

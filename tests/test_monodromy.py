@@ -7,9 +7,11 @@ the other side of the critical line.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mono.equation import critical_point
-from mono.paths import keyhole_loop, loop_around
+from mono.paths import concat, keyhole_loop, loop_around
 from mono.permutation import Permutation, compose, extract_permutation, is_transposition
 from mono.rootwindow import find_roots
 from mono.tracking import TrackConfig, track_bundle
@@ -87,3 +89,31 @@ def test_composed_word_tracks_as_product(bundle5):
     assert direct == expected
     # (1 3) then (1 4): 1 -> 3, 3 -> 1 -> 4, 4 -> 1
     assert direct.cycle_string() == "(1 3 4)"
+
+
+_LETTERS = [(n, sign) for n in (-1, 0, 1, 2) for sign in (1, -1)]
+
+
+def _letter(n, sign):
+    # every letter is a keyhole generator or its reverse
+    loop = keyhole_loop(n)
+    return loop if sign > 0 else loop.reverse()
+
+
+@pytest.fixture(scope="module")
+def letter_images(bundle5):
+    return {letter: _perm(bundle5, _letter(*letter)).images for letter in _LETTERS}
+
+
+@settings(max_examples=8)
+@given(word=st.lists(st.sampled_from(_LETTERS), min_size=1, max_size=3))
+def test_random_word_tracks_as_product_of_letters(bundle5, letter_images, word):
+    # the product is composed here, the first letter applied first
+    identity = tuple(range(1, len(bundle5) + 1))
+    product = identity
+    for letter in word:
+        product = tuple(letter_images[letter][i - 1] for i in product)
+    path = concat(*(_letter(*letter) for letter in word))
+    assert _perm(bundle5, path).images == product
+    back = _perm(bundle5, path.reverse()).images
+    assert tuple(back[i - 1] for i in product) == identity

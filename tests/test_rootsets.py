@@ -1,6 +1,10 @@
 """Windows, labeled root sets, and canonical labeling."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mono.equation import FAMILY
 from mono.errors import PreconditionError
@@ -12,6 +16,8 @@ from mono.rootsets import (
     Window,
     canonical_root_set,
     match_positions,
+    min_separation,
+    pair_distances,
 )
 
 
@@ -123,3 +129,31 @@ def test_canonical_respects_window():
     win = Window(-1.0, 1.0, -1.0, 1.0)
     with pytest.raises(PreconditionError):
         canonical_root_set(0j, [2.0 + 0j], window=win)
+
+
+_part = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def _point_lists(draw):
+    zs = draw(st.lists(st.builds(complex, _part, _part), max_size=25))
+    if not zs or draw(st.booleans()):
+        return zs
+    # repeat some points exactly or one ulp away in one part, in half the
+    # lists only: a repeat pins the minimum to a value np.abs gets right too
+    for i in draw(st.lists(st.integers(0, len(zs) - 1), max_size=5)):
+        z = zs[i]
+        zs.append(draw(st.sampled_from([
+            z,
+            complex(math.nextafter(z.real, math.inf), z.imag),
+            complex(z.real, math.nextafter(z.imag, -math.inf)),
+        ])))
+    return zs[:25]
+
+
+@settings(max_examples=300)
+@given(_point_lists())
+def test_min_separation_matches_pairwise_abs(zs):
+    # exact equality: the numpy matrix must give Python's abs to the bit
+    want = min((d for *_, d in pair_distances(zs)), default=math.inf)
+    assert min_separation(zs) == want

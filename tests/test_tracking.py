@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from mono.equation import critical_value
+from mono.equation import FAMILY, critical_value
 from mono.errors import PreconditionError, StepUnderflowError
 from mono.paths import ParamPath, LineSegment, circle_path, composite_loop, keyhole_loop
 from mono.rootsets import Window
@@ -49,6 +49,33 @@ def test_step_law_is_deterministic(bundle5, n, steps):
     # any change to them is a change of behaviour, not noise
     _, rep = track_bundle(bundle5, keyhole_loop(n, 0.5), TrackConfig())
     assert (rep.steps_accepted, rep.steps_rejected) == (steps, 0)
+
+
+def test_guarded_family_calls_do_not_grow_with_steps(bundle5, monkeypatch):
+    # the corrector's fused kernel does the per-step work; the guarded
+    # FAMILY.eval/deriv are left to the start checks, O(N) per bundle
+    calls = {"eval": 0, "deriv": 0}
+
+    def counted(name):
+        method = getattr(FAMILY, name)
+
+        def wrapper(z):
+            calls[name] += 1
+            return method(z)
+
+        return wrapper
+
+    monkeypatch.setattr(FAMILY, "eval", counted("eval"))
+    monkeypatch.setattr(FAMILY, "deriv", counted("deriv"))
+    runs = []
+    for max_step in (0.05, 0.02):
+        calls.update(eval=0, deriv=0)
+        _, rep = track_bundle(bundle5, keyhole_loop(2, 0.5), TrackConfig(max_step=max_step))
+        runs.append((rep.steps_accepted, calls["eval"], calls["deriv"]))
+    (steps, *guarded), (more_steps, *guarded_more) = runs
+    assert steps == 880 and more_steps > steps
+    assert max(guarded) <= 2 * len(bundle5) + 2
+    assert guarded_more == guarded
 
 
 def test_identity_transport_around_regular_point(bundle3):
