@@ -116,7 +116,7 @@ def critical_point(n: int) -> CriticalPoint:
         raise PreconditionError(f"critical index must be an int, got {type(n).__name__}")
     if abs(n) > MAX_CRITICAL_INDEX:
         raise PreconditionError(
-            f"critical index |n| = {abs(n)} exceeds {MAX_CRITICAL_INDEX}"
+            f"critical index |n| = {abs(n):.3g} exceeds {MAX_CRITICAL_INDEX}"
         )
     z = complex(0.0, critical_height(n))
     if FAMILY.deriv2(z) == 0:

@@ -307,7 +307,7 @@ def _validate_index(n: int) -> int:
     if not isinstance(n, int):
         raise PreconditionError(f"critical index must be an int, got {type(n).__name__}")
     if abs(n) > MAX_CRITICAL_INDEX:
-        raise PreconditionError(f"critical index |n| = {abs(n)} out of range")
+        raise PreconditionError(f"critical index |n| = {abs(n):.3g} out of range")
     return n
 
 

@@ -1,17 +1,23 @@
 """Contour-based root counting and location in rectangular windows.
 
-count_roots integrates f'/(f - a) around the window boundary (composite
-trapezoid, adaptively doubled) to get the number of roots inside, with a
-phase-increment guard that refuses to trust undersampled boundaries.
-find_roots recurses: quadtree subdivision down to isolated roots, Newton
-polish, and a cluster fallback for root pairs too close to separate.
-This route never consults the closed-form oracle; the two are compared
-only in tests and in the CLI cross-check commands.
+count_roots integrates f'/(f - a) around the window boundary to get the
+number of roots inside.  The boundary is one ring of samples, all four
+edges in one array evaluated by one exp; the composite trapezoid rule is
+a dot product with per-sample weights.  A phase-increment guard refuses
+to trust an undersampled ring, and each refinement doubles the ring in
+place, evaluating only the new midpoints.  A contour that fails its
+first pass because a simple root sits on an edge, closer than any
+refinement could resolve, is refused at once instead of refined to
+exhaustion.  find_roots recurses: quadtree subdivision down to isolated
+roots, Newton polish, and a cluster fallback for root pairs too close to
+separate.  This route never consults the closed-form oracle; the two
+are compared only in tests and in the CLI cross-check commands.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -32,6 +38,8 @@ _AGREE_TOL = 0.05
 _PHASE_INC_MAX = 0.5 * math.pi
 NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 60
+# Newton residual that locates a root well enough to read its rounding floor
+_LOOSE_TOL = 1e-6
 # boundary samples per edge before doubling, and how often to double
 _EDGE_SAMPLES = 64
 _MAX_DOUBLINGS = 12
@@ -40,76 +48,149 @@ _CLUSTER_DIAMETER = 1e-7
 _JITTER_STEP = 1e-3
 _JITTER_TRIES = 10
 
-_TRAPZ = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
+# a root within this many finest sample spacings of an edge is refused at
+# the first pass; only simple roots (|f'| above the floor) are refused, so
+# a pair near a critical point still reaches the cluster fallback
+_REFUSE_SPACINGS = 4
+_REFUSE_DERIV_MIN = 1e-3
 
 
-def _edge_samples(z0: complex, z1: complex, m: int, a: complex):
-    u = np.linspace(0.0, 1.0, m + 1)
-    z = z0 + u * (z1 - z0)
+def _ring_samples(z: np.ndarray, a: complex):
+    """f - a and f' at the boundary points z, from one exp of the array."""
     e = np.exp(z)
-    fz = z + e - a
-    fpz = 1.0 + e
-    return z, fz, fpz
+    return z + e - a, 1.0 + e
+
+
+def _edge_points(corners: np.ndarray, edges: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Points at fractions u along each edge, in ring order (edge by edge)."""
+    return (corners[:, None] + u * edges[:, None]).ravel()
+
+
+def _interleave(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """old[0], new[0], old[1], new[1], ...: midpoints into their ring slots."""
+    out = np.empty(old.size + new.size, dtype=old.dtype)
+    out[0::2] = old
+    out[1::2] = new
+    return out
+
+
+def _check_clearance(z: np.ndarray, fz: np.ndarray) -> float:
+    """Smallest |f - a| among the samples; raises if a root is on them."""
+    mod = np.abs(fz)
+    k = int(np.argmin(mod))
+    if mod[k] <= BOUNDARY_CLEARANCE:
+        raise BoundaryTooCloseError(
+            f"|f - a| = {mod[k]:.3g} on window boundary",
+            clearance=float(mod[k]),
+            location=complex(z[k]),
+        )
+    return float(mod[k])
+
+
+def _refuse_edge_root(z, dlog, a: complex, corners: list, edges: list) -> None:
+    """Raise BoundaryTooCloseError for a simple root too close to an edge.
+
+    Newton runs from the ring sample z with the least |f|/|f'|, the
+    largest |dlog| = |f'/f| (the shortest Newton step).  A root it
+    settles on with |f'| above the floor, within _REFUSE_SPACINGS finest
+    spacings (edge length / (64 * 2^12)) of an edge, is closer than any
+    doubling resolves: the guards would fail through every pass, or pass
+    by aliasing.
+    """
+    k = int(np.argmax(np.abs(dlog)))
+    try:
+        hit = newton(complex(z[k]), a, NEWTON_TOL, _NEWTON_MAX_ITER)
+    except EvalRangeError:
+        return
+    if hit is None or abs(hit[2]) < _REFUSE_DERIV_MIN:
+        return
+    root = hit[0]
+    finest = _EDGE_SAMPLES << _MAX_DOUBLINGS
+    for c, d in zip(corners, edges):
+        t = min(max(((root - c) * d.conjugate()).real / abs(d) ** 2, 0.0), 1.0)
+        dist = abs(root - (c + t * d))
+        if dist < _REFUSE_SPACINGS * abs(d) / finest:
+            raise BoundaryTooCloseError(
+                f"root at {root:.6g} lies {dist:.3g} from the window edge, "
+                f"closer than {_REFUSE_SPACINGS} of its finest sample spacings",
+                clearance=dist,
+                location=root,
+            )
 
 
 def count_roots(a: complex, window: Window) -> int:
     """Number of roots of z + e^z = a inside the window, by winding number.
 
-    The boundary integral (1/2 pi i) of f'/(f - a) is computed by the
-    trapezoid rule on each edge; the sample count doubles until the
-    discrete phase increments of f - a along the boundary all stay below
-    pi/2 and the quadrature agrees with the integer phase winding.
-    Raises BoundaryTooCloseError when |f - a| dips below the clearance
-    floor on the boundary (caller should jitter the window),
-    ResidualTooLargeError if refinement is exhausted, and EvalRangeError
-    for a window reaching past EXP_RE_MAX, where e^z overflows.
+    One ring of m samples per edge covers the whole boundary, sampled by
+    one exp.  The boundary integral (1/2 pi i) of f'/(f - a) is the
+    trapezoid rule written as one dot product of per-sample weights with
+    the integrand: each sample weighs dz/2 from each neighbouring
+    interval.  A pass is accepted when every
+    discrete phase increment of f - a along the ring stays below pi/2
+    and the quadrature agrees with the integer phase winding.  Otherwise
+    m doubles in place: only the new midpoints are evaluated, and every
+    earlier sample is kept.
+
+    Unless the first pass is accepted with every sample's Newton step
+    |f|/|f'| longer than its interval, the contour is checked once for a
+    simple root on an edge (see _refuse_edge_root).  Such a contour is
+    refused at once with BoundaryTooCloseError, as is one where |f - a|
+    dips below the clearance floor at a sample; the caller should move
+    it.  Raises ResidualTooLargeError if refinement is exhausted, and
+    EvalRangeError for a window reaching past EXP_RE_MAX, where e^z
+    overflows.
     """
     if window.re_max > EXP_RE_MAX:
         raise EvalRangeError(
             f"exp would overflow: window re_max = {window.re_max:.6g} "
             f"exceeds {EXP_RE_MAX:.6g}"
         )
-    corners = window.corners()
+    corner_list = window.corners()
+    edge_list = [corner_list[(i + 1) % 4] - corner_list[i] for i in range(4)]
+    corners, edges = np.array(corner_list), np.array(edge_list)
+    # a corner sample weighs half of each of the two edges' intervals
+    corner_weights = np.array([0.5 * (edge_list[i - 1] + d) for i, d in enumerate(edge_list)])
     m = _EDGE_SAMPLES
-    last_misfit = math.inf
-    for _ in range(_MAX_DOUBLINGS + 1):
-        integral = 0j
-        boundary_f = []
-        min_abs = math.inf
-        for i in range(4):
-            z0, z1 = corners[i], corners[(i + 1) % 4]
-            _, fz, fpz = _edge_samples(z0, z1, m, a)
-            edge_min = float(np.min(np.abs(fz)))
-            min_abs = min(min_abs, edge_min)
-            if edge_min <= BOUNDARY_CLEARANCE:
-                idx = int(np.argmin(np.abs(fz)))
-                raise BoundaryTooCloseError(
-                    f"|f - a| = {edge_min:.3g} on window boundary",
-                    clearance=edge_min,
-                    location=complex(z0 + (z1 - z0) * idx / m),
-                )
-            integral += (z1 - z0) * complex(_TRAPZ(fpz / fz, dx=1.0 / m))
-            boundary_f.append(fz[:-1])
-        fring = np.concatenate(boundary_f)
-        ratios = np.roll(fring, -1) / fring
-        increments = np.angle(ratios)
+    z = _edge_points(corners, edges, np.arange(m) / m)
+    fz, fpz = _ring_samples(z, a)
+    min_abs = _check_clearance(z, fz)
+    dlog = fpz / fz
+    ring = np.append(fz, fz[0])  # f - a around the closed ring
+    for doubling in range(_MAX_DOUBLINGS + 1):
+        weights = np.repeat(edges / m, m)
+        weights[::m] = corner_weights / m
+        # weighted integrand: its sum is the trapezoid rule, and each term
+        # is the predicted change of log(f - a) over the sample's interval
+        terms = weights * dlog
+        winding = complex(terms.sum()) / (2j * math.pi)
+        increments = np.angle(ring[1:] / ring[:-1])
         phase_total = float(np.sum(increments)) / (2.0 * math.pi)
         n_phase = round(phase_total)
-        winding = integral / (2j * math.pi)
         misfit = abs(winding.real - n_phase) + abs(winding.imag)
-        if (
+        accepted = (
             float(np.max(np.abs(increments))) < _PHASE_INC_MAX
             and abs(phase_total - n_phase) < 1e-6
             and misfit < _AGREE_TOL
-        ):
+        )
+        # a first pass is trusted without the edge-root check only if no
+        # sample's Newton step |f|/|f'| is shorter than its interval
+        if doubling == 0 and not (accepted and float(np.max(np.abs(terms))) < 1.0):
+            _refuse_edge_root(z, dlog, a, corner_list, edge_list)
+        if accepted:
             if n_phase < 0:
                 raise NumericalError(f"negative winding {n_phase}; f is entire")
             return int(n_phase)
-        last_misfit = misfit
+        if doubling == _MAX_DOUBLINGS:
+            break
+        zm = _edge_points(corners, edges, (2 * np.arange(m) + 1) / (2 * m))
+        fm, fpm = _ring_samples(zm, a)
+        min_abs = min(min_abs, _check_clearance(zm, fm))
+        ring = _interleave(ring, fm)
+        dlog = _interleave(dlog, fpm / fm)
         m *= 2
     raise ResidualTooLargeError(
         f"boundary quadrature did not settle after {_MAX_DOUBLINGS} doublings "
-        f"(misfit {last_misfit:.3g}, min boundary |f - a| = {min_abs:.3g})"
+        f"(misfit {misfit:.3g}, min boundary |f - a| = {min_abs:.3g})"
     )
 
 
@@ -120,13 +201,14 @@ def _count_with_jitter(a: complex, window: Window) -> tuple[int, Window]:
     for _ in range(_JITTER_TRIES):
         try:
             return count_roots(a, w), w
-        except (BoundaryTooCloseError, ResidualTooLargeError):
+        except (BoundaryTooCloseError, ResidualTooLargeError) as exc:
+            last = exc
             w = w.expand(_JITTER_STEP)
     raise BoundaryTooCloseError(
-        f"window boundary still blocked after {_JITTER_TRIES} expansions of "
-        f"{_JITTER_STEP:g}",
-        clearance=None,
-        location=None,
+        f"could not count roots after {_JITTER_TRIES} expansions of the window "
+        f"by {_JITTER_STEP:g}; last cause: {last}",
+        clearance=getattr(last, "clearance", None),
+        location=getattr(last, "location", None),
     )
 
 
@@ -152,6 +234,25 @@ def _solve_isolated(win: Window, a: complex) -> complex | None:
         if polished is not None and win.contains(polished[0], margin=1e-9):
             return polished[0]
     return None
+
+
+def _check_residual_floor(win: Window, a: complex) -> None:
+    """Raise NumericalError when rounding, not the cell, stops Newton.
+
+    A loose Newton from the center finds the cell's root; there |f - a|
+    cannot reliably fall below eps |z| |f'(z)|, and when that floor is
+    above NEWTON_TOL no subdivision helps.
+    """
+    hit = newton(win.center, a, _LOOSE_TOL, _NEWTON_MAX_ITER)
+    if hit is None or not win.contains(hit[0], margin=1e-9):
+        return
+    z, _, d = hit
+    floor = sys.float_info.epsilon * abs(z) * abs(d)
+    if floor > NEWTON_TOL:
+        raise NumericalError(
+            f"Newton cannot polish the root near {z:.6g} to residual "
+            f"{NEWTON_TOL:g}: the rounding floor eps |z| |f'(z)| there is {floor:.3g}"
+        )
 
 
 def _split_counted(win: Window, a: complex, expected: int):
@@ -211,6 +312,7 @@ def find_roots(a: complex, window: Window) -> LabeledRootSet:
                 positions.append(z)
                 multiplicities.append(1)
                 continue
+            _check_residual_floor(win, a)
             stack.extend((ch, n, depth + 1) for ch, n in _split_counted(win, a, cnt))
             continue
         if win.diameter < _CLUSTER_DIAMETER:

@@ -34,3 +34,32 @@ def test_tracer_installs_every_name(tracer_module):
         t.uninstall()
     assert cli.main is main
     assert "eval" not in vars(equation.FAMILY)
+
+
+
+@pytest.mark.parametrize(
+    "im_max, roots, refused",
+    [(18.0, 5, 0), (6.0, 3, 1)],
+    ids=["W5", "W3"],
+)
+def test_tracer_sees_internal_count_roots_calls(tracer_module, im_max, roots, refused):
+    # find_roots calls count_roots through the module global the tracer
+    # rebinds.  On W3 the first split line Im z = 0 runs through the real
+    # root; that contour is refused and counted as a failed call.  W5's
+    # first split is at Im z = 6 and its real root is isolated without
+    # another split, so nothing is refused there.
+    from mono import rootwindow
+    from mono.rootsets import Window
+
+    t = tracer_module.Tracer()
+    try:
+        assert t.install() == []
+        t.reset()
+        found = rootwindow.find_roots(0j, Window(-5.0, 5.0, -6.0, im_max))
+        summary = t.summary()
+    finally:
+        t.uninstall()
+    assert len(found) == roots
+    assert summary["rootwindow.find_roots.calls"] == 1
+    assert summary["rootwindow.count_roots.calls"] > 0
+    assert summary["rootwindow.count_roots.failed"] == refused

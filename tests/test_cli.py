@@ -281,6 +281,7 @@ def _config(tmp_path, text):
         lambda tmp: ["track", "--path", "keyhole", "--corridor-re=nan"],
         lambda tmp: ["group", "--corridor-re=inf"],
         lambda tmp: ["track", "--path", "circle", "--rho=nan"],
+        lambda tmp: ["roots", "--a=0,1e300"],
     ],
     ids=[
         "complex", "complex-not-finite", "loops", "window",
@@ -288,7 +289,7 @@ def _config(tmp_path, text):
         "config-int-type", "config-int-fraction", "config-int-list",
         "config-float-type", "config-bool-type", "config-loops-fraction", "config-unknown-key",
         "window-exp-overflow", "config-complex-bool", "config-window-bool",
-        "corridor-nan", "corridor-inf", "circle-radius-nan",
+        "corridor-nan", "corridor-inf", "circle-radius-nan", "critical-index-huge",
     ],
 )
 def test_bad_input_exits_two_without_traceback(capsys, tmp_path, argv):
@@ -296,3 +297,36 @@ def test_bad_input_exits_two_without_traceback(capsys, tmp_path, argv):
     assert code == 2
     assert payload is None
     assert err.startswith("precondition error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, code, prefix, cause",
+    [
+        (["roots", "--a=0,1e300"], 2, "precondition", "|n| = 1.59e+299 exceeds"),
+        (["loop", "--n", str(10**23)], 2, "precondition", "|n| = 1e+23 out of range"),
+        # every expansion exhausts refinement: the message says so, not "blocked"
+        (
+            ["roots", "--a=0,0", "--window=-5,5,-2000,2000"], 2, "precondition",
+            "last cause: boundary quadrature did not settle",
+        ),
+        # near z = 5 + 155.5i rounding alone keeps |f - a| above 1e-12
+        (
+            ["roots", "--a=0,0", "--window=-10,10,150,170"], 3, "numerical",
+            "rounding floor eps |z| |f'(z)| there is 5.",
+        ),
+    ],
+    ids=["critical-index-huge", "loop-index-huge", "jitter-quadrature", "residual-floor"],
+)
+def test_error_message_names_the_cause(capsys, argv, code, prefix, cause):
+    got, payload, err = run(capsys, *argv)
+    assert got == code
+    assert payload is None
+    assert err.startswith(prefix)
+    assert cause in err
+    assert len(err) < 400
+
+
+def test_roots_below_the_residual_floor_still_polished(capsys):
+    code, d, _ = run(capsys, "roots", "--a=0,0", "--window=-10,10,100,120")
+    assert code == 0
+    assert len(d["roots"]) == 3

@@ -1,12 +1,16 @@
 """Contour counting and certified root location in rectangles."""
 
+import cmath
 import math
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
+from mono import rootwindow
 from mono.equation import FAMILY, critical_point, critical_value, real_root
 from mono.errors import BoundaryTooCloseError, PreconditionError
-from mono.lambertw import oracle_roots
+from mono.lambertw import lambert_w, oracle_roots
 from mono.rootsets import Window, match_positions
 from mono.rootwindow import count_roots, find_roots
 
@@ -105,3 +109,137 @@ def test_count_deterministic():
     w = Window(-3.0, 3.0, -4.0, 8.0)
     a = -0.3 + 0.9j
     assert count_roots(a, w) == count_roots(a, w)
+
+
+# -- the boundary ring: refusal and work counts ---------------------------
+
+
+def _count_samples(monkeypatch):
+    """Wrap the ring sampler; returns the list of batch sizes it evaluates."""
+    batches = []
+    sampler = rootwindow._ring_samples
+
+    def counted(z, a):
+        batches.append(z.size)
+        return sampler(z, a)
+
+    monkeypatch.setattr(rootwindow, "_ring_samples", counted)
+    return batches
+
+
+def test_edge_through_root_refused_after_first_pass(monkeypatch):
+    # the bottom edge Im z = 0 runs through the real root of z + e^z = 0
+    batches = _count_samples(monkeypatch)
+    with pytest.raises(BoundaryTooCloseError) as ei:
+        count_roots(0j, Window(-1.0, 1.0, 0.0, 1.0))
+    assert batches == [4 * rootwindow._EDGE_SAMPLES]
+    assert abs(ei.value.location - real_root()) < 1e-12
+    assert ei.value.clearance < 1e-12
+
+
+@pytest.mark.parametrize("offset, expected", [(1e-3, 1), (-1e-3, 0)])
+def test_root_resolvably_close_to_edge_counted(offset, expected):
+    # the real root 1e-3 inside (or outside) the left edge of a unit window
+    x = real_root()
+    assert count_roots(0j, Window(x - offset, x - offset + 1.0, -0.5, 0.5)) == expected
+
+
+def test_nineteen_root_bundle_boundary_work(monkeypatch):
+    # before the ring was refined in place and edge roots refused, this
+    # call evaluated 2,812,540 boundary samples
+    batches = _count_samples(monkeypatch)
+    found = find_roots(0j, Window(-5.0, 5.0, -60.0, 60.0))
+    assert len(found) == 19
+    assert sum(batches) <= 2_812_540 // 5
+
+
+# -- properties: find_roots against the oracle on edge cases --------------
+
+BRANCHES = range(-8, 9)
+
+
+def _assert_matches_oracle(a, window, tol=1e-9):
+    found = find_roots(a, window)
+    ref = oracle_roots(a, BRANCHES, window=found.window)
+    assert found.labels() == ref.labels()
+    ok, worst = match_positions(found.positions(), ref.positions(), tol)
+    assert ok, (a, window, worst)
+    return found
+
+
+@settings(max_examples=100)
+@given(a=st.floats(-4.0, 4.0))
+def test_real_parameter_matches_oracle(a):
+    # the first horizontal split line Im z = 0 carries the real root
+    found = _assert_matches_oracle(complex(a, 0.0), Window(-5.0, 5.0, -6.0, 6.0))
+    assert len(found) == 3
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(-1, 1),
+    log_dist=st.floats(-6.0, -3.0),
+    angle=st.floats(0.0, 2.0 * math.pi),
+    shift_re=st.floats(-1.0, 1.0),
+    shift_im=st.floats(-1.0, 1.0),
+)
+def test_near_critical_value_matches_oracle(n, log_dist, angle, shift_re, shift_im):
+    # |a - a_n| between 1e-6 and 1e-3: the pair near z_n is ~2 sqrt(2 |a - a_n|)
+    # apart, far above the cluster scale.  With no shift the split lines
+    # through z_n pass between the two roots; positions are good to
+    # ~1e-12 / |f'|
+    a = critical_value(n) + cmath.rect(10.0**log_dist, angle)
+    c = critical_point(n).z + complex(shift_re, shift_im)
+    w = Window(c.real - 2.0, c.real + 2.0, c.imag - 2.0, c.imag + 2.0)
+    found = _assert_matches_oracle(a, w, tol=1e-8)
+    assert len(found) == 2
+    assert not found.has_near_merge()
+
+
+@settings(max_examples=150)
+@given(
+    a=st.complex_numbers(max_magnitude=3.0),
+    branch=st.integers(-2, 2),
+    where=st.sampled_from(["left", "right", "bottom", "top", "split-re", "split-im"]),
+    width=st.floats(0.5, 6.0),
+    height=st.floats(0.5, 6.0),
+    frac=st.floats(0.1, 0.9),
+)
+def test_window_edge_through_root_matches_oracle(a, branch, where, width, height, frac):
+    # an edge, or the first split line, of the window runs exactly through
+    # the oracle root on one branch
+    r = a - lambert_w(cmath.exp(a), branch)
+    lo_re, lo_im = r.real - frac * width, r.imag - frac * height
+    bounds = {
+        "left": (r.real, r.real + width, lo_im, lo_im + height),
+        "right": (r.real - width, r.real, lo_im, lo_im + height),
+        "bottom": (lo_re, lo_re + width, r.imag, r.imag + height),
+        "top": (lo_re, lo_re + width, r.imag - height, r.imag),
+        "split-re": (r.real - width / 2, r.real + width / 2, lo_im, lo_im + height),
+        "split-im": (lo_re, lo_re + width, r.imag - height / 2, r.imag + height / 2),
+    }[where]
+    found = _assert_matches_oracle(a, Window(*bounds))
+    assert any(abs(z - r) < 1e-9 for z in found.positions())
+
+
+@settings(max_examples=150)
+@given(
+    a=st.complex_numbers(max_magnitude=3.0),
+    re_min=st.floats(-5.0, 0.0),
+    im_min=st.floats(-15.0, 0.0),
+    width=st.floats(1.0, 8.0),
+    height=st.floats(1.0, 20.0),
+    fx=st.floats(0.05, 0.95),
+    fy=st.floats(0.05, 0.95),
+)
+def test_count_additive_under_random_split(a, re_min, im_min, width, height, fx, fy):
+    w = Window(re_min, re_min + width, im_min, im_min + height)
+    try:
+        total = count_roots(a, w)
+        parts = [
+            count_roots(a, ch)
+            for ch in w.split4(re_min + fx * width, im_min + fy * height)
+        ]
+    except BoundaryTooCloseError:
+        reject()  # a contour through a root has no count
+    assert sum(parts) == total == len(oracle_roots(a, range(-6, 7), window=w))
