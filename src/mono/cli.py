@@ -1,9 +1,10 @@
 """Command line interface.
 
 Every command prints one canonical-JSON document on stdout;
---json-out additionally writes it to a file atomically.  Exit codes:
-0 success, 1 completed with a non-clean verdict (near-merge warning,
-cross-check mismatch), 2 precondition violation, 3 numerical failure.
+--json-out additionally writes it to a file atomically, before stdout.
+Exit codes: 0 success, 1 completed with a non-clean verdict (near-merge
+warning, cross-check mismatch), 2 precondition violation (an unwritable
+output path included), 3 numerical failure.
 Each option is declared once, in OPTIONS, with the parser that types
 it; COMMANDS lists each subcommand's options and their defaults, and
 build_parser generates the flags from both tables.  A JSON config file
@@ -34,13 +35,7 @@ from .paths import (
     keyhole_loop,
     loop_around,
 )
-from .permutation import (
-    cycles,
-    extract_permutation,
-    group_order,
-    is_transposition,
-    transitivity_check,
-)
+from .permutation import cycles, extract_permutation, group_order, is_transposition
 from .rootsets import Window, match_positions
 from .rootwindow import find_roots
 from .tracking import TrackConfig, track_bundle
@@ -377,7 +372,7 @@ def cmd_group(o) -> tuple[dict, int]:
         "generators": gen_blocks,
         "order": closure.order,
         "cap_exceeded": closure.cap_exceeded,
-        "transitive": transitivity_check(gens),
+        "transitive": closure.transitive,
         "factorial_of_label_count": math.factorial(len(start.labels())),
     }
     return payload, EXIT_OK
@@ -465,6 +460,8 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is not None:
             payload["seed"] = args.seed
         text = canonical_json(payload)
+        if getattr(args, "json_out", None):
+            atomic_write_text(_out_path(args, args.json_out), text)
     except PreconditionError as exc:
         sys.stderr.write(f"precondition error: {exc}\n")
         return EXIT_PRECONDITION
@@ -475,8 +472,6 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERICAL
     sys.stdout.write(text)
-    if getattr(args, "json_out", None):
-        atomic_write_text(_out_path(args, args.json_out), text)
     return code
 
 

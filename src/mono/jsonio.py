@@ -3,7 +3,7 @@
 Floats are rendered with %.17g (and a forced decimal point so they
 round-trip as floats), keys are sorted, and separators are fixed, so
 equal payloads serialize byte-identically and a serialize-parse-
-serialize round trip is a fixed point.
+serialize round trip is a fixed point.  Nesting indents by two spaces.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import os
 import tempfile
 
 from .errors import PreconditionError
+
+_INDENT = "  "
 
 
 def format_float(x: float) -> str:
@@ -26,9 +28,9 @@ def format_float(x: float) -> str:
     return s
 
 
-def _emit(obj, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _emit(obj, out: list[str], level: int) -> None:
+    pad = _INDENT * level
+    pad_in = _INDENT * (level + 1)
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -53,7 +55,7 @@ def _emit(obj, out: list[str], indent: int, level: int) -> None:
         out.append("{\n")
         for i, k in enumerate(sorted(keys)):
             out.append(pad_in + json.dumps(k, ensure_ascii=True) + ": ")
-            _emit(obj[k], out, indent, level + 1)
+            _emit(obj[k], out, level + 1)
             out.append(",\n" if i < len(keys) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -63,23 +65,35 @@ def _emit(obj, out: list[str], indent: int, level: int) -> None:
         out.append("[\n")
         for i, v in enumerate(obj):
             out.append(pad_in)
-            _emit(v, out, indent, level + 1)
+            _emit(v, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "]")
     else:
         raise PreconditionError(f"cannot canonicalize {type(obj).__name__}")
 
 
-def canonical_json(obj, *, indent: int = 2) -> str:
+def canonical_json(obj) -> str:
     out: list[str] = []
-    _emit(obj, out, indent, 0)
+    _emit(obj, out, 0)
     out.append("\n")
     return "".join(out)
 
 
 def atomic_write_text(path, text: str) -> str:
-    """Write text to path via a same-directory temp file and os.replace."""
+    """Write text to path via a same-directory temp file and os.replace.
+
+    A failed write raises PreconditionError naming the path: an
+    unwritable output path is bad input.
+    """
     path = os.fspath(path)
+    try:
+        _replace(path, text)
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {path}: {exc.strerror or exc}") from None
+    return path
+
+
+def _replace(path: str, text: str) -> None:
     d = os.path.dirname(path) or "."
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
@@ -93,4 +107,3 @@ def atomic_write_text(path, text: str) -> str:
         except OSError:
             pass
         raise
-    return path

@@ -9,6 +9,9 @@ which starts at a = 0 and ends at 2x + i y_n, since e^x = -x and
 e^{i y_n} = -1.  The second is the image of the height-y_n line going
 left, a(s) = s - e^s + i y_n, up to the radius-rho circle around the
 critical value a_n.  The loop circles a_n once and retraces both images.
+For n < 0 the same construction runs at y_n < 0, so the first line runs
+downward and the loop mirrors composite_loop(-n - 1) through the real
+axis, with its circle still run counterclockwise.
 keyhole_loop reaches the same circle along a rectangular corridor whose
 vertical leg runs at re(a) = -2 by default: left of the line re(a) = -1
 carrying the critical values, like the composite loop, so the two loops
@@ -28,7 +31,6 @@ from .equation import (
     MAX_CRITICAL_INDEX,
     critical_height,
     critical_value,
-    nearest_critical,
     real_root,
     require_finite,
 )
@@ -66,9 +68,6 @@ class LineSegment:
     def reversed(self) -> "LineSegment":
         return LineSegment(self.z1, self.z0)
 
-    def conjugated(self) -> "LineSegment":
-        return LineSegment(self.z0.conjugate(), self.z1.conjugate())
-
     def to_json(self) -> dict:
         return {"kind": "line", "z0": _cj(self.z0), "z1": _cj(self.z1)}
 
@@ -101,9 +100,6 @@ class ArcSegment:
 
     def reversed(self) -> "ArcSegment":
         return ArcSegment(self.center, self.radius, self.theta1, self.theta0)
-
-    def conjugated(self) -> "ArcSegment":
-        return ArcSegment(self.center.conjugate(), self.radius, -self.theta0, -self.theta1)
 
     def to_json(self) -> dict:
         return {
@@ -138,10 +134,6 @@ class ImageSegment:
     def reversed(self) -> "ImageSegment":
         return ImageSegment(self.z1, self.z0)
 
-    def conjugated(self) -> "ImageSegment":
-        # f(conj z) = conj f(z)
-        return ImageSegment(self.z0.conjugate(), self.z1.conjugate())
-
     def to_json(self) -> dict:
         return {"kind": "image", "z0": _cj(self.z0), "z1": _cj(self.z1)}
 
@@ -157,8 +149,7 @@ class ParamPath:
     Consecutive segments must join within CONTINUITY_TOL; a closed path
     must return to its start to the same tolerance.  encircles, when
     set, records (n, rho): the path is a declared loop around the single
-    critical value a_n at radius rho >= 0.1, which exempts that one
-    critical value from clearance checks.
+    critical value a_n at radius rho >= 0.1.
     """
 
     segments: tuple
@@ -232,17 +223,6 @@ class ParamPath:
             encircles=self.encircles,
         )
 
-    def conjugate(self) -> "ParamPath":
-        enc = self.encircles
-        if enc is not None:
-            # conj(a_n) = a_m with m = -n - 1
-            enc = (-enc[0] - 1, enc[1])
-        return ParamPath(
-            tuple(s.conjugated() for s in self.segments),
-            closed=self.closed,
-            encircles=enc,
-        )
-
     def winding_number(self, point: complex) -> int:
         """Winding of the closed path around point, by summed phase increments."""
         if not self.closed:
@@ -263,26 +243,6 @@ class ParamPath:
                 return int(w)
             step *= 0.5
         raise NumericalError("winding number did not resolve under refinement")
-
-    def critical_clearance(self) -> tuple[float, int]:
-        """Distance from the sampled path to the nearest critical value.
-
-        The declared encircled critical value, if any, is skipped.
-        Returns (distance, index of the nearest non-exempt critical value).
-        """
-        skip = self.encircles[0] if self.encircles is not None else None
-        best_d, best_n = math.inf, 0
-        for p in self.sample(0.02):
-            n, d = nearest_critical(p)
-            if n == skip:
-                for m in (n - 1, n + 1):
-                    dm = abs(p - critical_value(m))
-                    if dm < best_d:
-                        best_d, best_n = dm, m
-                continue
-            if d < best_d:
-                best_d, best_n = d, n
-        return best_d, best_n
 
     def to_json(self) -> dict:
         d = {
@@ -366,20 +326,20 @@ def composite_loop(n: int, rho: float = DEFAULT_RHO) -> ParamPath:
     """Image of the upward line, image of the height-y_n line, circle, retrace.
 
     Closed loop based at 0 that encircles exactly a_n once,
-    counterclockwise.  For n < 0 the loop reflects the one for -n - 1
-    through the real axis; reflection reverses orientation, so the
-    traversal order is flipped back to keep the winding at +1.
+    counterclockwise.  For n < 0 the legs descend to y_n < 0 and the
+    loop is the mirror image of the one for -n - 1 through the real axis,
+    traversed so the winding stays +1: its circle starts at angle -3 pi,
+    the mirror of the other circle's end angle 3 pi.
     """
     n = _validate_index(n)
     rho = _validate_rho(rho)
-    if n < 0:
-        return composite_loop(-n - 1, rho).conjugate().reverse()
     x = real_root()
     y = critical_height(n)
     s_rho = horizontal_stop(rho)
     v = ImageSegment(complex(x, 0.0), complex(x, y))
     h = ImageSegment(complex(x, y), complex(s_rho, y))
-    circle = ArcSegment(critical_value(n), rho, math.pi, 3.0 * math.pi)
+    theta0 = math.pi if n >= 0 else -3.0 * math.pi
+    circle = ArcSegment(critical_value(n), rho, theta0, theta0 + 2.0 * math.pi)
     return ParamPath(
         (v, h, circle, h.reversed(), v.reversed()),
         closed=True,

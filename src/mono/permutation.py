@@ -3,9 +3,9 @@
 Conventions: labels are 1-based; compose(p, q) applies p first and then
 q, matching the composition of loops traversed p's loop first.  Group
 closure takes transpositions, the permutations loops around single
-first-order critical values induce, and reads the group's order off
-the connected components of their graph on the labels, for any label
-count.
+first-order critical values induce, and reads the group's order and
+transitivity off the connected components of their graph on the
+labels, for any label count.
 """
 
 from __future__ import annotations
@@ -16,6 +16,9 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError, UnmatchedRootError
 from .rootsets import LabeledRootSet
+
+# an end root farther than this from every start root is unmatched
+MATCH_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -111,25 +114,25 @@ def is_transposition(p: Permutation) -> tuple[bool, tuple[int, int] | None]:
 @dataclass(frozen=True)
 class ClosureResult:
     order: int
+    transitive: bool
     cap_exceeded: bool
     explored: int
 
 
-def group_order(gens, *, size: int | None = None) -> ClosureResult:
-    """Order of the group generated by transpositions and identities.
+def group_order(gens) -> ClosureResult:
+    """Order and transitivity of the group generated by transpositions
+    and identities.
 
     Transpositions generate the product of the symmetric groups on the
     connected components C of their graph on the labels, so the order is
-    the product of |C|!; the components come from a union-find.  Any
-    other permutation is refused: a loop around one first-order critical
-    value induces at most a transposition.  size is needed only for an
-    empty generator list.  cap_exceeded is always False and explored is
-    the label count.
+    the product of |C|!; the components come from a union-find, and the
+    group is transitive when there is one component.  Any other
+    permutation is refused: a loop around one first-order critical value
+    induces at most a transposition.  cap_exceeded is always False and
+    explored is the label count.
     """
     if not gens:
-        if size is None:
-            raise PreconditionError("empty generator list needs an explicit size")
-        return ClosureResult(order=1, cap_exceeded=False, explored=size)
+        raise PreconditionError("group closure needs at least one generator")
     n = gens[0].size
     if any(p.size != n for p in gens):
         raise PreconditionError("generators act on different label counts")
@@ -152,44 +155,16 @@ def group_order(gens, *, size: int | None = None) -> ClosureResult:
         parent[root(pair[0])] = root(pair[1])
     components = Counter(root(i) for i in range(1, n + 1))
     order = math.prod(math.factorial(c) for c in components.values())
-    return ClosureResult(order=order, cap_exceeded=False, explored=n)
+    return ClosureResult(
+        order=order, transitive=len(components) == 1, cap_exceeded=False, explored=n
+    )
 
 
-def transitivity_check(gens, *, size: int | None = None) -> bool:
-    """Whether the generated group moves label 1 onto every label.
-
-    Forward images suffice: in a finite group each inverse is a positive
-    power, so the orbit under the generators is the group orbit.
-    """
-    if not gens:
-        if size is None:
-            raise PreconditionError("empty generator list needs an explicit size")
-        return size == 1
-    n = gens[0].size
-    if any(p.size != n for p in gens):
-        raise PreconditionError("generators act on different label counts")
-    orbit = {1}
-    frontier = [1]
-    while frontier:
-        i = frontier.pop()
-        for p in gens:
-            j = p(i)
-            if j not in orbit:
-                orbit.add(j)
-                frontier.append(j)
-    return len(orbit) == n
-
-
-def extract_permutation(
-    start: LabeledRootSet,
-    end: LabeledRootSet,
-    *,
-    tol: float = 1e-8,
-) -> Permutation:
+def extract_permutation(start: LabeledRootSet, end: LabeledRootSet) -> Permutation:
     """Match transported end positions back to start positions by nearness.
 
     Requires the same label sets and the same parameter value (the path
-    was closed).  Each end root must land within tol of exactly one
+    was closed).  Each end root must land within MATCH_TOL of exactly one
     start root; a second start root within ten times the best match
     distance makes the assignment ambiguous, which is an error rather
     than a guess.
@@ -214,10 +189,10 @@ def extract_permutation(
             (abs(z_end - start.position(m)), m) for m in labels
         )
         d1, m1 = dists[0]
-        if d1 > tol:
+        if d1 > MATCH_TOL:
             raise UnmatchedRootError(
                 f"label {lab} transported to {z_end!r}, nearest start root "
-                f"(label {m1}) is {d1:.3g} away (> {tol:g})",
+                f"(label {m1}) is {d1:.3g} away (> {MATCH_TOL:g})",
                 label=lab,
                 distance=d1,
             )

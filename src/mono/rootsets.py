@@ -70,9 +70,7 @@ class Window:
     def expand(self, d: float) -> "Window":
         return Window(self.re_min - d, self.re_max + d, self.im_min - d, self.im_max + d)
 
-    def split4(self, cx: float | None = None, cy: float | None = None) -> list["Window"]:
-        cx = self.center.real if cx is None else cx
-        cy = self.center.imag if cy is None else cy
+    def split4(self, cx: float, cy: float) -> list["Window"]:
         if not (self.re_min < cx < self.re_max and self.im_min < cy < self.im_max):
             raise PreconditionError("split point outside window interior")
         return [
@@ -167,9 +165,6 @@ class LabeledRootSet:
 
     def has_near_merge(self) -> bool:
         return bool(self.near_merge_pairs) or any(e.multiplicity > 1 for e in self.entries)
-
-    def min_pairwise_distance(self) -> float:
-        return min_separation([e.z for e in self.entries])
 
     def validate_residuals(self, family, tol: float = 1e-10) -> float:
         """Worst residual |f(z) - a| over simple entries; raises if any exceeds tol."""

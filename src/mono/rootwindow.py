@@ -26,7 +26,6 @@ from .errors import (
     BoundaryTooCloseError,
     EvalRangeError,
     NumericalError,
-    PreconditionError,
     ResidualTooLargeError,
     SubdivisionError,
 )

@@ -2,7 +2,7 @@
 
 Each accepted step moves the parameter a along the path by at most
 max_step, predicts every root by the first-order motion dz = da / f'(z),
-and corrects with full Newton back to residual corrector_tol.  The step
+and corrects with full Newton back to residual CORRECTOR_TOL.  The step
 size is additionally capped by COLLISION_FRACTION * d_min * min|f'|,
 which keeps every predicted move below a third of the current minimum
 root separation, so labels cannot jump between roots mid-flight.  The
@@ -10,7 +10,7 @@ bundle's f' values come from the corrector (equation.newton returns
 f' at each accepted root) and its d_min from one numpy distance
 matrix (rootsets.min_separation); both are carried to the next step.
 Steps that fail to correct (a non-finite corrector start included) are
-rejected and halved; halving below min_step aborts with the nearest
+rejected and halved; halving below MIN_STEP aborts with the nearest
 critical value attached, since stalling happens exactly when the path
 runs into one.  Bundles whose roots start closer than
 NEAR_CRITICAL_RADIUS are refused.
@@ -19,15 +19,13 @@ NEAR_CRITICAL_RADIUS are refused.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
 from .equation import FAMILY, nearest_critical, newton
-from .errors import (
-    CollisionError,
-    PreconditionError,
-    StepUnderflowError,
-)
+from .errors import CollisionError, PreconditionError, StepUnderflowError
+from .jsonio import atomic_write_text
 from .paths import ParamPath
 from .rootsets import LabeledRootSet, RootEntry, _near_merge_pairs, min_separation
 
@@ -39,20 +37,20 @@ _COLLISION_ABORT = 1e-6
 # anything above 1/2 could let them cross in a single step.
 COLLISION_FRACTION = 1.0 / 3.0
 NEAR_CRITICAL_RADIUS = 1e-3
+CORRECTOR_TOL = 1e-12
+MIN_STEP = 1e-9
 
 
 @dataclass(frozen=True)
 class TrackConfig:
-    corrector_tol: float = 1e-12
     max_step: float = 0.05
-    min_step: float = 1e-9
     record_trajectories: bool = False
 
     def __post_init__(self):
-        if self.corrector_tol <= 0:
-            raise PreconditionError("corrector_tol must be positive")
-        if not (0 < self.min_step < self.max_step):
-            raise PreconditionError("need 0 < min_step < max_step")
+        if not MIN_STEP < self.max_step:
+            raise PreconditionError(
+                f"max_step must exceed MIN_STEP {MIN_STEP:g}, got {self.max_step!r}"
+            )
 
 
 @dataclass
@@ -64,24 +62,18 @@ class TrackReport:
     trajectory: list = field(default_factory=list)
     # trajectory rows: (arc_param, label, z, a, residual)
 
-    def to_csv(self, target) -> None:
-        """Write trajectory rows as CSV with columns
+    def to_csv(self, path) -> None:
+        """Write trajectory rows to path as CSV with columns
         (arc_param, label, re_z, im_z, re_a, im_a, residual)."""
-
-        def write(fh):
-            w = csv.writer(fh)
-            w.writerow(["arc_param", "label", "re_z", "im_z", "re_a", "im_a", "residual"])
-            for arc, label, z, a, res in self.trajectory:
-                w.writerow(
-                    [f"{arc:.9f}", label, repr(z.real), repr(z.imag),
-                     repr(a.real), repr(a.imag), f"{res:.3e}"]
-                )
-
-        if isinstance(target, (str,)) or hasattr(target, "__fspath__"):
-            with open(target, "w", newline="") as fh:
-                write(fh)
-        else:
-            write(target)
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(["arc_param", "label", "re_z", "im_z", "re_a", "im_a", "residual"])
+        for arc, label, z, a, res in self.trajectory:
+            w.writerow(
+                [f"{arc:.9f}", label, repr(z.real), repr(z.imag),
+                 repr(a.real), repr(a.imag), f"{res:.3e}"]
+            )
+        atomic_write_text(path, buf.getvalue())
 
 
 def step_control(dmin: float, derivs, da_proposed, cfg: TrackConfig) -> float:
@@ -122,7 +114,7 @@ def track_bundle(
                 f"move the basepoint away from the critical value"
             )
         r0 = abs(FAMILY.eval(e.z) - start.a)
-        if r0 > 10.0 * cfg.corrector_tol:
+        if r0 > 10.0 * CORRECTOR_TOL:
             raise PreconditionError(
                 f"label {e.label} starts with residual {r0:.3g}"
             )
@@ -167,10 +159,10 @@ def track_bundle(
                     arc_param=i_seg + u,
                     nearest_critical=nearest_critical(a_cur),
                 )
-            if da < cfg.min_step and u_next < 1.0:
+            if da < MIN_STEP and u_next < 1.0:
                 n_near, d_near = nearest_critical(a_cur)
                 raise StepUnderflowError(
-                    f"step fell below min_step {cfg.min_step:g} "
+                    f"step fell below MIN_STEP {MIN_STEP:g} "
                     f"(nearest critical value index {n_near} at distance {d_near:.3g})",
                     arc_param=i_seg + u,
                     nearest_critical=(n_near, d_near),
@@ -185,7 +177,7 @@ def track_bundle(
                 if d == 0:
                     break
                 predicted = z + step_a / d
-                corrected = newton(predicted, a_next, cfg.corrector_tol, _CORRECTOR_MAX_ITER)
+                corrected = newton(predicted, a_next, CORRECTOR_TOL, _CORRECTOR_MAX_ITER)
                 # corrector must stay inside the predictor's basin
                 if corrected is None or abs(corrected[0] - predicted) > basin:
                     break
@@ -196,10 +188,10 @@ def track_bundle(
                 report.steps_rejected += 1
                 du *= 0.5
                 est = da * 0.5
-                if est < cfg.min_step:
+                if est < MIN_STEP:
                     n_near, d_near = nearest_critical(a_cur)
                     raise StepUnderflowError(
-                        f"rejection halving fell below min_step near arc {i_seg + u:.6f} "
+                        f"rejection halving fell below MIN_STEP near arc {i_seg + u:.6f} "
                         f"(nearest critical value index {n_near} at distance {d_near:.3g})",
                         arc_param=i_seg + u,
                         nearest_critical=(n_near, d_near),

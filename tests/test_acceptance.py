@@ -33,7 +33,6 @@ from mono.permutation import (
     group_order,
     inverse,
     is_transposition,
-    transitivity_check,
 )
 from mono.rootsets import Window, match_positions
 from mono.rootwindow import find_roots
@@ -148,7 +147,7 @@ def test_criterion_6_group_closure(bundle5, bundle3):
     gens5 = [_perm(bundle5, keyhole_loop(n, 0.5)) for n in (-1, 0, 1, 2)]
     res5 = group_order(gens5)
     ok = res5.order == 120 and not res5.cap_exceeded
-    ok &= transitivity_check(gens5)
+    ok &= res5.transitive
     gens3 = [_perm(bundle3, keyhole_loop(n, 0.5)) for n in (-1, 0)]
     ok &= group_order(gens3).order == 6
     _verdict(6, "five-root loops close to order 120 (= 5!) transitive; three-root to 6", ok)

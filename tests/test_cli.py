@@ -282,6 +282,9 @@ def _config(tmp_path, text):
         lambda tmp: ["group", "--corridor-re=inf"],
         lambda tmp: ["track", "--path", "circle", "--rho=nan"],
         lambda tmp: ["roots", "--a=0,1e300"],
+        lambda tmp: ["roots", "--json-out", str(tmp)],
+        lambda tmp: ["track", "--path", "loop", "--csv-out", str(tmp)],
+        lambda tmp: ["figures", "--which", "real_graph", "--out-dir", _config(tmp, "{}")],
     ],
     ids=[
         "complex", "complex-not-finite", "loops", "window",
@@ -290,6 +293,7 @@ def _config(tmp_path, text):
         "config-float-type", "config-bool-type", "config-loops-fraction", "config-unknown-key",
         "window-exp-overflow", "config-complex-bool", "config-window-bool",
         "corridor-nan", "corridor-inf", "circle-radius-nan", "critical-index-huge",
+        "json-out-unwritable", "csv-out-unwritable", "out-dir-unwritable",
     ],
 )
 def test_bad_input_exits_two_without_traceback(capsys, tmp_path, argv):

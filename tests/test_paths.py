@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from mono.equation import critical_height, critical_value, real_root
+from mono.equation import critical_height, critical_value, nearest_critical, real_root
 from mono.errors import PreconditionError
 from mono.paths import (
     ArcSegment,
@@ -46,7 +46,9 @@ def test_image_trace_joints():
     assert abs((x - math.exp(x)) - 2.0 * x) < 1e-16
     seg = ImageSegment(1.0 + 2.0j, -0.5 + 0.25j)
     assert seg.reversed().point(0.25) == seg.point(0.75)
-    assert seg.conjugated().point(0.3) == seg.point(0.3).conjugate()
+    # f(conj z) = conj f(z): mirrored z-lines map to mirrored images
+    mirror = ImageSegment(seg.z0.conjugate(), seg.z1.conjugate())
+    assert mirror.point(0.3) == seg.point(0.3).conjugate()
 
 
 def test_vertical_trace_shape():
@@ -115,16 +117,23 @@ def test_winding_rejects_point_on_path():
 
 
 def test_conjugate_mirrors_loop():
-    loop = composite_loop(0)
-    conj = loop.conjugate()
-    assert conj.encircles == (-1, 0.5)
-    a_m1 = critical_value(-1)
-    assert abs(a_m1 - critical_value(0).conjugate()) < 1e-15
-    # reflection reverses orientation
-    assert conj.winding_number(a_m1) == -loop.winding_number(critical_value(0))
-    # ... but the negative-index constructors flip it back
-    assert composite_loop(-1).winding_number(a_m1) == 1
-    assert composite_loop(-1).start == loop.start
+    # composite_loop(-n - 1) is composite_loop(n) reflected through the real
+    # axis; the reflection would reverse the circle, so it runs backwards
+    for n in range(3):
+        loop, mirror = composite_loop(n), composite_loop(-n - 1)
+        m = -n - 1
+        assert mirror.encircles == (m, 0.5)
+        assert abs(critical_value(m) - critical_value(n).conjugate()) < 1e-15
+        assert mirror.start == loop.start
+        for seg, seg_m in zip(loop.segments, mirror.segments):
+            assert seg.kind == seg_m.kind
+            for t in (0.0, 0.2, 0.5, 0.9, 1.0):
+                if seg.kind == "arc":
+                    want = seg.point(1.0 - t).conjugate()
+                else:
+                    want = seg.point(t).conjugate()
+                assert abs(seg_m.point(t) - want) < 1e-13
+        assert mirror.winding_number(critical_value(m)) == 1
 
 
 def test_concat_and_reverse_round_trip():
@@ -137,6 +146,19 @@ def test_concat_and_reverse_round_trip():
     assert back.closed or abs(back.start - back.end) == 0.0
 
 
+def _clearance(loop) -> float:
+    """Distance from the sampled loop to the critical values other than
+    the one it encircles."""
+    skip = loop.encircles[0]
+    best = math.inf
+    for p in loop.sample(0.02):
+        n, d = nearest_critical(p)
+        if n == skip:
+            d = min(abs(p - critical_value(m)) for m in (n - 1, n + 1))
+        best = min(best, d)
+    return best
+
+
 def test_composite_loop_structure():
     for n in (-1, 0, 2):
         loop = composite_loop(n)
@@ -144,8 +166,7 @@ def test_composite_loop_structure():
         assert loop.start == 0j
         assert loop.encircles == (n, 0.5)
         assert loop.winding_number(critical_value(n)) == 1
-        d, _ = loop.critical_clearance()
-        assert d >= 0.1
+        assert _clearance(loop) >= 0.1
 
 
 def test_keyhole_loop_structure():
@@ -155,8 +176,7 @@ def test_keyhole_loop_structure():
         assert loop.winding_number(critical_value(n)) == 1
         for m in (n - 1, n + 1):
             assert loop.winding_number(critical_value(m)) == 0
-        d, _ = loop.critical_clearance()
-        assert d >= 1.0  # corridor at re = -2 stays a unit from the lattice
+        assert _clearance(loop) >= 1.0  # corridor at re = -2 stays a unit from the lattice
 
 
 def test_keyhole_corridor_validation():

@@ -15,7 +15,6 @@ from mono.permutation import (
     group_order,
     inverse,
     is_transposition,
-    transitivity_check,
 )
 from mono.rootsets import LabeledRootSet, RootEntry
 
@@ -71,7 +70,7 @@ def test_star_transpositions_generate_everything():
     res = group_order(gens)
     assert res.order == 120
     assert not res.cap_exceeded
-    assert transitivity_check(gens)
+    assert res.transitive
 
 
 def test_three_labels():
@@ -89,8 +88,9 @@ def test_closure_nine_label_star():
 
 def test_intransitive_generators():
     gens = [Permutation.transposition(4, 1, 2), Permutation.transposition(4, 3, 4)]
-    assert not transitivity_check(gens)
-    assert group_order(gens).order == 4
+    res = group_order(gens)
+    assert not res.transitive
+    assert res.order == 4
 
 
 def test_closure_refuses_three_cycle():
@@ -99,7 +99,7 @@ def test_closure_refuses_three_cycle():
         group_order(gens)
 
 
-def _bfs_order(gens: list[Permutation]) -> int:
+def _bfs_group(gens: list[Permutation]) -> set[Permutation]:
     n = gens[0].size
     seen = {Permutation.identity(n)}
     frontier = list(seen)
@@ -110,7 +110,7 @@ def _bfs_order(gens: list[Permutation]) -> int:
             if q not in seen:
                 seen.add(q)
                 frontier.append(q)
-    return len(seen)
+    return seen
 
 
 @st.composite
@@ -127,7 +127,11 @@ def _transpositions_and_identities(draw):
 @settings(max_examples=60, deadline=None)
 @given(_transpositions_and_identities())
 def test_closure_matches_bfs(gens):
-    assert group_order(gens).order == _bfs_order(gens)
+    group = _bfs_group(gens)
+    res = group_order(gens)
+    assert res.order == len(group)
+    # transitive exactly when the group moves label 1 onto every label
+    assert res.transitive == ({p(1) for p in group} == set(range(1, gens[0].size + 1)))
 
 
 def test_mixed_sizes_rejected():
@@ -164,11 +168,11 @@ def test_extract_unmatched_and_ambiguous():
     start = _set(0j, [(1, 0j), (2, 1j)])
     far = _set(0j, [(1, 0.5 + 0j), (2, 1j)])
     with pytest.raises(UnmatchedRootError):
-        extract_permutation(start, far, tol=1e-8)
+        extract_permutation(start, far)
     # two end roots nearly equidistant from one start root
     near = _set(0j, [(1, 5e-9 + 0j), (2, -6e-9 + 0j)])
-    with pytest.raises(UnmatchedRootError):
-        extract_permutation(start, near, tol=1e-6)
+    with pytest.raises(UnmatchedRootError, match="both landed"):
+        extract_permutation(start, near)
 
 
 def test_extract_from_actual_tracking(bundle3):

@@ -39,7 +39,7 @@ def test_window_expand_and_split():
     w = Window(0.0, 2.0, 0.0, 2.0)
     e = w.expand(0.5)
     assert (e.re_min, e.re_max, e.im_min, e.im_max) == (-0.5, 2.5, -0.5, 2.5)
-    quads = w.split4()
+    quads = w.split4(1.0, 1.0)
     assert len(quads) == 4
     assert sum(q.width * q.height for q in quads) == pytest.approx(4.0)
     # children tile the parent without overlap
@@ -75,7 +75,7 @@ def test_near_merge_accessors():
     entries = (RootEntry(1, 0j), RootEntry(2, complex(NEAR_MERGE_RADIUS / 3, 0.0)),
                RootEntry(3, 1.0 + 1.0j))
     rs = LabeledRootSet(0j, entries, near_merge_pairs=((1, 2),))
-    assert rs.min_pairwise_distance() == pytest.approx(NEAR_MERGE_RADIUS / 3)
+    assert min_separation(rs.positions()) == pytest.approx(NEAR_MERGE_RADIUS / 3)
     assert rs.total_multiplicity() == 3
 
 

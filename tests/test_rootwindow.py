@@ -11,7 +11,7 @@ from mono import rootwindow
 from mono.equation import FAMILY, critical_point, critical_value, real_root
 from mono.errors import BoundaryTooCloseError, PreconditionError
 from mono.lambertw import lambert_w, oracle_roots
-from mono.rootsets import Window, match_positions
+from mono.rootsets import Window, match_positions, min_separation
 from mono.rootwindow import count_roots, find_roots
 
 
@@ -83,7 +83,7 @@ def test_near_critical_pair_resolved():
     found = find_roots(a, Window(-2.0, 2.0, 1.0, 5.0))
     assert len(found) == 2
     assert not found.has_near_merge()
-    gap = found.min_pairwise_distance()
+    gap = min_separation(found.positions())
     assert 0.1 < gap < 0.5  # ~ 2 sqrt(2 |da|)
     zc = critical_point(0).z
     assert all(abs(z - zc) < 0.5 for z in found.positions())

@@ -9,7 +9,7 @@ from mono.errors import PreconditionError, StepUnderflowError
 from mono.paths import ParamPath, LineSegment, circle_path, composite_loop, keyhole_loop
 from mono.rootsets import Window
 from mono.rootwindow import find_roots
-from mono.tracking import TrackConfig, step_control, track_bundle
+from mono.tracking import MIN_STEP, TrackConfig, step_control, track_bundle
 
 from conftest import W3, W5
 
@@ -18,10 +18,10 @@ def test_config_validation():
     TrackConfig()  # defaults are self-consistent
     with pytest.raises(PreconditionError):
         TrackConfig(max_step=0.0)
+    with pytest.raises(PreconditionError, match="MIN_STEP"):
+        TrackConfig(max_step=MIN_STEP)
     with pytest.raises(PreconditionError):
-        TrackConfig(min_step=0.1, max_step=0.01)
-    with pytest.raises(PreconditionError):
-        TrackConfig(corrector_tol=0.0)
+        TrackConfig(max_step=math.nan)
 
 
 def test_step_control_caps(bundle3):
