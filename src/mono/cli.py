@@ -122,7 +122,8 @@ OPTIONS = {
     "corridor_re": (_float, "real part of the keyhole corridor"),
     "center": (_parse_complex, "circle center, as re,im"),
     "csv_out": (_str, "write trajectory CSV here"),
-    "max_step": (_float, "largest step along the path"),
+    "max_step": (_float, "optional cap on each step's reach in the a-plane "
+                          "(no default: the alpha certificate sizes steps)"),
     "control_winding_zero": (_bool, "use a winding-0 corridor as keyhole (negative control)"),
     "loops": (_parse_loops, "comma-separated critical indices, e.g. -1,0,1,2"),
     "which": (_str, "all or comma-separated figure names"),
@@ -281,6 +282,7 @@ def cmd_track(o) -> tuple[dict, int]:
             "steps_accepted": report.steps_accepted,
             "steps_rejected": report.steps_rejected,
             "max_residual": report.max_residual,
+            "max_alpha": report.max_alpha,
             "min_pairwise_distance": report.min_pairwise_distance if len(start) > 1 else None,
         },
     }
@@ -309,6 +311,7 @@ def cmd_loop(o) -> tuple[dict, int]:
             "steps_accepted": report.steps_accepted,
             "steps_rejected": report.steps_rejected,
             "max_residual": report.max_residual,
+            "max_alpha": report.max_alpha,
         },
     }
     return payload, EXIT_OK
@@ -410,7 +413,7 @@ COMMANDS = {
     "track": (cmd_track, "transport a root bundle along a path",
               {"path": "keyhole", "n": 0, "rho": DEFAULT_RHO, "turns": 1,
                "corridor_re": KEYHOLE_CORRIDOR_RE, "center": "0,0", "window": DEFAULT_WINDOW,
-               "csv_out": None, "max_step": TrackConfig.max_step}),
+               "csv_out": None, "max_step": None}),
     "loop": (cmd_loop, "simple circle around a critical value",
              {"n": 0, "rho": DEFAULT_RHO, "turns": 1, "window": DEFAULT_WINDOW}),
     "homotopy-check": (cmd_homotopy_check, "composite loop vs keyhole loop around the same a_n",

@@ -58,25 +58,17 @@ class SubdivisionError(NumericalError):
 
 
 class StepUnderflowError(NumericalError):
-    """Continuation step size fell below the floor.
+    """No continuation step above the floor could be certified.
 
-    Usually means the path runs too close to a critical value; the arc
-    position and nearest critical value are attached for diagnostics.
+    Usually means the path runs too close to a critical value, where two
+    roots merge; the arc position and nearest critical value are
+    attached for diagnostics.
     """
 
     def __init__(self, message, *, arc_param=None, nearest_critical=None):
         super().__init__(message)
         self.arc_param = arc_param
         self.nearest_critical = nearest_critical
-
-
-class CollisionError(NumericalError):
-    """Two tracked roots approached within the disambiguation radius."""
-
-    def __init__(self, message, *, arc_param=None, distance=None):
-        super().__init__(message)
-        self.arc_param = arc_param
-        self.distance = distance
 
 
 class UnmatchedRootError(NumericalError):

@@ -3,7 +3,9 @@
 Paths live in the a-plane of z + e^z = a.  A segment is a line, a
 circular arc, or an ImageSegment: f(z) = z + e^z applied to a z-plane
 line, the parameter values along which one root moves exactly along
-that line.  composite_loop joins two of them.  The first is the image
+that line.  Every segment bounds how far a strays within a piece of it
+(reach), which is what sizes a certified tracking step.  composite_loop
+joins two image segments.  The first is the image
 of the upward line from the real root x to x + i y_n, y_n = (2n+1) pi,
 which starts at a = 0 and ends at 2x + i y_n, since e^x = -x and
 e^{i y_n} = -1.  The second is the image of the height-y_n line going
@@ -57,6 +59,10 @@ class LineSegment:
     def point(self, t: float) -> complex:
         return self.z0 + t * (self.z1 - self.z0)
 
+    def reach(self, t0: float, t1: float) -> float:
+        """sup |a(t) - a(u)| over t, u in [t0, t1]: the chord, on a line."""
+        return abs(self.point(t1) - self.point(t0))
+
     @property
     def start(self) -> complex:
         return self.z0
@@ -90,6 +96,17 @@ class ArcSegment:
         th = self.theta0 + t * (self.theta1 - self.theta0)
         return self.center + self.radius * cmath.exp(1j * th)
 
+    def reach(self, t0: float, t1: float) -> float:
+        """sup |a(t) - a(u)| over t, u in [t0, t1].
+
+        Two points of the arc an angle phi <= pi apart are 2 r sin(phi/2)
+        apart, which grows with phi: up to a half turn the chord is the
+        sup.  A longer piece holds antipodal points, so the sup is 2 r.
+        """
+        if abs(t1 - t0) * abs(self.theta1 - self.theta0) <= math.pi:
+            return abs(self.point(t1) - self.point(t0))
+        return 2.0 * self.radius
+
     @property
     def start(self) -> complex:
         return self.point(0.0)
@@ -122,6 +139,29 @@ class ImageSegment:
     def point(self, t: float) -> complex:
         z = self.z0 + t * (self.z1 - self.z0)
         return z + cmath.exp(z)
+
+    def reach(self, t0: float, t1: float) -> float:
+        """Bound on sup |a(t) - a(u)| over t, u in [t0, t1].
+
+        a(t) - a(u) is the integral of f'(z) dz along the z-line piece
+        from w0 = z(t0) to w1 = z(t1), so it is at most |w1 - w0| times
+        the max of |f'(z)| = |1 + e^z| there.  Two bounds on that max
+        hold, and the smaller is taken: 1 + e^{max re z}, where re z,
+        linear along the line, peaks at an end; and
+        |1 + e^{w0}| + |e^{w0}| (e^{|w1 - w0|} - 1), since
+        |e^z - e^{w0}| = |e^{w0}| |e^{z - w0} - 1| <= |e^{w0}| (e^{|z - w0|} - 1).
+        The second is close to the arc length on short pieces.  The chord
+        alone is no bound: the image of a vertical line winds around a
+        circle, and a piece can stray far from its chord.
+        """
+        w0 = self.z0 + t0 * (self.z1 - self.z0)
+        w1 = self.z0 + t1 * (self.z1 - self.z0)
+        dz = abs(w1 - w0)
+        coarse = 1.0 + math.exp(max(w0.real, w1.real))
+        if dz >= 1.0:  # the second bound only helps, and stays finite, on short pieces
+            return dz * coarse
+        e0 = cmath.exp(w0)
+        return dz * min(coarse, abs(1.0 + e0) + abs(e0) * math.expm1(dz))
 
     @property
     def start(self) -> complex:

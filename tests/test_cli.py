@@ -5,6 +5,8 @@ installed console script works end to end.
 """
 
 import cmath
+import contextlib
+import io
 import json
 import math
 import os
@@ -12,9 +14,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mono
-from mono.cli import main
+from mono.cli import COMMANDS, main
 from mono.paths import CONTINUITY_TOL
 
 
@@ -334,3 +338,93 @@ def test_roots_below_the_residual_floor_still_polished(capsys):
     code, d, _ = run(capsys, "roots", "--a=0,0", "--window=-10,10,100,120")
     assert code == 0
     assert len(d["roots"]) == 3
+
+
+# Values per option: (valid, invalid).  Values that are valid but make a
+# run arbitrarily long (thousands of turns or critical indices, a 1e-8
+# step cap) are left out: they are slow, not wrong.
+_FLAG_VALUES = {
+    "n_from": (["-2", "0", "3"], ["x", "1.5"]),
+    "n_to": (["-3", "1", "4"], ["x"]),
+    "a": (["0,0", "0.3,-0.2", "-1,3.141592653589793"], ["nan,0", "foo", "1e300,0"]),
+    "k_from": (["-3", "0"], ["x"]),
+    "k_to": (["-1", "2"], ["1.5"]),
+    "window": (["-5,5,-6,6", "-5,5,-6,18", "-1,1,-1,1"], ["5,-5,0,1", "a,b,c,d", "-5,710,-1,1"]),
+    "path": (["keyhole", "composite", "loop", "circle"], ["spiral"]),
+    "n": (["-2", "-1", "0", "1", "2"], ["10000000", "x"]),
+    "rho": (["0.3", "0.5", "2"], ["0.05", "4", "nan"]),
+    "turns": (["-2", "-1", "0", "1", "2"], ["x"]),
+    "corridor_re": (["-2", "0.5", "0"], ["-1", "nan", "inf"]),
+    "center": (["0,0", "0.5,0.5", "-1.5,3.141592653589793", "1e300,0"], ["x"]),
+    "max_step": (["1e6", "0.1"], ["0", "-1", "nan", "1e-12"]),
+    "loops": (["-1,0,1,2", "0", "-2,2"], ["", "a", "0,1.5"]),
+    "which": (["real_graph", "keyhole", "real_graph,keyhole"], ["nope"]),
+}
+_BOOL_OPTIONS = ("compare", "control_winding_zero")
+_JSON_ODDITIES = [True, None, [1], {"x": 1}, 1.5, -3, 0, "", 1e6]
+
+
+def _rarely(draw) -> bool:
+    return draw(st.integers(0, 5)) == 5
+
+
+@st.composite
+def _invocations(draw, out_dir):
+    """argv for one subcommand, each option absent, a flag or a config
+    value; an option is invalid about one time in six."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv, config = [command], {}
+    for key in COMMANDS[command][2]:
+        source = draw(st.sampled_from(("absent", "flag", "config")))
+        if source == "absent" or key == "csv_out":
+            continue
+        if key in _BOOL_OPTIONS:
+            value = draw(st.booleans())
+            if source == "flag" and value:
+                argv.append("--" + key.replace("_", "-"))
+            elif source == "config":
+                config[key] = draw(st.sampled_from(["yes", 1])) if _rarely(draw) else value
+            continue
+        valid, invalid = _FLAG_VALUES[key]
+        if not _rarely(draw):
+            text = draw(st.sampled_from(valid))
+        elif source == "config":
+            text = draw(st.sampled_from(invalid + _JSON_ODDITIES))
+        else:
+            text = draw(st.sampled_from(invalid))
+        if source == "flag":
+            argv.append(f"--{key.replace('_', '-')}={text}")
+        else:
+            config[key] = text
+    if _rarely(draw):
+        config["bogus"] = 1
+    if config:
+        path = out_dir / f"cfg{draw(st.integers(0, 10**9))}.json"
+        path.write_text(json.dumps({command: config}))
+        argv += ["--config", str(path)]
+    return argv + ["--out-dir", str(out_dir)]
+
+
+@pytest.fixture(scope="module")
+def cli_out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-property")
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_random_invocations_exit_with_a_documented_code(cli_out_dir, data):
+    # each subcommand, on any mix of flags and config values, ends in a
+    # documented exit code with JSON or a message, never a traceback
+    argv = data.draw(_invocations(cli_out_dir), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1):
+        json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == ""

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from mono.equation import critical_point
 from mono.paths import concat, keyhole_loop, loop_around
 from mono.permutation import Permutation, compose, extract_permutation, is_transposition
+from mono.rootsets import Window
 from mono.rootwindow import find_roots
-from mono.tracking import TrackConfig, track_bundle
+from mono.tracking import ALPHA0, TrackConfig, track_bundle
 
 from conftest import W5
 
@@ -117,3 +118,33 @@ def test_random_word_tracks_as_product_of_letters(bundle5, letter_images, word):
     assert _perm(bundle5, path).images == product
     back = _perm(bundle5, path.reverse()).images
     assert tuple(back[i - 1] for i in product) == identity
+
+
+# Guard for the certified step rule: on W19 (19 roots, heights up to 60)
+# and W5, a word tracked with the certificate alone gives the same
+# permutation as the same word under the old fixed cap max_step = 0.05.
+_GUARD_WINDOWS = {
+    "W19": (Window(-5.0, 5.0, -60.0, 60.0), (-2, -1, 0, 1, 2)),
+    "W5": (W5, (-1, 0, 1, 2)),
+}
+
+
+@pytest.fixture(scope="module")
+def guard_bundles():
+    return {name: find_roots(0j, window) for name, (window, _) in _GUARD_WINDOWS.items()}
+
+
+@pytest.mark.parametrize("name", list(_GUARD_WINDOWS))
+@settings(max_examples=6)
+@given(data=st.data())
+def test_certified_steps_match_the_fixed_cap(guard_bundles, name, data):
+    bundle = guard_bundles[name]
+    letters = st.tuples(st.sampled_from(_GUARD_WINDOWS[name][1]), st.sampled_from((1, -1)))
+    word = data.draw(st.lists(letters, min_size=1, max_size=4), label="word")
+    path = concat(*(_letter(*letter) for letter in word))
+    images = []
+    for cfg in (TrackConfig(), TrackConfig(max_step=0.05)):
+        end, rep = track_bundle(bundle, path, cfg)
+        assert rep.max_alpha < ALPHA0
+        images.append(extract_permutation(bundle, end).images)
+    assert images[0] == images[1]

@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 import pytest
 
 from mono.equation import critical_height, critical_value, nearest_critical, real_root
@@ -191,3 +193,45 @@ def test_loop_radius_bounds():
         loop_around(0, 0.01)
     with pytest.raises(PreconditionError):
         loop_around(0, 4.0)  # would swallow the neighboring critical value
+
+
+# pieces that curve away from their chords: a full turn of the image of
+# a vertical line (a circle of radius e^2 drifting upward) and an arc of
+# nearly a full turn
+_CURVED = (ImageSegment(2.0 + 0j, 2.0 + 2j * math.pi), ArcSegment(0j, 1.0, 0.0, 1.9 * math.pi))
+
+
+def _pieces():
+    x = real_root()
+    y2 = critical_height(2)
+    segments = [
+        LineSegment(-2.0 + 0j, -2.0 + 1j * y2),
+        ArcSegment(critical_value(1), 0.5, math.pi, 3.0 * math.pi),
+        ArcSegment(0j, 2.0, 0.0, -5.0),
+        # the legs of composite_loop(2), and a z-line with a larger re z
+        ImageSegment(complex(x, 0.0), complex(x, y2)),
+        ImageSegment(complex(x, y2), complex(horizontal_stop(0.5), y2)),
+        ImageSegment(1.5 - 2.0j, -1.0 + 4.0j),
+        *_CURVED,
+    ]
+    spans = [(0.0, 1.0), (0.1, 0.45), (0.3, 0.31), (0.62, 0.2), (0.0, 0.07)]
+    return [(seg, t0, t1) for seg in segments for t0, t1 in spans]
+
+
+def _sampled_sup(seg, t0, t1):
+    pts = np.array([seg.point(t) for t in np.linspace(t0, t1, 400)])
+    return np.abs(pts[:, None] - pts[None, :]).max()
+
+
+@pytest.mark.parametrize("seg, t0, t1", _pieces())
+def test_reach_bounds_every_distance_within_the_piece(seg, t0, t1):
+    # reach bounds sup |a(t) - a(u)| over the whole piece, which a dense
+    # sample approaches from below
+    assert _sampled_sup(seg, t0, t1) <= seg.reach(t0, t1) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("seg", _CURVED, ids=["image", "arc"])
+def test_chord_is_no_reach(seg):
+    # on these pieces the chord falls well short of the sup, so a reach
+    # that returned the chord would fail the test above
+    assert _sampled_sup(seg, 0.0, 1.0) > 1.5 * abs(seg.end - seg.start)

@@ -1,21 +1,33 @@
 """Predictor-corrector transport of root bundles along parameter paths."""
 
+import cmath
 import math
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mono.equation import FAMILY, critical_value
 from mono.errors import PreconditionError, StepUnderflowError
 from mono.paths import ParamPath, LineSegment, circle_path, composite_loop, keyhole_loop
 from mono.rootsets import Window
 from mono.rootwindow import find_roots
-from mono.tracking import MIN_STEP, TrackConfig, step_control, track_bundle
+from mono.tracking import (
+    ALPHA0,
+    ALPHA_STEP,
+    MIN_STEP,
+    TrackConfig,
+    gamma_bound,
+    step_control,
+    track_bundle,
+)
 
 from conftest import W3, W5
 
 
 def test_config_validation():
-    TrackConfig()  # defaults are self-consistent
+    assert TrackConfig().max_step is None  # the certificate alone sizes steps
     with pytest.raises(PreconditionError):
         TrackConfig(max_step=0.0)
     with pytest.raises(PreconditionError, match="MIN_STEP"):
@@ -24,31 +36,45 @@ def test_config_validation():
         TrackConfig(max_step=math.nan)
 
 
+def _certs(zs, a):
+    out = []
+    for z in zs:
+        d = FAMILY.deriv(z)
+        out.append((abs(d), abs(FAMILY.eval(z) - a) / abs(d), gamma_bound(d)))
+    return out
+
+
 def test_step_control_caps(bundle3):
-    from mono.equation import FAMILY
     from mono.rootsets import min_separation
 
-    cfg = TrackConfig()
     zs = bundle3.positions()
-    dmin, derivs = min_separation(zs), [FAMILY.deriv(z) for z in zs]
-    cap = step_control(dmin, derivs, 1.0 + 0j, cfg)
-    assert cap <= cfg.max_step + 1e-15
-    tiny = step_control(dmin, derivs, 1e-6 + 0j, cfg)
-    assert abs(tiny - 1e-6) < 1e-18
-    # collision cap kicks in when two roots are close
+    dmin, certs = min_separation(zs), _certs(zs, 0j)
+    # well-separated roots: the alpha term binds
+    expected = min(fa * (ALPHA_STEP / g - b) for fa, b, g in certs)
+    assert expected < 0.25 * dmin * min(fa for fa, _, _ in certs)
+    cap = step_control(dmin, certs)
+    assert cap == pytest.approx(expected, rel=1e-12)
+    assert cap > 0.05  # larger than the old fixed step
+    # a user cap binds when it is the smaller
+    assert step_control(dmin, certs, 0.05) == 0.05
+    assert step_control(dmin, certs, 1e6) == cap
+    # two roots 0.01 apart: the disjointness term d_min / 4 binds
     close = [0j, 0.01 + 0j, 3.0 + 0j]
-    derivs = [FAMILY.deriv(z) for z in close]
-    fmin = min(abs(d) for d in derivs)
-    cap = step_control(min_separation(close), derivs, 1.0 + 0j, cfg)
-    assert cap == pytest.approx(0.01 * fmin / 3.0)
+    certs = [(abs(FAMILY.deriv(z)), 0.0, gamma_bound(FAMILY.deriv(z))) for z in close]
+    fmin = min(fa for fa, _, _ in certs)
+    cap = step_control(min_separation(close), certs)
+    assert cap == pytest.approx(0.01 * fmin / 4.0)
+    # no roots, nothing to certify
+    assert step_control(math.inf, []) == math.inf
 
 
-@pytest.mark.parametrize("n, steps", [(-1, 322), (0, 322), (1, 602), (2, 880)])
+@pytest.mark.parametrize("n, steps", [(-1, 53), (0, 53), (1, 85), (2, 118)])
 def test_step_law_is_deterministic(bundle5, n, steps):
     # the step-control law has no randomness: these counts are exact, and
     # any change to them is a change of behaviour, not noise
     _, rep = track_bundle(bundle5, keyhole_loop(n, 0.5), TrackConfig())
     assert (rep.steps_accepted, rep.steps_rejected) == (steps, 0)
+    assert rep.max_alpha < ALPHA0
 
 
 def test_guarded_family_calls_do_not_grow_with_steps(bundle5, monkeypatch):
@@ -123,7 +149,7 @@ def test_residuals_stay_tight(bundle5):
 def test_root_follows_image_segment_line(bundle5, n):
     # on an image segment one root moves along the known z-line exactly
     loop = composite_loop(n)
-    _, rep = track_bundle(bundle5, loop, TrackConfig(record_trajectories=True))
+    _, rep = track_bundle(bundle5, loop, TrackConfig(max_step=0.05, record_trajectories=True))
     rows: dict = {}
     for arc, _lab, z, _a, _res in rep.trajectory:
         rows.setdefault(arc, []).append(z)
@@ -202,3 +228,42 @@ def test_multiplicity_entries_refused():
     rs = LabeledRootSet(0j, (RootEntry(1, -0.5671432904097838 + 0j, multiplicity=2),))
     with pytest.raises(PreconditionError):
         track_bundle(rs, keyhole_loop(0, 0.5), TrackConfig())
+
+
+def _gamma_sup(z: complex) -> tuple[float, complex]:
+    """sup over k = 2..60 of |f^(k)(z) / (k! f'(z))|^{1/(k-1)} at 50 digits,
+    and f'(z) rounded once to binary64."""
+    with mpmath.workdps(50):
+        e = mpmath.exp(mpmath.mpc(z.real, z.imag))
+        d = 1 + e
+        r = abs(e) / abs(d)
+        sup = max((r / mpmath.factorial(k)) ** (mpmath.mpf(1) / (k - 1)) for k in range(2, 61))
+        return float(sup), complex(d)
+
+
+_NEAR_CRITICAL = st.builds(
+    lambda n, rho, theta: complex(0.0, (2 * n + 1) * math.pi) + cmath.rect(rho, theta),
+    st.integers(-20, 20),
+    st.floats(1e-6, 1e-3),
+    st.floats(0.0, 2.0 * math.pi),
+)
+
+
+@settings(max_examples=100)
+@given(
+    z=st.one_of(
+        st.complex_numbers(min_magnitude=0.0, max_magnitude=40.0, allow_nan=False, allow_infinity=False),
+        _NEAR_CRITICAL,
+        st.builds(complex, st.floats(-700.0, -30.0), st.floats(-100.0, 100.0)),
+        st.builds(complex, st.floats(30.0, 700.0), st.floats(-100.0, 100.0)),
+    )
+)
+@example(z=0j)
+@example(z=-0.5671432904097838 + 0j)
+@example(z=math.pi * 1j + 1e-4)
+def test_gamma_bound_is_an_upper_bound(z):
+    # the k >= 13 tail is bounded by e / 13 and the k = 2 term is exact for
+    # r >= 2/3; the slack 1e-14 covers the rounding of |d - 1| / |d|
+    sup, d = _gamma_sup(z)
+    assert gamma_bound(d) >= sup * (1.0 - 1e-14)
+    assert gamma_bound(d) <= max(sup, math.e / 13.0) * (1.0 + 1e-14)
