@@ -14,7 +14,7 @@ from .paths import keyhole_loop
 from .permutation import extract_permutation, group_order
 from .rootsets import Window
 from .rootwindow import find_roots
-from .tracking import TrackConfig, track_bundle
+from .tracking import track_bundle
 
 __version__ = "0.1.0"
 
@@ -22,7 +22,6 @@ __all__ = [
     "MonoError",
     "NumericalError",
     "PreconditionError",
-    "TrackConfig",
     "Window",
     "extract_permutation",
     "find_roots",

@@ -22,7 +22,7 @@ import os
 import sys
 
 from .equation import critical_point, nearest_critical
-from .errors import MonoError, NumericalError, PreconditionError
+from .errors import MonoError, NumericalError, PreconditionError, UnmatchedRootError
 from .figures import FIGURES
 from .jsonio import atomic_write_text, canonical_json
 from .lambertw import oracle_roots
@@ -38,7 +38,7 @@ from .paths import (
 from .permutation import cycles, extract_permutation, group_order, is_transposition
 from .rootsets import Window, match_positions
 from .rootwindow import find_roots
-from .tracking import TrackConfig, track_bundle
+from .tracking import track_bundle
 
 DEFAULT_WINDOW = "-5,5,-6,18"
 EXIT_OK = 0
@@ -227,18 +227,17 @@ def cmd_oracle(o) -> tuple[dict, int]:
         cmp_window = o.window if o.window is not None else _parse_window(DEFAULT_WINDOW)
         located = find_roots(o.a, cmp_window)
         inside = [e.z for e in rs if located.window.contains(e.z)]
-        ok, worst = match_positions(
-            inside, [e.z for e in located.entries], 1e-9
-        )
+        try:
+            _, worst = match_positions(inside, [e.z for e in located.entries], 1e-9)
+        except UnmatchedRootError as exc:
+            worst, code = exc.distance, EXIT_VERDICT
         payload["compare"] = {
             "window": located.window.to_json(),
             "contour_count": located.total_multiplicity(),
             "oracle_count_in_window": len(inside),
-            "match": ok,
-            "worst_distance": worst if math.isfinite(worst) else None,
+            "match": code == EXIT_OK,
+            "worst_distance": worst,
         }
-        if not ok:
-            code = EXIT_VERDICT
     return payload, code
 
 
@@ -267,11 +266,15 @@ def _permutation_block(start, end) -> dict:
     }
 
 
+def _report_block(report) -> dict:
+    keys = ("steps_accepted", "steps_rejected", "max_residual", "max_alpha")
+    return {key: getattr(report, key) for key in keys}
+
+
 def cmd_track(o) -> tuple[dict, int]:
     path = _build_path(o)
     start = find_roots(path.start, o.window)
-    cfg = TrackConfig(max_step=o.max_step, record_trajectories=bool(o.csv_out))
-    end, report = track_bundle(start, path, cfg)
+    end, report = track_bundle(start, path, max_step=o.max_step, record=bool(o.csv_out))
     payload = {
         "command": "track",
         "path": path.to_json(),
@@ -279,10 +282,7 @@ def cmd_track(o) -> tuple[dict, int]:
         "start": start.to_json(),
         "end": end.to_json(),
         "report": {
-            "steps_accepted": report.steps_accepted,
-            "steps_rejected": report.steps_rejected,
-            "max_residual": report.max_residual,
-            "max_alpha": report.max_alpha,
+            **_report_block(report),
             "min_pairwise_distance": report.min_pairwise_distance if len(start) > 1 else None,
         },
     }
@@ -297,7 +297,7 @@ def cmd_track(o) -> tuple[dict, int]:
 def cmd_loop(o) -> tuple[dict, int]:
     path = loop_around(o.n, o.rho, o.turns)
     start = find_roots(path.start, o.window)
-    end, report = track_bundle(start, path, TrackConfig())
+    end, report = track_bundle(start, path)
     payload = {
         "command": "loop",
         "n": o.n,
@@ -307,12 +307,7 @@ def cmd_loop(o) -> tuple[dict, int]:
         "window": start.window.to_json(),
         "start": start.to_json(),
         "permutation": _permutation_block(start, end),
-        "report": {
-            "steps_accepted": report.steps_accepted,
-            "steps_rejected": report.steps_rejected,
-            "max_residual": report.max_residual,
-            "max_alpha": report.max_alpha,
-        },
+        "report": _report_block(report),
     }
     return payload, EXIT_OK
 
@@ -326,9 +321,8 @@ def cmd_homotopy_check(o) -> tuple[dict, int]:
         mid = len(segs) // 2
         keyhole = ParamPath(segs[:mid] + segs[mid + 1 :], closed=True)
     start = find_roots(0j, o.window)
-    cfg = TrackConfig()
-    end_c, _ = track_bundle(start, composite, cfg)
-    end_k, _ = track_bundle(start, keyhole, cfg)
+    end_c, _ = track_bundle(start, composite)
+    end_k, _ = track_bundle(start, keyhole)
     block_c = _permutation_block(start, end_c)
     block_k = _permutation_block(start, end_k)
     a_n = critical_point(o.n).a
@@ -354,12 +348,11 @@ def cmd_group(o) -> tuple[dict, int]:
     if not o.loops:
         raise PreconditionError("no loop indices given")
     start = find_roots(0j, o.window)
-    cfg = TrackConfig()
     gens = []
     gen_blocks = []
     for n in o.loops:
         path = keyhole_loop(n, o.rho, corridor_re=o.corridor_re)
-        end, _ = track_bundle(start, path, cfg)
+        end, _ = track_bundle(start, path)
         perm = extract_permutation(start, end)
         gens.append(perm)
         gen_blocks.append(

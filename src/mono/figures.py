@@ -17,7 +17,7 @@ from .jsonio import canonical_json
 from .paths import composite_loop, keyhole_loop
 from .rootsets import Window
 from .rootwindow import find_roots
-from .tracking import TrackConfig, track_bundle
+from .tracking import track_bundle
 
 _W, _H = 640, 480
 _MARGIN = 48
@@ -161,7 +161,7 @@ def figure_root_trajectories(n: int = 2, rho: float = 0.5) -> str:
     window = Window(-5.0, 5.0, -6.0, 18.0)
     start = find_roots(0j, window)
     path = composite_loop(n, rho)
-    end, report = track_bundle(start, path, TrackConfig(record_trajectories=True))
+    end, report = track_bundle(start, path, record=True)
     by_label: dict[int, list] = {}
     for arc, lab, z, _a, _r in report.trajectory:
         by_label.setdefault(lab, []).append((z.real, z.imag))

@@ -30,6 +30,8 @@ from .equation import FAMILY, checked_exp, require_finite
 MAX_BRANCH = 64
 HALLEY_MAX_ITER = 100
 DEFAULT_TOL = 1e-12
+# every oracle root must satisfy |z + e^z - a| below this
+ORACLE_RESIDUAL_TOL = 1e-10
 
 _INV_E = math.exp(-1.0)
 # W_0(-1), used only as an iteration start in the pocket around w = -1
@@ -144,11 +146,11 @@ def lambert_w(w: complex, k: int = 0, tol: float = DEFAULT_TOL) -> complex:
     )
 
 
-def oracle_roots(a: complex, k_range, *, window=None, residual_tol: float = 1e-10):
+def oracle_roots(a: complex, k_range, *, window=None):
     """Roots z = a - W_k(e^a) of z + e^z = a for k over k_range.
 
     k_range is any iterable of branch indices (a builtin range works).
-    Each root is residual-checked against |z + e^z - a| < residual_tol
+    Each root is residual-checked against |z + e^z - a| < ORACLE_RESIDUAL_TOL
     before being admitted.  If a window is given, only roots inside it
     are kept.  Returns a canonically labeled root set; labels follow the
     shared convention (sorted by imaginary part, the real root, if any,
@@ -166,7 +168,7 @@ def oracle_roots(a: complex, k_range, *, window=None, residual_tol: float = 1e-1
         try:
             # tight W tolerance: the root residual |f(z) - a| is the W
             # residual amplified by |W| / |w|, which must stay under
-            # residual_tol for every branch in range
+            # ORACLE_RESIDUAL_TOL for every branch in range
             W = lambert_w(w, k, tol=1e-13)
         except ConvergenceError as exc:
             raise ConvergenceError(
@@ -192,10 +194,10 @@ def oracle_roots(a: complex, k_range, *, window=None, residual_tol: float = 1e-1
     for k, W in values:
         z = a - W
         resid = abs(FAMILY.eval(z) - a)
-        if resid >= residual_tol:
+        if resid >= ORACLE_RESIDUAL_TOL:
             raise NumericalError(
                 f"oracle root for branch k={k} has residual {resid:.3g} "
-                f">= {residual_tol:g} at a = {a!r}"
+                f">= {ORACLE_RESIDUAL_TOL:g} at a = {a!r}"
             )
         if window is None or window.contains(z):
             positions.append(z)

@@ -14,8 +14,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import PreconditionError, UnmatchedRootError
-from .rootsets import LabeledRootSet
+from .errors import PreconditionError
+from .rootsets import LabeledRootSet, match_positions
 
 # an end root farther than this from every start root is unmatched
 MATCH_TOL = 1e-8
@@ -35,13 +35,6 @@ class Permutation:
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def from_mapping(cls, mapping: dict[int, int]) -> "Permutation":
-        n = len(mapping)
-        if sorted(mapping) != list(range(1, n + 1)):
-            raise PreconditionError(f"mapping keys must be 1..{n}")
-        return cls(tuple(mapping[i] for i in range(1, n + 1)))
 
     @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "Permutation":
@@ -164,10 +157,10 @@ def extract_permutation(start: LabeledRootSet, end: LabeledRootSet) -> Permutati
     """Match transported end positions back to start positions by nearness.
 
     Requires the same label sets and the same parameter value (the path
-    was closed).  Each end root must land within MATCH_TOL of exactly one
-    start root; a second start root within ten times the best match
-    distance makes the assignment ambiguous, which is an error rather
-    than a guess.
+    was closed).  The root that started at label i ends where label
+    images[i-1] started: rootsets.match_positions pairs them within
+    MATCH_TOL, and raises UnmatchedRootError when a root has no start
+    root that near, has two, or lands where another already did.
     """
     if start.labels() != end.labels():
         raise PreconditionError(
@@ -177,42 +170,8 @@ def extract_permutation(start: LabeledRootSet, end: LabeledRootSet) -> Permutati
         raise PreconditionError(
             f"parameter moved: start a = {start.a!r}, end a = {end.a!r}"
         )
-    labels = start.labels()
-    n = len(labels)
-    if sorted(labels) != list(range(1, n + 1)):
+    n = len(start)
+    if start.labels() != tuple(range(1, n + 1)):
         raise PreconditionError(f"labels must be 1..{n} for permutation extraction")
-    mapping: dict[int, int] = {}
-    taken: dict[int, int] = {}
-    for lab in labels:
-        z_end = end.position(lab)
-        dists = sorted(
-            (abs(z_end - start.position(m)), m) for m in labels
-        )
-        d1, m1 = dists[0]
-        if d1 > MATCH_TOL:
-            raise UnmatchedRootError(
-                f"label {lab} transported to {z_end!r}, nearest start root "
-                f"(label {m1}) is {d1:.3g} away (> {MATCH_TOL:g})",
-                label=lab,
-                distance=d1,
-            )
-        if len(dists) > 1:
-            d2, m2 = dists[1]
-            if d2 <= 10.0 * d1:
-                raise UnmatchedRootError(
-                    f"label {lab} matches both {m1} ({d1:.3g}) and {m2} ({d2:.3g}); "
-                    f"ambiguous within a factor of 10",
-                    label=lab,
-                    distance=d1,
-                )
-        if m1 in taken:
-            raise UnmatchedRootError(
-                f"labels {taken[m1]} and {lab} both landed on start root {m1}",
-                label=lab,
-                distance=d1,
-            )
-        taken[m1] = lab
-        # the root that STARTED at lab ENDS at position of m1's start slot:
-        # end position of lab sits where m1 began, so lab's root moved to m1
-        mapping[lab] = m1
-    return Permutation.from_mapping(mapping)
+    matched, _ = match_positions(end.positions(), start.positions(), MATCH_TOL)
+    return Permutation(tuple(j + 1 for j in matched))

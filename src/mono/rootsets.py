@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import NumericalError, PreconditionError, UnmatchedRootError
 
 SEPARATION_FLOOR = 1e-8
 NEAR_MERGE_RADIUS = 1e-4
@@ -133,12 +133,13 @@ class LabeledRootSet:
                     )
         flagged = {tuple(sorted(p)) for p in self.near_merge_pairs}
         es = self.entries
-        for i, j, d in pair_distances([e.z for e in es]):
+        dist = _distance_matrix([e.z for e in es])
+        for i, j in np.argwhere(dist <= SEPARATION_FLOOR).tolist():
             pair = tuple(sorted((es[i].label, es[j].label)))
-            if d <= SEPARATION_FLOOR and pair not in flagged:
+            if pair not in flagged:
                 raise PreconditionError(
-                    f"labels {pair} are {d:.3g} apart, below the separation "
-                    f"floor, and not flagged as near-merge"
+                    f"labels {pair} are {dist[i, j]:.3g} apart, below the "
+                    f"separation floor, and not flagged as near-merge"
                 )
 
     def __len__(self) -> int:
@@ -168,8 +169,6 @@ class LabeledRootSet:
 
     def validate_residuals(self, family, tol: float = 1e-10) -> float:
         """Worst residual |f(z) - a| over simple entries; raises if any exceeds tol."""
-        from .errors import NumericalError
-
         worst = 0.0
         for e in self.entries:
             if e.multiplicity > 1:
@@ -198,59 +197,63 @@ class LabeledRootSet:
         return d
 
 
-def match_positions(ps, qs, tol: float) -> tuple[bool, float]:
-    """Greedy 1-1 matching between two complex position lists.
+def _distance_matrix(ps, qs=None) -> np.ndarray:
+    """|ps[i] - qs[j]| for every i, j as one numpy matrix; without qs,
+    the distances among ps, with inf on the diagonal.
 
-    Returns (ok, worst matched distance).  ok is False when the lengths
-    differ or some position has no partner within tol.
+    np.hypot, unlike np.abs, gives the floats Python's abs gives, to the
+    last bit.
     """
-    ps = [complex(p) for p in ps]
-    qs = [complex(q) for q in qs]
-    if len(ps) != len(qs):
-        return False, math.inf
-    remaining = list(range(len(qs)))
-    worst = 0.0
-    for p in ps:
-        if not remaining:
-            return False, math.inf
-        j = min(remaining, key=lambda j: abs(p - qs[j]))
-        d = abs(p - qs[j])
-        if d > tol:
-            return False, d
-        worst = max(worst, d)
-        remaining.remove(j)
-    return True, worst
-
-
-def pair_distances(zs):
-    """Yield (i, j, |zs[i] - zs[j]|) for every index pair i < j, in order."""
-    for i in range(len(zs)):
-        zi = zs[i]
-        for j in range(i + 1, len(zs)):
-            yield i, j, abs(zi - zs[j])
+    p = np.array(ps, dtype=complex)
+    diff = p[:, None] - (p if qs is None else np.array(qs, dtype=complex))
+    dist = np.hypot(diff.real, diff.imag)
+    if qs is None:
+        dist.flat[:: len(p) + 1] = math.inf
+    return dist
 
 
 def min_separation(zs) -> float:
-    """Smallest pairwise distance among zs; inf for fewer than two points.
-
-    One numpy distance matrix.  np.hypot, unlike np.abs, gives the floats
-    Python's abs gives over pair_distances, to the last bit.
-    """
-    if len(zs) < 2:
-        return math.inf
-    z = np.array(zs, dtype=complex)
-    diff = z[:, None] - z
-    dist = np.hypot(diff.real, diff.imag)
-    dist.flat[:: len(z) + 1] = math.inf  # the diagonal
-    return float(dist.min())
+    """Smallest pairwise distance among zs; inf for fewer than two points."""
+    return float(_distance_matrix(zs).min(initial=math.inf))
 
 
 def _near_merge_pairs(entries) -> tuple[tuple[int, int], ...]:
+    dist = _distance_matrix([e.z for e in entries])
     return tuple(
         tuple(sorted((entries[i].label, entries[j].label)))
-        for i, j, d in pair_distances([e.z for e in entries])
-        if d < NEAR_MERGE_RADIUS
+        for i, j in np.argwhere(dist < NEAR_MERGE_RADIUS).tolist()
+        if i < j
     )
+
+
+def match_positions(ps, qs, tol: float) -> tuple[list[int], float]:
+    """Match every position in ps to its nearest position in qs.
+
+    Returns the index into qs of each p's match, and the worst matched
+    distance.  Raises UnmatchedRootError (label: the 1-based position in
+    ps; distance: its nearest distance) when the lengths differ, when a
+    p has no q within tol, when a second q lies within ten times the
+    nearest distance (ambiguous), or when two ps take the same q.
+    """
+    if len(ps) != len(qs):
+        raise UnmatchedRootError(f"{len(ps)} roots cannot match {len(qs)}")
+    matched: list[int] = []
+    worst = 0.0
+    for label, row in enumerate(_distance_matrix(ps, qs).tolist(), start=1):
+        j = row.index(min(row))
+        d1 = row.pop(j)
+        d2 = min(row, default=math.inf)
+        if d1 > tol or d2 <= 10.0 * d1 or j in matched:
+            raise UnmatchedRootError(
+                f"root {label} has no unique match within {tol:g}: the nearest, "
+                f"{j + 1}{' (taken)' if j in matched else ''}, is {d1:.3g} away, "
+                f"the next {d2:.3g}",
+                label=label,
+                distance=d1,
+            )
+        matched.append(j)
+        worst = max(worst, d1)
+    return matched, worst
 
 
 def canonical_root_set(

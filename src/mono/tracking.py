@@ -49,8 +49,10 @@ A step that fails the test (or whose corrector diverges) is rejected
 and halved.  A certified reach below MIN_STEP, which happens as the path
 runs into a critical value and two roots merge, aborts with
 StepUnderflowError, carrying the arc position and the nearest critical
-value.  max_step, when set, caps every step's reach as well.  Bundles
-whose roots start closer than NEAR_CRITICAL_RADIUS are refused.
+value.  max_step, when set, caps every step's reach as well, and a cap
+that needs more than STEP_BUDGET steps is refused.  Bundles whose roots
+start closer than NEAR_CRITICAL_RADIUS are refused, and so is a loop
+that carries a root out of the start window.
 """
 
 from __future__ import annotations
@@ -71,6 +73,8 @@ _GROWTH = 1.6
 NEAR_CRITICAL_RADIUS = 1e-3
 CORRECTOR_TOL = 1e-12
 MIN_STEP = 1e-9
+# the most steps a max_step cap may ask for
+STEP_BUDGET = 1_000_000
 # Smale's constant: alpha below it makes a point an approximate zero.
 ALPHA0 = (13.0 - 3.0 * math.sqrt(17.0)) / 4.0
 # The alpha every root may reach within a step, with margin below ALPHA0.
@@ -79,21 +83,6 @@ ALPHA_STEP = 0.1
 # gamma_bound: the terms k = 2..12 as (k!, 1 / (k - 1)), the tail by e / 13
 _GAMMA_TERMS = tuple((float(math.factorial(k)), 1.0 / (k - 1)) for k in range(2, 13))
 _GAMMA_TAIL = math.e / 13.0
-
-
-@dataclass(frozen=True)
-class TrackConfig:
-    """max_step: optional cap on each step's reach in the a-plane; None
-    leaves the size to the certificate alone."""
-
-    max_step: float | None = None
-    record_trajectories: bool = False
-
-    def __post_init__(self):
-        if self.max_step is not None and not MIN_STEP < self.max_step:
-            raise PreconditionError(
-                f"max_step must exceed MIN_STEP {MIN_STEP:g}, got {self.max_step!r}"
-            )
 
 
 @dataclass
@@ -171,16 +160,32 @@ def _underflow(what: str, arc: float, a: complex) -> StepUnderflowError:
 def track_bundle(
     start: LabeledRootSet,
     path: ParamPath,
-    cfg: TrackConfig | None = None,
+    *,
+    max_step: float | None = None,
+    record: bool = False,
 ) -> tuple[LabeledRootSet, TrackReport]:
     """Transport every root of the start set along the path.
 
     Returns the end set (same labels, transported positions, a = path
     end) and a report.  The start set must sit at the path start, with
     simple well-separated roots; bundles flagged near-merge are refused,
-    since labels would be ambiguous from the outset.
+    since labels would be ambiguous from the outset.  max_step, if set,
+    caps each step's reach in the a-plane; record fills report.trajectory.
     """
-    cfg = cfg or TrackConfig()
+    if max_step is not None:
+        if not MIN_STEP < max_step:
+            raise PreconditionError(
+                f"max_step must exceed MIN_STEP {MIN_STEP:g}, got {max_step!r}"
+            )
+        # a step covers about max_step of path at most; the polyline is no
+        # longer than the path
+        pts = path.sample(0.05)
+        need = sum(abs(q - p) for p, q in zip(pts, pts[1:])) / max_step
+        if need > STEP_BUDGET:
+            raise PreconditionError(
+                f"max_step {max_step:g} needs at least {math.ceil(need)} steps "
+                f"along this path, over STEP_BUDGET {STEP_BUDGET}; raise max_step"
+            )
     if abs(path.start - start.a) > 1e-9:
         raise PreconditionError(
             f"path starts at {path.start!r} but bundle sits at {start.a!r}"
@@ -216,7 +221,7 @@ def track_bundle(
         max_alpha=max((b * g for _, b, g in certs), default=0.0),
     )
     a_cur = path.start
-    if cfg.record_trajectories:
+    if record:
         for lab, z, res in zip(labels, zs, residuals):
             report.trajectory.append((0.0, lab, z, a_cur, res))
 
@@ -229,7 +234,7 @@ def track_bundle(
         du = 0.25
         while u < 1.0:
             du = min(du, 1.0 - u)
-            allowed = step_control(dmin, certs, cfg.max_step)
+            allowed = step_control(dmin, certs, max_step)
             if not allowed >= MIN_STEP:  # NaN included
                 raise _underflow("cannot certify a step above", i_seg + u, a_cur)
             # geometric sizing: shrink du until the piece's reach fits
@@ -287,20 +292,19 @@ def track_bundle(
             a_cur = a_next
             u = u_next
             report.steps_accepted += 1
-            if cfg.record_trajectories:
+            if record:
                 for lab, z, res in zip(labels, zs, new_res):
                     report.trajectory.append((i_seg + u, lab, z, a_cur, res))
             du = min(du * _GROWTH, 1.0)
 
-    entries = tuple(
-        RootEntry(label=lab, z=z, multiplicity=1) for lab, z in zip(labels, zs)
-    )
     # A window asserts "all roots in here"; transport to a different
     # parameter value voids that claim, so only closed paths keep it.
-    end_set = LabeledRootSet(
-        a=a_cur,
-        entries=entries,
-        near_merge_pairs=_near_merge_pairs(entries),
-        window=start.window if path.closed else None,
-    )
-    return end_set, report
+    window = start.window if path.closed else None
+    for lab, z in zip(labels, zs):
+        if window is not None and not window.contains(z):
+            raise PreconditionError(
+                f"the loop{f' around a_{path.encircles[0]}' if path.encircles else ''} "
+                f"carries label {lab} to {z!r}, outside the window {window}; widen it (--window)"
+            )
+    entries = tuple(RootEntry(lab, z) for lab, z in zip(labels, zs))
+    return LabeledRootSet(a_cur, entries, _near_merge_pairs(entries), window), report

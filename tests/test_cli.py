@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -332,6 +333,26 @@ def test_error_message_names_the_cause(capsys, argv, code, prefix, cause):
     assert err.startswith(prefix)
     assert cause in err
     assert len(err) < 400
+
+
+@pytest.mark.parametrize(
+    "argv, cause",
+    [
+        # about 1.6e9 steps along the default keyhole: refused before tracking
+        (["track", "--max-step", "1e-8"], "max_step 1e-08 needs at least"),
+        # the loop around a_1 carries a root above Im z = 6
+        (["group", "--loops=1", "--window=-5,5,-6,6"], "the loop around a_1 carries label 1"),
+        (["homotopy-check", "--n", "1", "--window=-5,5,-6,6"], "the loop around a_1 carries"),
+    ],
+    ids=["max-step-over-budget", "group-root-leaves-window", "homotopy-root-leaves-window"],
+)
+def test_refusal_is_fast_and_names_the_fix(capsys, argv, cause):
+    t0 = time.perf_counter()
+    code, payload, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, payload) == (2, None)
+    assert err.startswith("precondition error: ") and cause in err
+    assert "raise max_step" in err or "widen it (--window)" in err
 
 
 def test_roots_below_the_residual_floor_still_polished(capsys):

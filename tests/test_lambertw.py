@@ -10,6 +10,7 @@ import math
 import mpmath
 import pytest
 
+from mono import lambertw
 from mono.equation import FAMILY, critical_value, real_root
 from mono.errors import NumericalError, PreconditionError
 from mono.lambertw import MAX_BRANCH, lambert_w, oracle_roots
@@ -151,6 +152,7 @@ def test_oracle_near_critical_value_is_well_separated_pair():
         assert abs(FAMILY.eval(z) - a) < 1e-10
 
 
-def test_oracle_residual_guard():
+def test_oracle_residual_guard(monkeypatch):
+    monkeypatch.setattr(lambertw, "ORACLE_RESIDUAL_TOL", 1e-18)
     with pytest.raises(NumericalError):
-        oracle_roots(0j, range(-2, 3), residual_tol=1e-18)
+        oracle_roots(0j, range(-2, 3))

@@ -45,3 +45,44 @@ def test_no_unused_imports():
         if (found := _unused_imports(ast.parse(path.read_text())))
     }
     assert not unused
+
+
+def _unread_private_names(tree: ast.Module) -> list[str]:
+    """Module-level _-prefixed functions, classes and constants that the
+    module itself never reads."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [f"line {line}: {name}" for name, line in defined.items() if name not in read]
+
+
+def test_unread_private_name_detector():
+    tree = ast.parse(
+        "_A = 1\n_B, _C = 2, 3\n__all__ = []\n"
+        "def _f():\n    return _B\nclass _K:\n    pass\n"
+        "def g():\n    _local = 4\n    return _f()\n"
+    )
+    assert _unread_private_names(tree) == ["line 1: _A", "line 2: _C", "line 6: _K"]
+
+
+def test_no_unread_private_names():
+    unread = {
+        path.name: found
+        for path in sorted(SRC.glob("*.py"))
+        if (found := _unread_private_names(ast.parse(path.read_text())))
+    }
+    assert not unread

@@ -15,13 +15,13 @@ from mono.paths import concat, keyhole_loop, loop_around
 from mono.permutation import Permutation, compose, extract_permutation, is_transposition
 from mono.rootsets import Window
 from mono.rootwindow import find_roots
-from mono.tracking import ALPHA0, TrackConfig, track_bundle
+from mono.tracking import ALPHA0, track_bundle
 
 from conftest import W5
 
 
 def _perm(bundle, path):
-    end, _ = track_bundle(bundle, path, TrackConfig())
+    end, _ = track_bundle(bundle, path)
     return extract_permutation(bundle, end)
 
 
@@ -143,8 +143,8 @@ def test_certified_steps_match_the_fixed_cap(guard_bundles, name, data):
     word = data.draw(st.lists(letters, min_size=1, max_size=4), label="word")
     path = concat(*(_letter(*letter) for letter in word))
     images = []
-    for cfg in (TrackConfig(), TrackConfig(max_step=0.05)):
-        end, rep = track_bundle(bundle, path, cfg)
+    for max_step in (None, 0.05):
+        end, rep = track_bundle(bundle, path, max_step=max_step)
         assert rep.max_alpha < ALPHA0
         images.append(extract_permutation(bundle, end).images)
     assert images[0] == images[1]

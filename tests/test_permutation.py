@@ -58,13 +58,6 @@ def test_inverse_and_cycles():
     assert Permutation.identity(3).cycle_string() == "()"
 
 
-def test_from_mapping():
-    p = Permutation.from_mapping({1: 2, 2: 1, 3: 3})
-    assert p == Permutation((2, 1, 3))
-    with pytest.raises(PreconditionError):
-        Permutation.from_mapping({1: 2, 2: 2, 3: 3})
-
-
 def test_star_transpositions_generate_everything():
     gens = [Permutation.transposition(5, 1, k) for k in (2, 3, 4, 5)]
     res = group_order(gens)
@@ -171,15 +164,16 @@ def test_extract_unmatched_and_ambiguous():
         extract_permutation(start, far)
     # two end roots nearly equidistant from one start root
     near = _set(0j, [(1, 5e-9 + 0j), (2, -6e-9 + 0j)])
-    with pytest.raises(UnmatchedRootError, match="both landed"):
+    with pytest.raises(UnmatchedRootError, match="taken") as ei:
         extract_permutation(start, near)
+    assert (ei.value.label, ei.value.distance) == (2, 6e-9)
 
 
 def test_extract_from_actual_tracking(bundle3):
     from mono.paths import keyhole_loop
-    from mono.tracking import TrackConfig, track_bundle
+    from mono.tracking import track_bundle
 
-    end, _ = track_bundle(bundle3, keyhole_loop(0, 0.5), TrackConfig())
+    end, _ = track_bundle(bundle3, keyhole_loop(0, 0.5))
     p = extract_permutation(bundle3, end)
     ok, pair = is_transposition(p)
     assert ok and pair == (1, 3)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mono.equation import FAMILY
-from mono.errors import PreconditionError
+from mono.errors import PreconditionError, UnmatchedRootError
 from mono.rootsets import (
     NEAR_MERGE_RADIUS,
     SEPARATION_FLOOR,
@@ -17,7 +17,6 @@ from mono.rootsets import (
     canonical_root_set,
     match_positions,
     min_separation,
-    pair_distances,
 )
 
 
@@ -89,16 +88,28 @@ def test_residual_validation():
         bad.validate_residuals(FAMILY, 1e-10)
 
 
-def test_match_positions():
-    ps = [0j, 1.0 + 1.0j, -2.0 + 0.5j]
-    qs = [1.0 + 1.0j + 1e-12, -2.0 + 0.5j, 1e-13j]
-    ok, worst = match_positions(ps, qs, 1e-9)
-    assert ok and worst < 1e-11
-    ok, worst = match_positions(ps, qs[:-1] + [9j], 1e-9)
-    assert not ok
-    # count mismatch is an immediate failure
-    ok, _ = match_positions(ps, qs[:-1], 1e-9)
-    assert not ok
+_PS = [0j, 1.0 + 1.0j, -2.0 + 0.5j]
+
+
+@pytest.mark.parametrize(
+    "ps, qs, label, distance",
+    [
+        pytest.param(_PS, [1.0 + 1.0j, -2.0 + 0.5j, 1e-12j], None, None, id="match"),
+        pytest.param(_PS, [1.0 + 1.0j, -2.0 + 0.5j], None, None, id="lengths-differ"),
+        pytest.param(_PS, [1.0 + 1.0j, -2.0 + 0.5j, 0.5 + 0j], 1, 0.5, id="beyond-tol"),
+        # a second q within ten times the nearest distance
+        pytest.param(_PS, [1e-10 + 0j, 1.0 + 1.0j, 5e-10j], 1, 1e-10, id="ambiguous"),
+        pytest.param([0j, 1e-10 + 0j], [3e-10 + 0j, 5.0 + 0j], 2, 2e-10, id="taken"),
+    ],
+)
+def test_match_positions(ps, qs, label, distance):
+    if distance is None and len(ps) == len(qs):
+        assert match_positions(ps, qs, 1e-9) == ([2, 0, 1], 1e-12)
+        return
+    with pytest.raises(UnmatchedRootError) as ei:
+        match_positions(ps, qs, 1e-9)
+    assert ei.value.label == label
+    assert ei.value.distance == pytest.approx(distance, rel=1e-12)
 
 
 def test_canonical_labels_sorted_by_height():
@@ -155,5 +166,8 @@ def _point_lists(draw):
 @given(_point_lists())
 def test_min_separation_matches_pairwise_abs(zs):
     # exact equality: the numpy matrix must give Python's abs to the bit
-    want = min((d for *_, d in pair_distances(zs)), default=math.inf)
+    want = math.inf
+    for i, zi in enumerate(zs):
+        for zj in zs[i + 1 :]:
+            want = min(want, abs(zi - zj))
     assert min_separation(zs) == want

@@ -17,7 +17,6 @@ from mono.tracking import (
     ALPHA0,
     ALPHA_STEP,
     MIN_STEP,
-    TrackConfig,
     gamma_bound,
     step_control,
     track_bundle,
@@ -26,14 +25,17 @@ from mono.tracking import (
 from conftest import W3, W5
 
 
-def test_config_validation():
-    assert TrackConfig().max_step is None  # the certificate alone sizes steps
-    with pytest.raises(PreconditionError):
-        TrackConfig(max_step=0.0)
-    with pytest.raises(PreconditionError, match="MIN_STEP"):
-        TrackConfig(max_step=MIN_STEP)
-    with pytest.raises(PreconditionError):
-        TrackConfig(max_step=math.nan)
+def test_max_step_validation(bundle3):
+    loop = keyhole_loop(0, 0.5)
+    for bad in (0.0, -1.0, MIN_STEP, math.nan):
+        with pytest.raises(PreconditionError, match="MIN_STEP"):
+            track_bundle(bundle3, loop, max_step=bad)
+    with pytest.raises(TypeError):  # options are keywords only
+        track_bundle(bundle3, loop, 0.05)
+    # a cap the path cannot meet within the step budget is refused up front
+    with pytest.raises(PreconditionError, match="STEP_BUDGET") as ei:
+        track_bundle(bundle3, loop, max_step=1e-8)
+    assert "max_step 1e-08 needs at least" in str(ei.value)
 
 
 def _certs(zs, a):
@@ -72,7 +74,7 @@ def test_step_control_caps(bundle3):
 def test_step_law_is_deterministic(bundle5, n, steps):
     # the step-control law has no randomness: these counts are exact, and
     # any change to them is a change of behaviour, not noise
-    _, rep = track_bundle(bundle5, keyhole_loop(n, 0.5), TrackConfig())
+    _, rep = track_bundle(bundle5, keyhole_loop(n, 0.5))
     assert (rep.steps_accepted, rep.steps_rejected) == (steps, 0)
     assert rep.max_alpha < ALPHA0
 
@@ -96,7 +98,7 @@ def test_guarded_family_calls_do_not_grow_with_steps(bundle5, monkeypatch):
     runs = []
     for max_step in (0.05, 0.02):
         calls.update(eval=0, deriv=0)
-        _, rep = track_bundle(bundle5, keyhole_loop(2, 0.5), TrackConfig(max_step=max_step))
+        _, rep = track_bundle(bundle5, keyhole_loop(2, 0.5), max_step=max_step)
         runs.append((rep.steps_accepted, calls["eval"], calls["deriv"]))
     (steps, *guarded), (more_steps, *guarded_more) = runs
     assert steps == 880 and more_steps > steps
@@ -108,17 +110,16 @@ def test_identity_transport_around_regular_point(bundle3):
     # a loop that encircles no critical value must return every root home
     loop = circle_path(0.5 + 0.5j, 0.3, 1)
     start = find_roots(0.5 + 0.5j - 0.3, W3)
-    end, rep = track_bundle(start, loop, TrackConfig())
+    end, rep = track_bundle(start, loop)
     for lab in start.labels():
         assert abs(end.position(lab) - start.position(lab)) < 1e-9
     assert rep.max_residual < 1e-12
 
 
 def test_reverse_transport_returns(bundle5):
-    cfg = TrackConfig()
     out = keyhole_loop(2, 0.5)
-    mid, _ = track_bundle(bundle5, out, cfg)
-    back, rep = track_bundle(mid, out.reverse(), cfg)
+    mid, _ = track_bundle(bundle5, out)
+    back, rep = track_bundle(mid, out.reverse())
     worst = max(
         abs(back.position(lab) - bundle5.position(lab)) for lab in bundle5.labels()
     )
@@ -129,7 +130,7 @@ def test_reverse_transport_returns(bundle5):
 def test_open_path_transport(bundle3):
     # straight drift of the parameter; end roots solve the new equation
     seg = ParamPath((LineSegment(0j, 1.5 + 0.5j),))
-    end, rep = track_bundle(bundle3, seg, TrackConfig())
+    end, rep = track_bundle(bundle3, seg)
     assert end.a == 1.5 + 0.5j
     assert end.window is None  # containment claim voided off-base
     from mono.equation import FAMILY
@@ -139,7 +140,7 @@ def test_open_path_transport(bundle3):
 
 
 def test_residuals_stay_tight(bundle5):
-    _, rep = track_bundle(bundle5, composite_loop(2), TrackConfig())
+    _, rep = track_bundle(bundle5, composite_loop(2))
     assert rep.max_residual < 1e-12
     assert rep.steps_accepted > 50
     assert rep.min_pairwise_distance > 0.5
@@ -149,7 +150,7 @@ def test_residuals_stay_tight(bundle5):
 def test_root_follows_image_segment_line(bundle5, n):
     # on an image segment one root moves along the known z-line exactly
     loop = composite_loop(n)
-    _, rep = track_bundle(bundle5, loop, TrackConfig(max_step=0.05, record_trajectories=True))
+    _, rep = track_bundle(bundle5, loop, max_step=0.05, record=True)
     rows: dict = {}
     for arc, _lab, z, _a, _res in rep.trajectory:
         rows.setdefault(arc, []).append(z)
@@ -176,7 +177,7 @@ def test_underflow_through_critical_value(bundle3):
     loop = circle_path(a0 - 0.5, 0.5, 1)
     start = find_roots(a0 - 1.0, W3)
     with pytest.raises(StepUnderflowError) as ei:
-        track_bundle(start, loop, TrackConfig())
+        track_bundle(start, loop)
     err = ei.value
     assert abs(err.arc_param - 0.5) < 0.05
     n_near, d_near = err.nearest_critical
@@ -187,19 +188,18 @@ def test_start_must_match_path_base(bundle3):
     loop = keyhole_loop(0, 0.5)
     shifted = find_roots(0.1 + 0j, W3)
     with pytest.raises(PreconditionError):
-        track_bundle(shifted, loop, TrackConfig())
+        track_bundle(shifted, loop)
 
 
 def test_near_merged_start_refused():
     a0 = critical_value(0)
     merged = find_roots(a0, Window(-1.0, 1.0, 2.0, 4.0))
     with pytest.raises(PreconditionError):
-        track_bundle(merged, circle_path(a0, 0.1, 1), TrackConfig())
+        track_bundle(merged, circle_path(a0, 0.1, 1))
 
 
 def test_trajectory_recording_and_csv(tmp_path, bundle3):
-    cfg = TrackConfig(record_trajectories=True)
-    end, rep = track_bundle(bundle3, keyhole_loop(0, 0.5), cfg)
+    end, rep = track_bundle(bundle3, keyhole_loop(0, 0.5), record=True)
     assert rep.trajectory
     arcs = [row[0] for row in rep.trajectory]
     assert arcs == sorted(arcs)
@@ -217,8 +217,8 @@ def test_trajectory_recording_and_csv(tmp_path, bundle3):
 
 def test_max_step_influences_step_count(bundle3):
     loop = keyhole_loop(0, 0.5)
-    _, coarse = track_bundle(bundle3, loop, TrackConfig(max_step=0.1))
-    _, fine = track_bundle(bundle3, loop, TrackConfig(max_step=0.02))
+    _, coarse = track_bundle(bundle3, loop, max_step=0.1)
+    _, fine = track_bundle(bundle3, loop, max_step=0.02)
     assert fine.steps_accepted > coarse.steps_accepted
 
 
@@ -227,7 +227,7 @@ def test_multiplicity_entries_refused():
 
     rs = LabeledRootSet(0j, (RootEntry(1, -0.5671432904097838 + 0j, multiplicity=2),))
     with pytest.raises(PreconditionError):
-        track_bundle(rs, keyhole_loop(0, 0.5), TrackConfig())
+        track_bundle(rs, keyhole_loop(0, 0.5))
 
 
 def _gamma_sup(z: complex) -> tuple[float, complex]:
