@@ -330,6 +330,27 @@ def horizontal_stop(rho: float) -> float:
     return s
 
 
+def _closed_arc(center: complex, rho: float, turns: int) -> ArcSegment:
+    """turns full circles from angle pi, refused when they cannot close.
+
+    The end angle pi + 2 pi turns carries a rounding error that grows
+    with turns (at radius 0.5, 10,000 turns close and 20,000 miss by
+    3.5e-12).  A turn count whose arc misses its start by more than
+    CONTINUITY_TOL is refused here, by name.
+    """
+    if not isinstance(turns, int):
+        raise PreconditionError("turns must be an int")
+    arc = ArcSegment(center, rho, math.pi, math.pi + 2.0 * math.pi * turns)
+    gap = abs(arc.end - arc.start)
+    if not gap <= CONTINUITY_TOL:
+        raise PreconditionError(
+            f"turns = {turns} is too many: after that many turns the circle "
+            f"misses its start by {gap:.3g} in floating point, more than "
+            f"{CONTINUITY_TOL:g}; use fewer turns"
+        )
+    return arc
+
+
 def circle_path(center: complex, rho: float, turns: int = 1) -> ParamPath:
     """turns full circles of radius rho around center, starting at angle pi.
 
@@ -337,10 +358,7 @@ def circle_path(center: complex, rho: float, turns: int = 1) -> ParamPath:
     critical value; use loop_around for that.
     """
     center = require_finite(center, "center")
-    if not isinstance(turns, int):
-        raise PreconditionError("turns must be an int")
-    arc = ArcSegment(center, float(rho), math.pi, math.pi + 2.0 * math.pi * turns)
-    return ParamPath((arc,), closed=True)
+    return ParamPath((_closed_arc(center, float(rho), turns),), closed=True)
 
 
 def loop_around(n: int, rho: float, turns: int = 1) -> ParamPath:
@@ -351,12 +369,8 @@ def loop_around(n: int, rho: float, turns: int = 1) -> ParamPath:
     """
     n = _validate_index(n)
     rho = _validate_rho(rho)
-    if not isinstance(turns, int):
-        raise PreconditionError("turns must be an int")
-    a_n = critical_value(n)
-    arc = ArcSegment(a_n, rho, math.pi, math.pi + 2.0 * math.pi * turns)
     return ParamPath(
-        (arc,),
+        (_closed_arc(critical_value(n), rho, turns),),
         closed=True,
         encircles=(n, rho) if turns != 0 else None,
     )

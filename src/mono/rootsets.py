@@ -80,6 +80,23 @@ class Window:
             Window(cx, self.re_max, cy, self.im_max),
         ]
 
+    def split2(self, cut: float) -> list["Window"]:
+        """The two halves either side of a cut across the longer side.
+
+        cut is a real coordinate when the window is at least as wide as
+        it is tall, and an imaginary one otherwise; a cut outside the
+        interior leaves a degenerate half, which is refused.
+        """
+        if self.width >= self.height:
+            return [
+                Window(self.re_min, cut, self.im_min, self.im_max),
+                Window(cut, self.re_max, self.im_min, self.im_max),
+            ]
+        return [
+            Window(self.re_min, self.re_max, self.im_min, cut),
+            Window(self.re_min, self.re_max, cut, self.im_max),
+        ]
+
     def to_json(self) -> dict:
         return {
             "re_min": self.re_min,

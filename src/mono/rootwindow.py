@@ -8,10 +8,13 @@ to trust an undersampled ring, and each refinement doubles the ring in
 place, evaluating only the new midpoints.  A contour that fails its
 first pass because a simple root sits on an edge, closer than any
 refinement could resolve, is refused at once instead of refined to
-exhaustion.  find_roots recurses: quadtree subdivision down to isolated
-roots, Newton polish, and a cluster fallback for root pairs too close to
-separate.  This route never consults the closed-form oracle; the two
-are compared only in tests and in the CLI cross-check commands.
+exhaustion.  find_roots recurses down to isolated roots: a cell at least
+twice as long as it is wide is halved across its long side, any other
+cell is quartered, and the cut lines move off roots along a ladder of
+offsets until the children's counts add up.  Isolated roots get a
+Newton polish, and root pairs too close to separate a cluster fallback.
+This route never consults the closed-form oracle; the two are compared
+only in tests and in the CLI cross-check commands.
 """
 
 from __future__ import annotations
@@ -44,6 +47,9 @@ _EDGE_SAMPLES = 64
 _MAX_DOUBLINGS = 12
 _MAX_DEPTH = 48
 _CLUSTER_DIAMETER = 1e-7
+# a cell this many times longer than wide is halved across its long side
+_ASPECT_SPLIT = 2.0
+_SPLIT_OFFSETS = (0.0, 0.033, -0.033, 0.071, -0.071, 0.137, -0.137)
 _JITTER_STEP = 1e-3
 _JITTER_TRIES = 10
 
@@ -222,13 +228,19 @@ def _critical_polish(z: complex, max_iter: int = 60):
 
 
 def _solve_isolated(win: Window, a: complex) -> complex | None:
-    """Newton from the center (then quarter points); None if nothing sticks."""
+    """Newton from the center (then quarter points); None if nothing sticks.
+
+    A seed whose iterate jumps past EXP_RE_MAX did not stick either.
+    """
     seeds = [win.center]
     qw, qh = 0.25 * win.width, 0.25 * win.height
     c = win.center
     seeds += [c + complex(sx * qw, sy * qh) for sx in (-1, 1) for sy in (-1, 1)]
     for z0 in seeds:
-        polished = newton(z0, a, NEWTON_TOL, _NEWTON_MAX_ITER)
+        try:
+            polished = newton(z0, a, NEWTON_TOL, _NEWTON_MAX_ITER)
+        except EvalRangeError:
+            continue
         # strict containment: a neighbor cell's root must not be claimed
         if polished is not None and win.contains(polished[0], margin=1e-9):
             return polished[0]
@@ -240,9 +252,13 @@ def _check_residual_floor(win: Window, a: complex) -> None:
 
     A loose Newton from the center finds the cell's root; there |f - a|
     cannot reliably fall below eps |z| |f'(z)|, and when that floor is
-    above NEWTON_TOL no subdivision helps.
+    above NEWTON_TOL no subdivision helps.  A Newton that jumps past
+    EXP_RE_MAX found nothing.
     """
-    hit = newton(win.center, a, _LOOSE_TOL, _NEWTON_MAX_ITER)
+    try:
+        hit = newton(win.center, a, _LOOSE_TOL, _NEWTON_MAX_ITER)
+    except EvalRangeError:
+        return
     if hit is None or not win.contains(hit[0], margin=1e-9):
         return
     z, _, d = hit
@@ -254,40 +270,56 @@ def _check_residual_floor(win: Window, a: complex) -> None:
         )
 
 
-def _split_counted(win: Window, a: complex, expected: int):
-    """Split into four children whose counts add up to the parent count.
+def _split_candidates(win: Window):
+    """The ways to split a cell, in the order they are tried.
 
-    The split lines are jittered away from roots: an offset ladder is
-    tried until each child contour has clearance and the counts are
-    additive.
+    A cell whose long side is at least _ASPECT_SPLIT times its short side
+    is halved across the long side; any other is quartered.  The split
+    lines walk the offset ladder (fractions of the side) away from the
+    centre: along the long side for halves, over both sides for quarters.
     """
-    offsets = (0.0, 0.033, -0.033, 0.071, -0.071, 0.137, -0.137)
     c = win.center
-    for ox in offsets:
-        for oy in offsets:
-            cx = c.real + ox * win.width
-            cy = c.imag + oy * win.height
-            try:
-                children = win.split4(cx, cy)
-                counted = [(ch, count_roots(a, ch)) for ch in children]
-            except (BoundaryTooCloseError, ResidualTooLargeError):
-                continue
-            if sum(n for _, n in counted) == expected:
-                return counted
+    long_side, short_side = max(win.width, win.height), min(win.width, win.height)
+    if long_side >= _ASPECT_SPLIT * short_side:
+        mid = c.real if win.width >= win.height else c.imag
+        for o in _SPLIT_OFFSETS:
+            yield win.split2(mid + o * long_side)
+        return
+    for ox in _SPLIT_OFFSETS:
+        for oy in _SPLIT_OFFSETS:
+            yield win.split4(c.real + ox * win.width, c.imag + oy * win.height)
+
+
+def _split_counted(win: Window, a: complex, expected: int):
+    """Split into children whose counts add up to the parent count.
+
+    The split lines are jittered away from roots: the candidates of
+    _split_candidates are tried until each child contour has clearance
+    and the counts are additive.
+    """
+    for children in _split_candidates(win):
+        try:
+            counted = [(ch, count_roots(a, ch)) for ch in children]
+        except (BoundaryTooCloseError, ResidualTooLargeError):
+            continue
+        if sum(n for _, n in counted) == expected:
+            return counted
     raise SubdivisionError(
-        f"could not split window around {c!r} with additive counts"
+        f"could not split window around {win.center!r} with additive counts"
     )
 
 
 def find_roots(a: complex, window: Window) -> LabeledRootSet:
     """All roots of z + e^z = a in the window, canonically labeled.
 
-    Quadtree subdivision isolates roots counted by count_roots; isolated
-    roots are polished by Newton to residual 1e-12.  A cell of multiple
-    roots that cannot be split further (diameter below 1e-7) is treated
-    as a merge cluster at a critical point: the returned entry carries
-    the cluster multiplicity and is flagged near-merge.  Two resolved
-    roots closer than 1e-4 are likewise flagged.
+    Subdivision isolates roots counted by count_roots: elongated cells
+    are halved across their long side and near-square ones quartered
+    (see _split_candidates).  Isolated roots are polished by Newton to
+    residual 1e-12.  A cell of multiple roots that cannot be split
+    further (diameter below 1e-7) is treated as a merge cluster at a
+    critical point: the returned entry carries the cluster multiplicity
+    and is flagged near-merge.  Two resolved roots closer than 1e-4 are
+    likewise flagged.
 
     If a root lands on the window edge the window is expanded in steps of
     1e-3 (up to ten times); the effective window is recorded on the result.

@@ -39,15 +39,16 @@ def test_tracer_installs_every_name(tracer_module):
 
 @pytest.mark.parametrize(
     "im_max, roots, refused",
-    [(18.0, 5, 0), (6.0, 3, 1)],
+    [(18.0, 5, 1), (6.0, 3, 1)],
     ids=["W5", "W3"],
 )
 def test_tracer_sees_internal_count_roots_calls(tracer_module, im_max, roots, refused):
     # find_roots calls count_roots through the module global the tracer
-    # rebinds.  On W3 the first split line Im z = 0 runs through the real
-    # root; that contour is refused and counted as a failed call.  W5's
-    # first split is at Im z = 6 and its real root is isolated without
-    # another split, so nothing is refused there.
+    # rebinds.  W3 (10 x 12) is quartered at (0, 0): the split line Im z = 0
+    # runs through the real root, and the first child contour on it is
+    # refused and counted as a failed call; the next ladder rung splits
+    # clear of it.  W5 (10 x 24) is halved at Im z = 6, and its lower half
+    # is W3 itself, so it sees the same one refusal.
     from mono import rootwindow
     from mono.rootsets import Window
 

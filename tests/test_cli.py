@@ -323,8 +323,16 @@ def test_bad_input_exits_two_without_traceback(capsys, tmp_path, argv):
             ["roots", "--a=0,0", "--window=-10,10,150,170"], 3, "numerical",
             "rounding floor eps |z| |f'(z)| there is 5.",
         ),
+        # the end angle of 20,000 turns misses the start by 3.5e-12
+        (
+            ["track", "--path", "loop", "--turns", "20000"], 2, "precondition",
+            "turns = 20000 is too many",
+        ),
     ],
-    ids=["critical-index-huge", "loop-index-huge", "jitter-quadrature", "residual-floor"],
+    ids=[
+        "critical-index-huge", "loop-index-huge", "jitter-quadrature", "residual-floor",
+        "loop-turns-huge",
+    ],
 )
 def test_error_message_names_the_cause(capsys, argv, code, prefix, cause):
     got, payload, err = run(capsys, *argv)
@@ -353,6 +361,29 @@ def test_refusal_is_fast_and_names_the_fix(capsys, argv, cause):
     assert (code, payload) == (2, None)
     assert err.startswith("precondition error: ") and cause in err
     assert "raise max_step" in err or "widen it (--window)" in err
+
+
+@pytest.mark.parametrize(
+    "a, window",
+    [
+        ("3.7,-1.6", "-20,5,-10,51"),
+        ("-0.2,0.4", "-20,5,-28,76"),
+        ("3.9,2", "-29,5,-38,43"),
+        ("0.2,-2.4", "-29,5,15,121"),
+    ],
+)
+def test_newton_seed_past_exp_range_is_no_hit(capsys, a, window):
+    # a Newton iterate from one of the isolation seeds jumps past
+    # EXP_RE_MAX (to Re z = 826, 1254, 711 and 3573); that seed found
+    # nothing, and the window is still valid.  Which cells' seeds jump
+    # depends on where cells are cut: the first two jumped when every
+    # cell was quartered, the last two do with long cells halved.
+    code, d, _ = run(
+        capsys, "oracle", f"--a={a}", "--k-from", "-20", "--k-to", "20",
+        "--compare", f"--window={window}",
+    )
+    assert code == 0
+    assert d["compare"]["match"] is True
 
 
 def test_roots_below_the_residual_floor_still_polished(capsys):

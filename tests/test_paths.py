@@ -188,6 +188,15 @@ def test_keyhole_corridor_validation():
         keyhole_loop(0, 0.5, corridor_re=-1.3)  # circle would cross the corridor
 
 
+def test_turn_count_that_cannot_close_refused():
+    # pi + 2 pi turns rounds off: at 20,000 turns the circle of radius 0.5
+    # misses its start by 3.5e-12, beyond CONTINUITY_TOL
+    assert loop_around(0, 0.5, 10_000).closed
+    for build in (lambda t: loop_around(0, 0.5, t), lambda t: circle_path(0j, 0.5, t)):
+        with pytest.raises(PreconditionError, match="turns = 20000 is too many"):
+            build(20_000)
+
+
 def test_loop_radius_bounds():
     with pytest.raises(PreconditionError):
         loop_around(0, 0.01)

@@ -46,6 +46,23 @@ def test_window_expand_and_split():
     assert centers == [(0.5, 0.5), (0.5, 1.5), (1.5, 0.5), (1.5, 1.5)]
 
 
+@pytest.mark.parametrize(
+    "w, cut, halves",
+    [
+        (Window(0.0, 8.0, 0.0, 2.0), 3.0, [(0.0, 3.0, 0.0, 2.0), (3.0, 8.0, 0.0, 2.0)]),
+        (Window(0.0, 2.0, -4.0, 4.0), 1.0, [(0.0, 2.0, -4.0, 1.0), (0.0, 2.0, 1.0, 4.0)]),
+    ],
+    ids=["wide", "tall"],
+)
+def test_window_split2_halves_tile(w, cut, halves):
+    # the cut runs across the longer side; the halves share it and tile w
+    got = w.split2(cut)
+    assert [(h.re_min, h.re_max, h.im_min, h.im_max) for h in got] == halves
+    assert sum(h.width * h.height for h in got) == pytest.approx(w.width * w.height)
+    with pytest.raises(PreconditionError):
+        w.split2(w.re_max + 1.0 if w.width >= w.height else w.im_min)
+
+
 def test_window_degenerate_rejected():
     with pytest.raises(PreconditionError):
         Window(1.0, 1.0, 0.0, 2.0)

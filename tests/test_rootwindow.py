@@ -151,6 +151,68 @@ def test_nineteen_root_bundle_boundary_work(monkeypatch):
     assert sum(batches) <= 2_812_540 // 5
 
 
+def _count_calls(monkeypatch):
+    """Wrap count_roots; returns the list of windows it is called on."""
+    windows = []
+    counter = rootwindow.count_roots
+
+    def counted(a, w):
+        windows.append(w)
+        return counter(a, w)
+
+    monkeypatch.setattr(rootwindow, "count_roots", counted)
+    return windows
+
+
+@pytest.mark.parametrize(
+    "window, roots, calls",
+    [(Window(-5.0, 5.0, -60.0, 60.0), 19, 60), (Window(-5.0, 5.0, -6.0, 18.0), 5, 12)],
+    ids=["W19", "W5"],
+)
+def test_subdivision_work(monkeypatch, window, roots, calls):
+    # contours counted per find_roots, a machine-independent cost; quartering
+    # every cell, elongated ones too, took 78 and 13
+    windows = _count_calls(monkeypatch)
+    assert len(find_roots(0j, window)) == roots
+    assert len(windows) == calls
+
+
+def test_elongated_cell_halved_across_long_side(monkeypatch):
+    # 10 x 120 is halved across Im.  The centred cut Im z = 0 runs through
+    # the real root, so its lower half is refused and the next ladder rung
+    # cuts 0.033 * 120 higher.
+    windows = _count_calls(monkeypatch)
+    find_roots(0j, Window(-5.0, 5.0, -60.0, 60.0))
+    assert [(w.re_min, w.re_max, w.im_min, w.im_max) for w in windows[1:4]] == [
+        (-5.0, 5.0, -60.0, 0.0),
+        (-5.0, 5.0, -60.0, 3.96),
+        (-5.0, 5.0, 3.96, 60.0),
+    ]
+
+
+def test_depth_limit_covers_cluster_scale_on_tall_window():
+    # centred cuts from a 10 x 400 window down to a cell around z_0 below
+    # the cluster diameter: five halvings, then quarterings; the rest of
+    # the depth budget is room for ladder offsets, which shrink cells less
+    w, z, depth = Window(-5.0, 5.0, -200.0, 200.0), critical_point(0).z, 0
+    while w.diameter >= rootwindow._CLUSTER_DIAMETER:
+        w = next(ch for ch in next(rootwindow._split_candidates(w)) if ch.contains(z))
+        depth += 1
+    assert depth == 33
+    assert depth + 10 <= rootwindow._MAX_DEPTH
+
+
+def test_newton_seed_past_exp_range_did_not_stick():
+    # the cell's centre sits 1e-3 right of z_0 = pi i, where f' ~ -1e-3:
+    # Newton from it jumps to Re z ~ 1000 and would overflow e^z.  That seed
+    # finds nothing; a quarter-point seed still finds the cell's one root.
+    a = complex(-2.0, math.pi)
+    w = Window(-1.2 + 1e-3, 1.2 + 1e-3, math.pi - 0.5, math.pi + 0.5)
+    (root,) = [z for z in oracle_roots(a, range(-3, 4)).positions() if w.contains(z)]
+    assert abs(rootwindow._solve_isolated(w, a) - root) < 1e-12
+    rootwindow._check_residual_floor(w, a)  # no hit, so nothing to refuse
+
+
 # -- properties: find_roots against the oracle on edge cases --------------
 
 BRANCHES = range(-8, 9)
@@ -240,3 +302,73 @@ def test_count_additive_under_random_split(a, re_min, im_min, width, height, fx,
     except BoundaryTooCloseError:
         reject()  # a contour through a root has no count
     assert sum(parts) == total == len(oracle_roots(a, range(-6, 7), window=w))
+
+
+@settings(max_examples=150)
+@given(
+    a=st.complex_numbers(max_magnitude=3.0),
+    tall=st.booleans(),
+    re_min=st.floats(-5.0, 0.0),
+    im_min=st.floats(-15.0, 0.0),
+    short=st.floats(0.5, 3.0),
+    aspect=st.floats(2.0, 10.0),
+    frac=st.floats(0.05, 0.95),
+)
+def test_count_additive_under_long_side_split(a, tall, re_min, im_min, short, aspect, frac):
+    # the halves of an elongated window, cut anywhere across its long side
+    width, height = (short, aspect * short) if tall else (aspect * short, short)
+    w = Window(re_min, min(re_min + width, 5.0), im_min, im_min + height)
+    lo, long_side = (w.im_min, w.height) if w.height > w.width else (w.re_min, w.width)
+    try:
+        total = count_roots(a, w)
+        parts = [count_roots(a, ch) for ch in w.split2(lo + frac * long_side)]
+    except BoundaryTooCloseError:
+        reject()  # a contour through a root has no count
+    assert sum(parts) == total == len(oracle_roots(a, range(-6, 7), window=w))
+
+
+TALL_BRANCHES = range(-25, 26)  # every root with |Im z| <= 125
+
+
+@settings(max_examples=150)
+@given(
+    a=st.complex_numbers(max_magnitude=3.0),
+    tall=st.booleans(),
+    short=st.floats(0.5, 3.0),
+    aspect=st.floats(4.0, 40.0),
+    fx=st.floats(0.0, 1.0),
+    fy=st.floats(0.0, 1.0),
+)
+def test_elongated_window_matches_oracle(a, tall, short, aspect, fx, fy):
+    # tall or flat windows of aspect 4-40 inside -125 <= Im z <= 125,
+    # Re z <= 5; anchored by fractions of the room left for them
+    if tall:
+        width, height = short, aspect * short
+        re_min = -10.0 + fx * (15.0 - width)
+    else:
+        width, height = aspect * short, short
+        re_min = 5.0 - width - fx * 10.0
+    im_min = -125.0 + fy * (250.0 - height)
+    w = Window(re_min, re_min + width, im_min, im_min + height)
+    found = find_roots(a, w)
+    ref = oracle_roots(a, TALL_BRANCHES, window=found.window)
+    assert found.labels() == ref.labels()
+    match_positions(found.positions(), ref.positions(), 1e-9)
+
+
+@settings(max_examples=100)
+@given(
+    a=st.complex_numbers(max_magnitude=4.0),
+    re_min=st.floats(-40.0, -20.0),
+    im_min=st.floats(-60.0, 20.0),
+    height=st.floats(10.0, 105.0),
+)
+def test_wide_left_window_matches_oracle(a, re_min, im_min, height):
+    # windows reaching far left of the roots: an isolation seed there can
+    # send Newton past EXP_RE_MAX, which must count as no hit.  Heights stay
+    # within |Im z| <= 125, below the rounding floor of NEWTON_TOL.
+    w = Window(re_min, 5.0, im_min, im_min + height)
+    found = find_roots(a, w)
+    ref = oracle_roots(a, TALL_BRANCHES, window=found.window)
+    assert found.labels() == ref.labels()
+    match_positions(found.positions(), ref.positions(), 1e-9)
