@@ -32,13 +32,9 @@ def require_finite(z: complex, name: str = "value") -> complex:
     return z
 
 
-def _exp_overflow(z: complex) -> EvalRangeError:
-    return EvalRangeError(f"exp would overflow: re(z) = {z.real:.6g} exceeds {EXP_RE_MAX:.6g}")
-
-
 def checked_exp(z: complex) -> complex:
     if z.real > EXP_RE_MAX:
-        raise _exp_overflow(z)
+        raise EvalRangeError(f"exp would overflow: re(z) = {z.real:.6g} exceeds {EXP_RE_MAX:.6g}")
     return cmath.exp(z)
 
 
@@ -70,14 +66,12 @@ def newton(z: complex, a: complex, tol: float, max_iter: int):
 
     One e^z per iterate gives both z + e^z - a and f' = 1 + e^z, the same
     floats as FAMILY.eval and FAMILY.deriv.  None on a non-finite iterate
-    (the start too), f' = 0, or a residual above tol after max_iter
-    updates; an iterate past EXP_RE_MAX raises EvalRangeError.
+    (the start too), an iterate past EXP_RE_MAX, where e^z overflows,
+    f' = 0, or a residual above tol after max_iter updates.
     """
     for k in range(max_iter + 1):
-        if not cmath.isfinite(z):
+        if not cmath.isfinite(z) or z.real > EXP_RE_MAX:
             return None
-        if z.real > EXP_RE_MAX:
-            raise _exp_overflow(z)
         e = cmath.exp(z)
         fz = z + e - a
         r = abs(fz)

@@ -4,9 +4,10 @@ Paths live in the a-plane of z + e^z = a.  A segment is a line, a
 circular arc, or an ImageSegment: f(z) = z + e^z applied to a z-plane
 line, the parameter values along which one root moves exactly along
 that line.  Every segment bounds how far a strays within a piece of it
-(reach), which is what sizes a certified tracking step.  composite_loop
-joins two image segments.  The first is the image
-of the upward line from the real root x to x + i y_n, y_n = (2n+1) pi,
+(reach), and nothing else here judges that: reach sizes a certified
+tracking step, spaces the points of sample, and certifies each piece
+whose change of argument winding_number sums.  composite_loop joins
+two image segments.  The first is the image of the upward line from the real root x to x + i y_n, y_n = (2n+1) pi,
 which starts at a = 0 and ends at 2x + i y_n, since e^x = -x and
 e^{i y_n} = -1.  The second is the image of the height-y_n line going
 left, a(s) = s - e^s + i y_n, up to the radius-rho circle around the
@@ -30,13 +31,12 @@ import math
 from dataclasses import dataclass
 
 from .equation import (
-    MAX_CRITICAL_INDEX,
     critical_height,
     critical_value,
     real_root,
     require_finite,
 )
-from .errors import NumericalError, PathContinuityError, PreconditionError
+from .errors import PathContinuityError, PreconditionError
 
 CONTINUITY_TOL = 1e-12
 MIN_LOOP_RADIUS = 0.1
@@ -44,10 +44,8 @@ MAX_LOOP_RADIUS = math.pi
 DEFAULT_RHO = 0.5
 KEYHOLE_CORRIDOR_RE = -2.0
 BASEPOINT = 0j
-_MAX_REFINE_DEPTH = 42
-# sampling step winding_number starts from; it halves until increments settle
-_WINDING_STEP = 0.05
-_GOLDEN = 2.0 - (1.0 + math.sqrt(5.0)) / 2.0  # 1 - 1/phi = 0.381966...
+# a piece shorter than this that still cannot clear a point puts it on the path
+_ON_PATH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -182,6 +180,18 @@ def _cj(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def _bisect(fits):
+    """Halve [0, 1] until fits(t0, t1) holds; the pieces in order."""
+    stack = [(0.0, 1.0)]
+    while stack:
+        t0, t1 = stack.pop()
+        if fits(t0, t1):
+            yield t0, t1
+        else:
+            tm = 0.5 * (t0 + t1)
+            stack += [(tm, t1), (t0, tm)]
+
+
 @dataclass(frozen=True)
 class ParamPath:
     """Piecewise path in the parameter plane.
@@ -223,37 +233,16 @@ class ParamPath:
     def sample(self, max_step: float) -> list[complex]:
         """Polyline along the path with consecutive spacing <= max_step.
 
-        Adaptive chord bisection per segment; for a closed path the
-        first and last points coincide.
+        Each segment is bisected until every piece's reach is at most
+        max_step; a reach bounds the chord, so the spacing follows.  For
+        a closed path the first and last points coincide.
         """
         if max_step <= 0:
             raise PreconditionError(f"max_step must be positive, got {max_step}")
         pts: list[complex] = [self.start]
-
-        def refine(seg, t0, t1, p0, p1, depth):
-            # Endpoint chord alone cannot be trusted: a full-turn arc has
-            # coincident endpoints.  Neither can the midpoint: a two-turn
-            # arc revisits its start there.  Probe at an irrational
-            # fraction of the span, which no whole number of turns maps
-            # back onto an endpoint.
-            tg = t0 + _GOLDEN * (t1 - t0)
-            pg = seg.point(tg)
-            flat = (
-                abs(p1 - p0) <= max_step
-                and abs(pg - p0) <= max_step
-                and abs(p1 - pg) <= max_step
-                and abs(pg - (p0 + _GOLDEN * (p1 - p0))) <= 0.25 * max_step
-            )
-            if flat or depth >= _MAX_REFINE_DEPTH:
-                pts.append(p1)
-                return
-            tm = 0.5 * (t0 + t1)
-            pm = seg.point(tm)
-            refine(seg, t0, tm, p0, pm, depth + 1)
-            refine(seg, tm, t1, pm, p1, depth + 1)
-
         for seg in self.segments:
-            refine(seg, 0.0, 1.0, seg.point(0.0), seg.point(1.0), 0)
+            pieces = _bisect(lambda t0, t1: seg.reach(t0, t1) <= max_step)
+            pts += [seg.point(t1) for _, t1 in pieces]
         return pts
 
     def reverse(self) -> "ParamPath":
@@ -264,25 +253,32 @@ class ParamPath:
         )
 
     def winding_number(self, point: complex) -> int:
-        """Winding of the closed path around point, by summed phase increments."""
+        """Winding of the closed path around point, from certified pieces.
+
+        Each segment is bisected until a piece's reach is below the
+        distance from its start to point.  Such a piece stays inside a
+        disc that excludes point, so the principal phase of
+        (a(t1) - point) / (a(t0) - point) is exactly its change of
+        argument.  A piece that cannot be certified with reach below
+        _ON_PATH_TOL means point lies on the path.
+        """
         if not self.closed:
             raise PreconditionError("winding number needs a closed path")
         point = require_finite(point, "point")
-        step = _WINDING_STEP
-        for _ in range(14):
-            pts = self.sample(step)
-            rel = [p - point for p in pts]
-            if min(abs(r) for r in rel) < 1e-9:
-                raise PreconditionError("point lies on the path")
-            incs = [cmath.phase(rel[j + 1] / rel[j]) for j in range(len(rel) - 1)]
-            if max(abs(i) for i in incs) < 0.5 * math.pi:
-                total = sum(incs) / (2.0 * math.pi)
-                w = round(total)
-                if abs(total - w) > 1e-6:
-                    raise NumericalError(f"non-integer winding {total!r}")
-                return int(w)
-            step *= 0.5
-        raise NumericalError("winding number did not resolve under refinement")
+        total = 0.0
+        for seg in self.segments:
+
+            def fits(t0, t1):
+                reach = seg.reach(t0, t1)
+                if reach < abs(seg.point(t0) - point):
+                    return True
+                if reach < _ON_PATH_TOL:
+                    raise PreconditionError("point lies on the path")
+                return False
+
+            for t0, t1 in _bisect(fits):
+                total += cmath.phase((seg.point(t1) - point) / (seg.point(t0) - point))
+        return round(total / (2.0 * math.pi))
 
     def to_json(self) -> dict:
         d = {
@@ -301,14 +297,6 @@ def _validate_rho(rho: float) -> float:
             f"loop radius must lie in [{MIN_LOOP_RADIUS}, pi), got {rho}"
         )
     return rho
-
-
-def _validate_index(n: int) -> int:
-    if not isinstance(n, int):
-        raise PreconditionError(f"critical index must be an int, got {type(n).__name__}")
-    if abs(n) > MAX_CRITICAL_INDEX:
-        raise PreconditionError(f"critical index |n| = {abs(n):.3g} out of range")
-    return n
 
 
 def horizontal_stop(rho: float) -> float:
@@ -367,10 +355,10 @@ def loop_around(n: int, rho: float, turns: int = 1) -> ParamPath:
     Starts at a_n - rho (angle pi, reached from the left) and runs
     counterclockwise for positive turns, clockwise for negative.
     """
-    n = _validate_index(n)
+    a_n = critical_value(n)  # refuses a bad index first
     rho = _validate_rho(rho)
     return ParamPath(
-        (_closed_arc(critical_value(n), rho, turns),),
+        (_closed_arc(a_n, rho, turns),),
         closed=True,
         encircles=(n, rho) if turns != 0 else None,
     )
@@ -385,7 +373,7 @@ def composite_loop(n: int, rho: float = DEFAULT_RHO) -> ParamPath:
     traversed so the winding stays +1: its circle starts at angle -3 pi,
     the mirror of the other circle's end angle 3 pi.
     """
-    n = _validate_index(n)
+    a_n = critical_value(n)  # refuses a bad index first
     rho = _validate_rho(rho)
     x = real_root()
     y = critical_height(n)
@@ -393,7 +381,7 @@ def composite_loop(n: int, rho: float = DEFAULT_RHO) -> ParamPath:
     v = ImageSegment(complex(x, 0.0), complex(x, y))
     h = ImageSegment(complex(x, y), complex(s_rho, y))
     theta0 = math.pi if n >= 0 else -3.0 * math.pi
-    circle = ArcSegment(critical_value(n), rho, theta0, theta0 + 2.0 * math.pi)
+    circle = ArcSegment(a_n, rho, theta0, theta0 + 2.0 * math.pi)
     return ParamPath(
         (v, h, circle, h.reversed(), v.reversed()),
         closed=True,
@@ -417,7 +405,7 @@ def keyhole_loop(
     permutation instead.  Works for negative n directly (the corridor
     descends).
     """
-    n = _validate_index(n)
+    a_n = critical_value(n)  # refuses a bad index first
     rho = _validate_rho(rho)
     corridor_re = require_finite(corridor_re, "corridor_re").real
     if abs(corridor_re + 1.0) < rho + 0.05:
@@ -426,7 +414,6 @@ def keyhole_loop(
             f"around the critical line re = -1"
         )
     y = critical_height(n)
-    a_n = critical_value(n)
     side = -1.0 if corridor_re < -1.0 else 1.0
     landing = a_n + side * rho
     theta0 = math.pi if side < 0 else 0.0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cmp_to_key
 
 import numpy as np
 
@@ -273,6 +274,13 @@ def match_positions(ps, qs, tol: float) -> tuple[list[int], float]:
     return matched, worst
 
 
+def _height_cmp(p: complex, q: complex) -> int:
+    """Compare by height, tied within REAL_AXIS_TOL, then by real part."""
+    if abs(p.imag - q.imag) < REAL_AXIS_TOL:
+        return (p.real > q.real) - (p.real < q.real)
+    return -1 if p.imag < q.imag else 1
+
+
 def canonical_root_set(
     a: complex,
     positions,
@@ -283,8 +291,11 @@ def canonical_root_set(
     """Label roots canonically: sort by (im, re), count from 1, then swap
     label 1 onto the real root if one is present.
 
-    A root counts as real when |im z| < REAL_AXIS_TOL, which for this
-    family forces a to be (numerically) real as well.
+    Heights within REAL_AXIS_TOL tie and go by real part, so two roots
+    on one horizontal line (as at a basepoint on Im a = (2n+1) pi) keep
+    their labels whatever the rounding.  A root counts as real when
+    |im z| < REAL_AXIS_TOL, which for this family forces a to be
+    (numerically) real as well.
     """
     a = complex(a)
     pos = [complex(z) for z in positions]
@@ -292,7 +303,7 @@ def canonical_root_set(
         multiplicities = [1] * len(pos)
     if len(multiplicities) != len(pos):
         raise PreconditionError("multiplicities length mismatch")
-    order = sorted(range(len(pos)), key=lambda i: (pos[i].imag, pos[i].real))
+    order = sorted(range(len(pos)), key=cmp_to_key(lambda i, j: _height_cmp(pos[i], pos[j])))
     entries = [
         RootEntry(label=rank + 1, z=pos[i], multiplicity=multiplicities[i])
         for rank, i in enumerate(order)

@@ -12,7 +12,8 @@ exhaustion.  find_roots recurses down to isolated roots: a cell at least
 twice as long as it is wide is halved across its long side, any other
 cell is quartered, and the cut lines move off roots along a ladder of
 offsets until the children's counts add up.  Isolated roots get a
-Newton polish, and root pairs too close to separate a cluster fallback.
+Newton polish; roots merging at a critical point, which no cut clears,
+become one cluster entry there.
 This route never consults the closed-form oracle; the two are compared
 only in tests and in the CLI cross-check commands.
 """
@@ -24,7 +25,14 @@ import sys
 
 import numpy as np
 
-from .equation import EXP_RE_MAX, FAMILY, newton, require_finite
+from .equation import (
+    EXP_RE_MAX,
+    FAMILY,
+    critical_point,
+    nearest_critical,
+    newton,
+    require_finite,
+)
 from .errors import (
     BoundaryTooCloseError,
     EvalRangeError,
@@ -46,7 +54,8 @@ _LOOSE_TOL = 1e-6
 _EDGE_SAMPLES = 64
 _MAX_DOUBLINGS = 12
 _MAX_DEPTH = 48
-_CLUSTER_DIAMETER = 1e-7
+# |a - a_n| up to which a multi-root cell at z_n that no cut splits is a cluster
+_CLUSTER_DIST = 1e-6
 # a cell this many times longer than wide is halved across its long side
 _ASPECT_SPLIT = 2.0
 _SPLIT_OFFSETS = (0.0, 0.033, -0.033, 0.071, -0.071, 0.137, -0.137)
@@ -103,10 +112,7 @@ def _refuse_edge_root(z, dlog, a: complex, corners: list, edges: list) -> None:
     by aliasing.
     """
     k = int(np.argmax(np.abs(dlog)))
-    try:
-        hit = newton(complex(z[k]), a, NEWTON_TOL, _NEWTON_MAX_ITER)
-    except EvalRangeError:
-        return
+    hit = newton(complex(z[k]), a, NEWTON_TOL, _NEWTON_MAX_ITER)
     if hit is None or abs(hit[2]) < _REFUSE_DERIV_MIN:
         return
     root = hit[0]
@@ -217,30 +223,14 @@ def _count_with_jitter(a: complex, window: Window) -> tuple[int, Window]:
     )
 
 
-def _critical_polish(z: complex, max_iter: int = 60):
-    # Newton on f' to land on the nearby critical point
-    for _ in range(max_iter):
-        g = FAMILY.deriv(z)
-        if abs(g) <= 1e-14:
-            return z
-        z = z - g / FAMILY.deriv2(z)
-    return z
-
-
 def _solve_isolated(win: Window, a: complex) -> complex | None:
-    """Newton from the center (then quarter points); None if nothing sticks.
-
-    A seed whose iterate jumps past EXP_RE_MAX did not stick either.
-    """
+    """Newton from the center (then quarter points); None if nothing sticks."""
     seeds = [win.center]
     qw, qh = 0.25 * win.width, 0.25 * win.height
     c = win.center
     seeds += [c + complex(sx * qw, sy * qh) for sx in (-1, 1) for sy in (-1, 1)]
     for z0 in seeds:
-        try:
-            polished = newton(z0, a, NEWTON_TOL, _NEWTON_MAX_ITER)
-        except EvalRangeError:
-            continue
+        polished = newton(z0, a, NEWTON_TOL, _NEWTON_MAX_ITER)
         # strict containment: a neighbor cell's root must not be claimed
         if polished is not None and win.contains(polished[0], margin=1e-9):
             return polished[0]
@@ -252,13 +242,9 @@ def _check_residual_floor(win: Window, a: complex) -> None:
 
     A loose Newton from the center finds the cell's root; there |f - a|
     cannot reliably fall below eps |z| |f'(z)|, and when that floor is
-    above NEWTON_TOL no subdivision helps.  A Newton that jumps past
-    EXP_RE_MAX found nothing.
+    above NEWTON_TOL no subdivision helps.
     """
-    try:
-        hit = newton(win.center, a, _LOOSE_TOL, _NEWTON_MAX_ITER)
-    except EvalRangeError:
-        return
+    hit = newton(win.center, a, _LOOSE_TOL, _NEWTON_MAX_ITER)
     if hit is None or not win.contains(hit[0], margin=1e-9):
         return
     z, _, d = hit
@@ -315,11 +301,11 @@ def find_roots(a: complex, window: Window) -> LabeledRootSet:
     Subdivision isolates roots counted by count_roots: elongated cells
     are halved across their long side and near-square ones quartered
     (see _split_candidates).  Isolated roots are polished by Newton to
-    residual 1e-12.  A cell of multiple roots that cannot be split
-    further (diameter below 1e-7) is treated as a merge cluster at a
-    critical point: the returned entry carries the cluster multiplicity
-    and is flagged near-merge.  Two resolved roots closer than 1e-4 are
-    likewise flagged.
+    residual 1e-12.  A cell of multiple roots that no cut splits, around
+    a critical point z_n with |a - a_n| <= 1e-6, is a merge cluster: one
+    entry at z_n carries the cluster multiplicity and is flagged
+    near-merge.  Two resolved roots closer than 1e-4 are likewise
+    flagged.
 
     If a root lands on the window edge the window is expanded in steps of
     1e-3 (up to ten times); the effective window is recorded on the result.
@@ -344,19 +330,18 @@ def find_roots(a: complex, window: Window) -> LabeledRootSet:
                 multiplicities.append(1)
                 continue
             _check_residual_floor(win, a)
+        try:
             stack.extend((ch, n, depth + 1) for ch, n in _split_counted(win, a, cnt))
-            continue
-        if win.diameter < _CLUSTER_DIAMETER:
-            z = _critical_polish(win.center)
-            if abs(FAMILY.eval(z) - a) > 1e-6:
-                raise SubdivisionError(
-                    f"unresolvable cluster of {cnt} roots near {win.center!r} "
-                    f"not at a critical point"
-                )
+        except SubdivisionError:
+            if cnt < 2:
+                raise
+            # every cut passes too close to roots merging at z_k: one entry there
+            k, dist = nearest_critical(a)
+            z = critical_point(k).z
+            if dist > _CLUSTER_DIST or not win.contains(z):
+                raise
             positions.append(z)
             multiplicities.append(cnt)
-            continue
-        stack.extend((ch, n, depth + 1) for ch, n in _split_counted(win, a, cnt))
 
     result = canonical_root_set(a, positions, multiplicities=multiplicities, window=w_eff)
     if result.total_multiplicity() != total:

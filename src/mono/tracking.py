@@ -226,9 +226,7 @@ def track_bundle(
             report.trajectory.append((0.0, lab, z, a_cur, res))
 
     for i_seg, seg in enumerate(path.segments):
-        # constant segments are skipped; a full circle has equal endpoints
-        # but a distinct midpoint, so the interior must be probed too
-        if abs(seg.end - seg.start) == 0.0 and abs(seg.point(0.5) - seg.start) == 0.0:
+        if seg.reach(0.0, 1.0) == 0.0:  # a constant segment moves nothing
             continue
         u = 0.0
         du = 0.25

@@ -312,7 +312,7 @@ def test_bad_input_exits_two_without_traceback(capsys, tmp_path, argv):
     "argv, code, prefix, cause",
     [
         (["roots", "--a=0,1e300"], 2, "precondition", "|n| = 1.59e+299 exceeds"),
-        (["loop", "--n", str(10**23)], 2, "precondition", "|n| = 1e+23 out of range"),
+        (["loop", "--n", str(10**23)], 2, "precondition", "|n| = 1e+23 exceeds 1000000"),
         # every expansion exhausts refinement: the message says so, not "blocked"
         (
             ["roots", "--a=0,0", "--window=-5,5,-2000,2000"], 2, "precondition",

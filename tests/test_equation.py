@@ -142,11 +142,12 @@ def _reference_newton(z, a, tol, max_iter):
     return (z, r) if r <= tol else None
 
 
-def _outcome(solver, *args):
+def _reference_outcome(*args):
+    # an iterate past the exp guard finds nothing
     try:
-        return solver(*args)
+        return _reference_newton(*args)
     except EvalRangeError:
-        return EvalRangeError
+        return None
 
 
 _im = st.floats(-60.0, 60.0)
@@ -160,23 +161,22 @@ _im = st.floats(-60.0, 60.0)
     max_iter=st.integers(0, 60),
 )
 def test_newton_matches_unfused_reference(z, a, tol, max_iter):
-    got = _outcome(newton, z, a, tol, max_iter)
-    want = _outcome(_reference_newton, z, a, tol, max_iter)
-    if want is None or want is EvalRangeError:
-        assert got is want
+    got = newton(z, a, tol, max_iter)
+    want = _reference_outcome(z, a, tol, max_iter)
+    if want is None:
+        assert got is None
         return
     assert got[:2] == want
     # f' at the accepted root, bit for bit
     assert got[2] == FAMILY.deriv(got[0])
 
 
-def test_newton_iterate_past_exp_guard_raises():
+def test_newton_iterate_past_exp_guard_finds_nothing():
     # the start is tame, but f' ~ -1e-3 there throws the first update to
-    # re(z) ~ 1e6
+    # re(z) ~ 1e6, where e^z would overflow
     z0 = complex(1e-3, math.pi)
     assert z0.real < EXP_RE_MAX
-    with pytest.raises(EvalRangeError, match="exp would overflow"):
-        newton(z0, complex(-1000.0, math.pi), 1e-12, 8)
+    assert newton(z0, complex(-1000.0, math.pi), 1e-12, 8) is None
 
 
 def test_newton_non_finite_start_gives_none():

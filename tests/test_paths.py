@@ -1,11 +1,13 @@
-"""Parameter-plane paths: segments, loops, winding numbers, clearances."""
+"""Parameter-plane paths: segments, loops, sampling, winding numbers, clearances."""
 
 import math
 
 import numpy as np
-
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from mono import paths
 from mono.equation import critical_height, critical_value, nearest_critical, real_root
 from mono.errors import PreconditionError
 from mono.paths import (
@@ -244,3 +246,77 @@ def test_chord_is_no_reach(seg):
     # on these pieces the chord falls well short of the sup, so a reach
     # that returned the chord would fail the test above
     assert _sampled_sup(seg, 0.0, 1.0) > 1.5 * abs(seg.end - seg.start)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    center=st.complex_numbers(max_magnitude=10.0),
+    rho=st.floats(0.1, 3.0),
+    turns=st.integers(-3, 3),
+    angle=st.floats(-math.pi, math.pi),
+    offset=st.one_of(st.floats(-2e-6, 2e-6), st.floats(-3.0, 10.0)),
+)
+def test_circle_winding_is_turns_inside_and_zero_outside(center, rho, turns, angle, offset):
+    # a point at least 1e-6 off the circle, often within 2e-6 of it
+    r = rho + offset
+    assume(abs(offset) >= 1e-6 and r >= 0.0)
+    point = center + r * complex(math.cos(angle), math.sin(angle))
+    assert circle_path(center, rho, turns).winding_number(point) == (turns if offset < 0 else 0)
+
+
+_arcs = st.builds(
+    lambda c, r, th, turns: ArcSegment(c, r, th, th + 2.0 * math.pi * turns),
+    st.complex_numbers(max_magnitude=10.0),
+    st.floats(0.1, 3.0),
+    st.floats(-math.pi, math.pi),
+    st.sampled_from([-3, -2, -1, 1, 2, 3]),
+)
+_z = st.builds(complex, st.floats(-3.0, 2.0), st.floats(-20.0, 20.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seg=st.one_of(_arcs, st.builds(ImageSegment, _z, _z)),
+    max_step=st.floats(0.02, 0.5),
+)
+def test_sample_spacing_and_cover(seg, max_step):
+    # full and multi-turn arcs return to their start, and image segments
+    # stray from their chords: spacing and cover follow from reach alone
+    pts = ParamPath((seg,)).sample(max_step)
+    assert pts[0] == seg.start and pts[-1] == seg.end
+    assert max(abs(q - p) for p, q in zip(pts, pts[1:])) <= max_step * (1.0 + 1e-12)
+    ps = np.array(pts)
+    for t in np.linspace(0.0, 1.0, 101):
+        assert np.abs(ps - seg.point(t)).min() <= max_step * (1.0 + 1e-12)
+
+
+def _count_pieces(monkeypatch):
+    """Wrap paths._bisect; returns the list of pieces it yields."""
+    pieces = []
+    bisect = paths._bisect
+
+    def counted(fits):
+        for piece in bisect(fits):
+            pieces.append(piece)
+            yield piece
+
+    monkeypatch.setattr(paths, "_bisect", counted)
+    return pieces
+
+
+@pytest.mark.parametrize(
+    "build, n, count",
+    [
+        *[(composite_loop, n, c) for n, c in zip(range(-1, 3), (30, 30, 34, 35))],
+        *[(keyhole_loop, n, c) for n, c in zip(range(-1, 3), (17, 17, 19, 19))],
+        (lambda n: keyhole_loop(n, corridor_re=0.5), 2, 20),
+    ],
+    ids=[f"composite{n}" for n in range(-1, 3)] + [f"keyhole{n}" for n in range(-1, 3)] + ["right2"],
+)
+def test_winding_work(monkeypatch, build, n, count):
+    # certified pieces per winding number of a group-w5 loop around its
+    # a_n, a machine-independent cost
+    loop = build(n)
+    pieces = _count_pieces(monkeypatch)
+    assert loop.winding_number(critical_value(n)) == 1
+    assert len(pieces) == count

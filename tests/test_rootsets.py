@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mono.equation import FAMILY
+from mono.equation import FAMILY, critical_value
 from mono.errors import PreconditionError, UnmatchedRootError
 from mono.rootsets import (
     NEAR_MERGE_RADIUS,
@@ -135,6 +135,16 @@ def test_canonical_labels_sorted_by_height():
     assert rs.position(1) == -0.5 + 0j  # real root takes label 1
     assert rs.position(2) == 1.0 - 3.0j
     assert rs.position(3) == 2.0 + 5.0j
+
+
+def test_canonical_labels_stable_at_a_height_tie():
+    # loop_around(1) starts at a = a_1 - 0.5, where two roots share the
+    # height 3 pi: rounding noise of 1e-12 either way must not swap them
+    y = 3.0 * math.pi
+    for e in (1e-12, -1e-12, 0.0):
+        tied = [0.8577 + (y + e) * 1j, -1.1983 + (y - e) * 1j]
+        rs = canonical_root_set(critical_value(1) - 0.5, [1.0 - 3.0j, *tied])
+        assert [rs.position(k).real for k in (1, 2, 3)] == [1.0, -1.1983, 0.8577]
 
 
 def test_canonical_label_one_swap():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mono import rootwindow
 from mono.equation import FAMILY, critical_point, critical_value, real_root
-from mono.errors import BoundaryTooCloseError, PreconditionError
+from mono.errors import BoundaryTooCloseError, PreconditionError, SubdivisionError
 from mono.lambertw import lambert_w, oracle_roots
 from mono.rootsets import Window, match_positions, min_separation
 from mono.rootwindow import count_roots, find_roots
@@ -190,16 +190,28 @@ def test_elongated_cell_halved_across_long_side(monkeypatch):
     ]
 
 
-def test_depth_limit_covers_cluster_scale_on_tall_window():
-    # centred cuts from a 10 x 400 window down to a cell around z_0 below
-    # the cluster diameter: five halvings, then quarterings; the rest of
-    # the depth budget is room for ladder offsets, which shrink cells less
-    w, z, depth = Window(-5.0, 5.0, -200.0, 200.0), critical_point(0).z, 0
-    while w.diameter >= rootwindow._CLUSTER_DIAMETER:
-        w = next(ch for ch in next(rootwindow._split_candidates(w)) if ch.contains(z))
-        depth += 1
-    assert depth == 33
-    assert depth + 10 <= rootwindow._MAX_DEPTH
+def test_cluster_fallback_within_depth_limit(monkeypatch):
+    # at a = a_1 the two roots meet at z_1.  Every cut within about 4.5e-5
+    # of z_1 is refused for clearance, so the cell holding z_1 stops
+    # splitting 22 levels down this 3 x 400 window and is recorded as one
+    # double entry at exactly z_1, well inside the depth limit
+    a, w = critical_value(1), Window(-1.0, 2.0, -190.0, 210.0)
+    limit = rootwindow._MAX_DEPTH
+    monkeypatch.setattr(rootwindow, "_MAX_DEPTH", 22)
+    (entry,) = find_roots(a, w).entries
+    assert entry.z == critical_point(1).z and entry.multiplicity == 2
+    monkeypatch.setattr(rootwindow, "_MAX_DEPTH", 21)
+    with pytest.raises(SubdivisionError, match="depth 22 exceeded"):
+        find_roots(a, w)
+    assert 22 + 20 <= limit
+
+
+def test_unsplittable_cell_away_from_critical_value_still_raises(monkeypatch):
+    # the fallback needs |a - a_n| <= 1e-6: a simple root whose cell can
+    # never be split is no cluster
+    monkeypatch.setattr(rootwindow, "_SPLIT_OFFSETS", ())
+    with pytest.raises(SubdivisionError, match="additive counts"):
+        find_roots(critical_value(1) + 1e-3, Window(-1.0, 2.0, 8.0, 11.0))
 
 
 def test_newton_seed_past_exp_range_did_not_stick():
