@@ -123,7 +123,7 @@ OPTIONS = {
     "center": (_parse_complex, "circle center, as re,im"),
     "csv_out": (_str, "write trajectory CSV here"),
     "max_step": (_float, "optional cap on each step's reach in the a-plane "
-                          "(no default: the alpha certificate sizes steps)"),
+                          "(no default: Rouche discs size the steps)"),
     "control_winding_zero": (_bool, "use a winding-0 corridor as keyhole (negative control)"),
     "loops": (_parse_loops, "comma-separated critical indices, e.g. -1,0,1,2"),
     "which": (_str, "all or comma-separated figure names"),
@@ -267,7 +267,7 @@ def _permutation_block(start, end) -> dict:
 
 
 def _report_block(report) -> dict:
-    keys = ("steps_accepted", "steps_rejected", "max_residual", "max_alpha")
+    keys = ("steps_accepted", "steps_rejected", "max_residual", "max_load")
     return {key: getattr(report, key) for key in keys}
 
 

@@ -12,8 +12,9 @@ exhaustion.  find_roots recurses down to isolated roots: a cell at least
 twice as long as it is wide is halved across its long side, any other
 cell is quartered, and the cut lines move off roots along a ladder of
 offsets until the children's counts add up.  Isolated roots get a
-Newton polish; roots merging at a critical point, which no cut clears,
-become one cluster entry there.
+Newton polish; roots merging at a critical point, which no cut clears
+or which a cut isolates within rounding of it, become one cluster entry
+there.
 This route never consults the closed-form oracle; the two are compared
 only in tests and in the CLI cross-check commands.
 """
@@ -40,7 +41,7 @@ from .errors import (
     ResidualTooLargeError,
     SubdivisionError,
 )
-from .rootsets import LabeledRootSet, Window, canonical_root_set
+from .rootsets import NEAR_MERGE_RADIUS, LabeledRootSet, Window, canonical_root_set
 
 BOUNDARY_CLEARANCE = 1e-9
 # tighter internal agreement target between quadrature and phase count
@@ -304,8 +305,8 @@ def find_roots(a: complex, window: Window) -> LabeledRootSet:
     residual 1e-12.  A cell of multiple roots that no cut splits, around
     a critical point z_n with |a - a_n| <= 1e-6, is a merge cluster: one
     entry at z_n carries the cluster multiplicity and is flagged
-    near-merge.  Two resolved roots closer than 1e-4 are likewise
-    flagged.
+    near-merge.  So is a pair that a cut did isolate within 5e-5 of
+    z_n.  Other resolved roots closer than 1e-4 are flagged as a pair.
 
     If a root lands on the window edge the window is expanded in steps of
     1e-3 (up to ten times); the effective window is recorded on the result.
@@ -344,6 +345,20 @@ def find_roots(a: complex, window: Window) -> LabeledRootSet:
             multiplicities.append(cnt)
 
     result = canonical_root_set(a, positions, multiplicities=multiplicities, window=w_eff)
+    if result.near_merge_pairs:
+        # a cut through the pair merging at z_k can isolate it as two
+        # "simple" roots within rounding of z_k: they are its cluster too
+        k, dist = nearest_critical(a)
+        z = critical_point(k).z
+        near = [e for e in result.entries if abs(e.z - z) < 0.5 * NEAR_MERGE_RADIUS]
+        if dist <= _CLUSTER_DIST and len(near) > 1:
+            rest = [e for e in result.entries if e not in near]
+            result = canonical_root_set(
+                a,
+                [e.z for e in rest] + [z],
+                multiplicities=[e.multiplicity for e in rest] + [sum(e.multiplicity for e in near)],
+                window=w_eff,
+            )
     if result.total_multiplicity() != total:
         raise NumericalError(
             f"located multiplicity {result.total_multiplicity()} != contour count {total}"

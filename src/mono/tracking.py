@@ -2,48 +2,34 @@
 
 Each step moves the parameter a along a piece of the path, predicts
 every root by the first-order motion dz = da / f'(z), and corrects with
-full Newton to residual CORRECTOR_TOL.  The step size comes from Smale's
-alpha theory, which certifies that no label changes root on the way.
+full Newton to residual CORRECTOR_TOL.  A Rouche disc around every root
+sizes the step and certifies that no label changes root on the way.
 
-For g(z) = f(z) - a with f(z) = z + e^z, at a point z:
+The disc.  Around a root z_i of f(z) = z + e^z write E = |e^{z_i}|,
+F = |f'(z_i)|, res_i = |f(z_i) - a| and u = w - z_i.  Then
+f(w) - a = f(z_i) - a + f'(z_i) u + e^{z_i} (e^u - 1 - u) exactly, and
+|e^u - 1 - u| <= e^R - 1 - R on |u| = R, so whenever
+res_i < S(R) = (F + E) R - E expm1(R), f = a has exactly one zero in
+the disc |u| < R and none on its boundary (Rouche's theorem).
 
-* beta = |f(z) - a| / |f'(z)|, the length of the Newton step;
-* gamma = sup_{k>=2} |f^(k)(z) / (k! f'(z))|^{1/(k-1)}, which here has a
-  closed form (gamma_bound), since every derivative of order >= 2 is
-  e^z; it does not depend on a;
-* alpha = beta gamma.
+The step.  R_i = min(log1p(F / E), d_min / 2) is the maximiser of S,
+capped so that the discs are pairwise disjoint (d_min is the bundle's
+least pairwise distance).  Let a piece of the path stay within `reach`
+of its start (segment.reach bounds the sup of |a(t) - a(u)| over the
+piece, not the chord).  When res_i + reach < S(R_i) for every i, each
+disc holds exactly one root of f = a(t) for every t on the piece, and
+no root crosses a disc's boundary: the root that carries label i stays
+in disc i, and no two labels can exchange.  step_control returns the
+largest such reach, min_i (S(R_i) - res_i); report.max_load records the
+largest (res_i + reach) / S(R_i) over accepted steps, which the
+certificate keeps below 1.
 
-The alpha theorem (Blum, Cucker, Shub & Smale, "Complexity and Real
-Computation", 1998, ch. 8, with the uniqueness radius in the sharp form
-of Wang Xinghua and Han Danfu): when alpha < ALPHA0 =
-(13 - 3 sqrt 17) / 4, Newton from z converges quadratically to a zero
-within 2 beta of z, and when alpha <= 3 - 2 sqrt 2 that zero is the
-only one within (1 + alpha + sqrt(1 - 6 alpha + alpha^2)) / (4 gamma)
-of z, which is at least 0.43 / gamma for alpha <= ALPHA_STEP.
-
-Step lemma, the univariate form of Xu, Burr & Yap ("An approach for
-certifying homotopy continuation paths: univariate case", ISSAC 2018)
-and Beltran & Leykin ("Certified numerical homotopy tracking",
-Exp. Math. 21, 2012).  Let a piece of the path stay within `reach` of
-its start (segment.reach bounds the sup of |a(t) - a(u)| over the
-piece, not the chord), let d_min be the bundle's least pairwise
-distance, and for every root z_i
-
-    reach <= |f'(z_i)| (min(ALPHA_STEP / gamma_i, d_min / 4) - beta_i).
-
-Along the piece beta_i grows to at most beta_i + reach / |f'(z_i)|, so
-alpha stays at most ALPHA_STEP, and the ball of radius
-R_i = 2 (beta_i + reach / |f'(z_i)|) <= min(0.2 / gamma_i, d_min / 2)
-around z_i holds exactly one root of f = a(t) for every t on the piece:
-the root that carries label i moves inside it.  The balls are pairwise
-disjoint, so no two labels can exchange.  step_control returns the
-largest such reach.  A step is accepted only when 2 max R_i <= d_min
-(the balls are checked disjoint outright, since sizing lets a piece
-exceed its allowance by a relative 1e-7) and every corrected root z_i'
-has alpha(z_i') < ALPHA0 and |z_i' - z_i| + 2 beta_i' <= R_i, which
-puts the zero Newton converges to from z_i' inside the ball: it is the
-root that label i followed.  Residuals are the binary64 values; the
-certificate carries no rounding-error bounds.
+Acceptance.  A corrected root z' with residual res' is accepted when the
+same inequality holds at z' with radius s = 2 res' / |f'(z')|, that is
+|e^{z'}| (e^s - 1 - s) < res' (or res' = 0), which proves a zero within
+s of z', and when |z' - z_i| + s <= R_i, which puts that zero in disc i:
+it is the root that label i followed.  Residuals are the binary64
+values; the certificate carries no rounding-error bounds.
 
 A step that fails the test (or whose corrector diverges) is rejected
 and halved.  A certified reach below MIN_STEP, which happens as the path
@@ -75,14 +61,6 @@ CORRECTOR_TOL = 1e-12
 MIN_STEP = 1e-9
 # the most steps a max_step cap may ask for
 STEP_BUDGET = 1_000_000
-# Smale's constant: alpha below it makes a point an approximate zero.
-ALPHA0 = (13.0 - 3.0 * math.sqrt(17.0)) / 4.0
-# The alpha every root may reach within a step, with margin below ALPHA0.
-ALPHA_STEP = 0.1
-
-# gamma_bound: the terms k = 2..12 as (k!, 1 / (k - 1)), the tail by e / 13
-_GAMMA_TERMS = tuple((float(math.factorial(k)), 1.0 / (k - 1)) for k in range(2, 13))
-_GAMMA_TAIL = math.e / 13.0
 
 
 @dataclass
@@ -90,7 +68,7 @@ class TrackReport:
     steps_accepted: int = 0
     steps_rejected: int = 0
     max_residual: float = 0.0
-    max_alpha: float = 0.0
+    max_load: float = 0.0
     min_pairwise_distance: float = math.inf
     trajectory: list = field(default_factory=list)
     # trajectory rows: (arc_param, label, z, a, residual)
@@ -109,42 +87,28 @@ class TrackReport:
         atomic_write_text(path, buf.getvalue())
 
 
-def gamma_bound(d: complex) -> float:
-    """Upper bound on Smale's gamma of z + e^z - a at a point where
-    f'(z) = 1 + e^z = d.
+def _disc(fa: float, ee: float, half_dmin: float) -> tuple[float, float]:
+    """Radius R and bound S(R) of the Rouche disc around a root where
+    |f'| = fa and |e^z| = ee, with R capped at half_dmin (module docstring).
 
-    Every f^(k), k >= 2, is e^z, so with r = |e^z| / |f'(z)| gamma is
-    sup_{k>=2} (r / k!)^{1/(k-1)}.  For r >= 2/3 the k = 2 term r / 2 is
-    the sup, since (r/2)^{k-1} >= r / k! there (k! >= 2 * 3^{k-2}).
-    Otherwise every term with k >= 13 is at most (1/k!)^{1/(k-1)}
-    <= e / k <= e / 13 (from k! >= (k/e)^k), so the max of the terms
-    k = 2..12 and e / 13 bounds gamma.  e^z is read off f' as d - 1: no
-    exp is taken.
+    At the maximiser e^R - 1 = F / E, so S(R) = (F + E) R - F there: +inf,
+    not NaN, for a lone root whose |e^z| is so small that F / E overflows.
     """
-    r = abs(d - 1.0) / abs(d) if d else math.inf
-    if r >= 2.0 / 3.0:
-        return 0.5 * r
-    return max(_GAMMA_TAIL, *((r / fact) ** power for fact, power in _GAMMA_TERMS))
+    peak = math.log1p(fa / ee) if ee else math.inf
+    if peak <= half_dmin:
+        return peak, (fa + ee) * peak - fa
+    return half_dmin, (fa + ee) * half_dmin - ee * math.expm1(half_dmin)
 
 
-def step_control(dmin: float, certs, max_step: float | None = None) -> float:
+def step_control(discs, residuals, max_step: float | None = None) -> float:
     """Largest certified reach for the next step (see the module docstring).
 
-    certs holds (|f'_i|, beta_i, gamma_i) per root; the result is
-    min_i |f'_i| (min(ALPHA_STEP / gamma_i, dmin / 4) - beta_i), capped
-    by max_step when one is set, and inf for an empty bundle.
+    discs holds (R_i, S(R_i)) and residuals |f(z_i) - a| per root; the
+    result is min_i (S(R_i) - res_i), capped by max_step when one is set,
+    and inf for an empty bundle.
     """
-    quarter = 0.25 * dmin
-    allowed = min(
-        (fa * (min(ALPHA_STEP / g, quarter) - b) for fa, b, g in certs), default=math.inf
-    )
+    allowed = min((bound - res for (_, bound), res in zip(discs, residuals)), default=math.inf)
     return allowed if max_step is None else min(allowed, max_step)
-
-
-def _certify(d: complex, residual: float) -> tuple[float, float, float]:
-    """(|f'|, beta, gamma) at a root where f' = d and |f - a| = residual."""
-    fa = abs(d)
-    return fa, residual / fa if fa else math.inf, gamma_bound(d)
 
 
 def _underflow(what: str, arc: float, a: complex) -> StepUnderflowError:
@@ -214,12 +178,10 @@ def track_bundle(
             f"NEAR_CRITICAL_RADIUS {NEAR_CRITICAL_RADIUS:g}"
         )
     derivs = [FAMILY.deriv(z) for z in zs]
-    certs = list(map(_certify, derivs, residuals))
+    # (|f'|, |e^z|) per root
+    scales = [(abs(d), math.exp(z.real)) for z, d in zip(zs, derivs)]
 
-    report = TrackReport(
-        min_pairwise_distance=dmin,
-        max_alpha=max((b * g for _, b, g in certs), default=0.0),
-    )
+    report = TrackReport(min_pairwise_distance=dmin)
     a_cur = path.start
     if record:
         for lab, z, res in zip(labels, zs, residuals):
@@ -232,7 +194,9 @@ def track_bundle(
         du = 0.25
         while u < 1.0:
             du = min(du, 1.0 - u)
-            allowed = step_control(dmin, certs, max_step)
+            half_dmin = 0.5 * dmin
+            discs = [_disc(fa, ee, half_dmin) for fa, ee in scales]
+            allowed = step_control(discs, residuals, max_step)
             if not allowed >= MIN_STEP:  # NaN included
                 raise _underflow("cannot certify a step above", i_seg + u, a_cur)
             # geometric sizing: shrink du until the piece's reach fits
@@ -253,29 +217,31 @@ def track_bundle(
 
             a_next = seg.point(u_next)
             step_a = a_next - a_cur
-            half_dmin = 0.5 * dmin
-            new_zs, new_derivs, new_res, new_certs = [], [], [], []
-            alpha_max = 0.0
-            for z, d, (fa, b, _) in zip(zs, derivs, certs):
+            new_zs, new_derivs, new_res, new_scales = [], [], [], []
+            load_max = 0.0
+            for z, d, (radius, bound), res in zip(zs, derivs, discs, residuals):
+                # sizing lets reach exceed its allowance by a relative 1e-7,
+                # so the piece's certificate is checked outright
+                load = (res + reach) / bound
+                if not load < 1.0:
+                    break
                 corrected = newton(z + step_a / d, a_next, CORRECTOR_TOL, _CORRECTOR_MAX_ITER)
                 if corrected is None:
                     break
-                z_new, res, d_new = corrected
-                cert = _certify(d_new, res)
-                alpha = cert[1] * cert[2]
-                # root i stays inside the ball of this radius along the piece
-                radius = 2.0 * (b + reach / fa)
+                z_new, res_new, d_new = corrected
+                fa, ee = abs(d_new), math.exp(z_new.real)
+                s = 2.0 * res_new / fa if fa else math.inf
+                # a zero lies within s of z_new, and so inside disc i
                 if not (
-                    alpha < ALPHA0
-                    and radius <= half_dmin
-                    and abs(z_new - z) + 2.0 * cert[1] <= radius
+                    (ee * (math.expm1(s) - s) < res_new or res_new == 0.0)
+                    and abs(z_new - z) + s <= radius
                 ):
                     break
-                alpha_max = max(alpha_max, alpha)
+                load_max = max(load_max, load)
                 new_zs.append(z_new)
-                new_res.append(res)
+                new_res.append(res_new)
                 new_derivs.append(d_new)
-                new_certs.append(cert)
+                new_scales.append((fa, ee))
             if len(new_zs) < len(zs):
                 report.steps_rejected += 1
                 du *= 0.5
@@ -284,14 +250,14 @@ def track_bundle(
                 continue
             dmin = min_separation(new_zs)
             report.min_pairwise_distance = min(report.min_pairwise_distance, dmin)
-            report.max_alpha = max(report.max_alpha, alpha_max)
+            report.max_load = max(report.max_load, load_max)
             report.max_residual = max(report.max_residual, max(new_res, default=0.0))
-            zs, derivs, certs = new_zs, new_derivs, new_certs
+            zs, derivs, residuals, scales = new_zs, new_derivs, new_res, new_scales
             a_cur = a_next
             u = u_next
             report.steps_accepted += 1
             if record:
-                for lab, z, res in zip(labels, zs, new_res):
+                for lab, z, res in zip(labels, zs, residuals):
                     report.trajectory.append((i_seg + u, lab, z, a_cur, res))
             du = min(du * _GROWTH, 1.0)
 

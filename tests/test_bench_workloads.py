@@ -1,0 +1,48 @@
+"""The benchmark's workloads must pass their own output checks.
+
+Each workload is built at seed 1 and every job is run once, as in one
+pass of bench/run.py, so a check the program no longer meets (for
+example max_residual < 1e-12 on a tracked word) fails here before it
+fails in the benchmark.  The tracked steps per pass are pinned too: the
+step law has no randomness, so a change to them is a change of
+behaviour, not noise.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+# accepted tracking steps per seed-1 pass; roots-w19 does no tracking
+STEPS = {"group-w5": 917, "words-w19": 971, "roots-w19": 0}
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+    import workloads
+
+    yield tracer, workloads
+    for name in ("tracer", "workloads"):
+        sys.modules.pop(name, None)
+
+
+@pytest.mark.parametrize("workload", list(STEPS))
+def test_workload_jobs_pass_their_checks(bench, workload):
+    tracer, workloads = bench
+    jobs = workloads.SETUP[workload](1)
+    assert jobs
+    t = tracer.Tracer()
+    try:
+        assert t.install() == []
+        t.reset()
+        for job in jobs:
+            job.run()  # raises workloads.CheckFailed on a wrong output
+        summary = t.summary()
+    finally:
+        t.uninstall()
+    steps = (summary["tracking.steps_accepted"], summary["tracking.steps_rejected"])
+    assert steps == (STEPS[workload], 0)

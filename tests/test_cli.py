@@ -61,7 +61,9 @@ def test_roots_clean_window(capsys):
 def test_roots_near_merge_warns(capsys):
     code, d, _ = run(capsys, "roots", "--a=-1,3.141592653589793", "--window=-1,1,2,4")
     assert code == 1
-    assert d["near_merge_pairs"] == [[1, 2]]
+    # the pair merging at z_0 is one double entry there, not two simple roots
+    assert d["count"] == 2 and d["near_merge_pairs"] == []
+    assert [(r["multiplicity"], r["z"]) for r in d["roots"]] == [(2, [0.0, math.pi])]
     assert "warning" in d
 
 

@@ -15,7 +15,7 @@ from mono.paths import concat, keyhole_loop, loop_around
 from mono.permutation import Permutation, compose, extract_permutation, is_transposition
 from mono.rootsets import Window
 from mono.rootwindow import find_roots
-from mono.tracking import ALPHA0, track_bundle
+from mono.tracking import track_bundle
 
 from conftest import W5
 
@@ -145,6 +145,6 @@ def test_certified_steps_match_the_fixed_cap(guard_bundles, name, data):
     images = []
     for max_step in (None, 0.05):
         end, rep = track_bundle(bundle, path, max_step=max_step)
-        assert rep.max_alpha < ALPHA0
+        assert rep.max_load < 1.0
         images.append(extract_permutation(bundle, end).images)
     assert images[0] == images[1]

@@ -98,6 +98,26 @@ def test_cluster_at_critical_value_flagged():
     assert all(abs(z - zc) < 1e-4 for z in found.positions())
 
 
+
+@pytest.mark.parametrize(
+    "n, window, count",
+    [
+        (0, Window(-5.0, 5.0, -60.0, 60.0), 19),
+        (0, Window(-5.0, 5.0, -6.0, 18.0), 5),
+        (1, Window(-1.0, 2.0, -190.0, 210.0), 2),
+    ],
+    ids=["W19", "W5", "tall"],
+)
+def test_pair_at_critical_value_is_one_double_entry(n, window, count):
+    # at a = a_n a cut can isolate the merging pair as two "simple" roots
+    # about 1.4e-6 apart (W19, W5), or no cut splits it (the tall window):
+    # either way the result is the one double entry at exactly z_n
+    found = find_roots(critical_value(n), window)
+    assert (len(found), found.total_multiplicity()) == (count - 1, count)
+    (double,) = [e for e in found.entries if e.multiplicity > 1]
+    assert (double.z, double.multiplicity) == (critical_point(n).z, 2)
+    assert found.near_merge_pairs == ()
+
 def test_find_roots_rejects_silly_window():
     with pytest.raises(PreconditionError):
         find_roots(0j, Window(-1.0, 1.0, -1.0, math.inf))
