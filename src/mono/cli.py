@@ -16,6 +16,7 @@ winner goes through the option's parser whichever source it came from.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -419,6 +420,8 @@ COMMANDS = {
 }
 
 
+# built once: a build costs about 2 ms, and in-process callers call main often
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # Global flags live on a parent parser with SUPPRESS defaults so they are
     # accepted both before and after the subcommand name.  With a plain

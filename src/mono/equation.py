@@ -5,24 +5,29 @@ moves.  This module supplies evaluation and derivatives with overflow
 guards, the lattice of critical points (where f' vanishes), the real
 root of f, and the double-logarithm change of variables that links the
 self-power equation x^x = a to this family.
+
+It also holds the one residual rule, |f(z) - a| <= max(RESIDUAL_TOL,
+rounding_floor): newton stops on it, and every caller accepts by it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import (
     EvalRangeError,
-    NumericalError,
     PreconditionError,
     SingularArgumentError,
 )
 
 # largest re(z) for which exp(z) stays finite in binary64
 EXP_RE_MAX = 709.782712893384
+_EPS = sys.float_info.epsilon
 MAX_CRITICAL_INDEX = 10**6
+RESIDUAL_TOL = 1e-12
 
 
 def require_finite(z: complex, name: str = "value") -> complex:
@@ -39,10 +44,10 @@ def checked_exp(z: complex) -> complex:
 
 
 class ExpAffineFamily:
-    """f(z) = z + e^z with explicit first and second derivatives.
+    """f(z) = z + e^z with its derivative.
 
-    The interface (eval, deriv, deriv2, critical lattice) is what the rest
-    of the package depends on; only this one family ships.
+    The interface (eval, deriv, critical lattice) is what the rest of the
+    package depends on; only this one family ships.
     """
 
     def eval(self, z: complex) -> complex:
@@ -53,22 +58,37 @@ class ExpAffineFamily:
         z = require_finite(z, "z")
         return 1.0 + checked_exp(z)
 
-    def deriv2(self, z: complex) -> complex:
-        z = require_finite(z, "z")
-        return checked_exp(z)
-
 
 FAMILY = ExpAffineFamily()
 
 
-def newton(z: complex, a: complex, tol: float, max_iter: int):
+def rounding_floor(zm: float, ee: float, am: float, fa: float) -> float:
+    """tau = eps (|z| + |e^z| + |a| + |z| |f'(z)|) from those four moduli,
+    which the tracker holds for every root: a bound on the binary64 error of
+    the computed |f(z) - a|, from rounding z + e^z - a and z itself, for a
+    libm whose exp, cos and sin are within 1 ulp (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 3).  At a root tau is
+    about eps |z|^2, above 1e-12 past |z| = 67."""
+    return _EPS * (zm + ee + am + zm * fa)
+
+
+def exp_tail(ee: float, r: float) -> float:
+    """E (e^r - 1 - r) with E = ee = |e^z|: the exact bound, on |u| <= r,
+    of |f(z + u) - f(z) - f'(z) u| = |e^z (e^u - 1 - u)|."""
+    return ee * (math.expm1(r) - r)
+
+
+def newton(z: complex, a: complex, max_iter: int):
     """Newton for f(z) = a from z: (z, |f(z) - a|, f'(z)) or None.
 
-    One e^z per iterate gives both z + e^z - a and f' = 1 + e^z, the same
-    floats as FAMILY.eval and FAMILY.deriv.  None on a non-finite iterate
-    (the start too), an iterate past EXP_RE_MAX, where e^z overflows,
-    f' = 0, or a residual above tol after max_iter updates.
+    Stops at r = |f(z) - a| <= RESIDUAL_TOL, or at r <= rounding_floor on
+    an iterate whose r failed to halve, as rounding stalls quadratic
+    convergence.  One e^z per iterate gives both z + e^z - a and
+    f' = 1 + e^z, the same floats as FAMILY.eval and FAMILY.deriv.  None
+    on a non-finite iterate (the start too), an iterate past EXP_RE_MAX,
+    where e^z overflows, f' = 0, or no stop after max_iter updates.
     """
+    prev = math.inf
     for k in range(max_iter + 1):
         if not cmath.isfinite(z) or z.real > EXP_RE_MAX:
             return None
@@ -76,10 +96,13 @@ def newton(z: complex, a: complex, tol: float, max_iter: int):
         fz = z + e - a
         r = abs(fz)
         d = 1.0 + e
-        if r <= tol:
+        if r <= RESIDUAL_TOL or (
+            r > 0.5 * prev and r <= rounding_floor(abs(z), abs(e), abs(a), abs(d))
+        ):
             return z, r, d
         if k == max_iter or d == 0:
             return None
+        prev = r
         z = z - fz / d
 
 
@@ -113,8 +136,6 @@ def critical_point(n: int) -> CriticalPoint:
             f"critical index |n| = {abs(n):.3g} exceeds {MAX_CRITICAL_INDEX}"
         )
     z = complex(0.0, critical_height(n))
-    if FAMILY.deriv2(z) == 0:
-        raise NumericalError(f"second derivative vanished at critical point n={n}")
     return CriticalPoint(n=n, z=z, a=z - 1.0)
 
 

@@ -14,6 +14,7 @@ from functools import cmp_to_key
 
 import numpy as np
 
+from .equation import FAMILY, RESIDUAL_TOL, rounding_floor
 from .errors import NumericalError, PreconditionError, UnmatchedRootError
 
 SEPARATION_FLOOR = 1e-8
@@ -54,10 +55,6 @@ class Window:
     @property
     def height(self) -> float:
         return self.im_max - self.im_min
-
-    @property
-    def diameter(self) -> float:
-        return math.hypot(self.width, self.height)
 
     def corners(self) -> list[complex]:
         """Corners in counterclockwise order starting at the lower left."""
@@ -185,16 +182,18 @@ class LabeledRootSet:
     def has_near_merge(self) -> bool:
         return bool(self.near_merge_pairs) or any(e.multiplicity > 1 for e in self.entries)
 
-    def validate_residuals(self, family, tol: float = 1e-10) -> float:
-        """Worst residual |f(z) - a| over simple entries; raises if any exceeds tol."""
+    def validate_residuals(self) -> float:
+        """Worst |f(z) - a| over simple entries; raises if one breaks equation's residual rule."""
         worst = 0.0
         for e in self.entries:
             if e.multiplicity > 1:
                 continue
-            r = abs(family.eval(e.z) - self.a)
+            r = abs(FAMILY.eval(e.z) - self.a)
             worst = max(worst, r)
-            if r >= tol:
-                raise NumericalError(f"label {e.label} residual {r:.3g} >= {tol:g}")
+            d = FAMILY.deriv(e.z)
+            bound = max(RESIDUAL_TOL, rounding_floor(abs(e.z), abs(d - 1.0), abs(self.a), abs(d)))
+            if r > bound:
+                raise NumericalError(f"label {e.label} residual {r:.3g} > {bound:.3g}")
         return worst
 
     def to_json(self) -> dict:

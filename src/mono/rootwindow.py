@@ -12,9 +12,9 @@ exhaustion.  find_roots recurses down to isolated roots: a cell at least
 twice as long as it is wide is halved across its long side, any other
 cell is quartered, and the cut lines move off roots along a ladder of
 offsets until the children's counts add up.  Isolated roots get a
-Newton polish; roots merging at a critical point, which no cut clears
-or which a cut isolates within rounding of it, become one cluster entry
-there.
+Newton polish to equation's residual rule, at any height; roots merging
+at a critical point, which no cut clears or which a cut isolates within
+rounding of it, become one cluster entry there.
 This route never consults the closed-form oracle; the two are compared
 only in tests and in the CLI cross-check commands.
 """
@@ -22,13 +22,11 @@ only in tests and in the CLI cross-check commands.
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
 from .equation import (
     EXP_RE_MAX,
-    FAMILY,
     critical_point,
     nearest_critical,
     newton,
@@ -47,10 +45,7 @@ BOUNDARY_CLEARANCE = 1e-9
 # tighter internal agreement target between quadrature and phase count
 _AGREE_TOL = 0.05
 _PHASE_INC_MAX = 0.5 * math.pi
-NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 60
-# Newton residual that locates a root well enough to read its rounding floor
-_LOOSE_TOL = 1e-6
 # boundary samples per edge before doubling, and how often to double
 _EDGE_SAMPLES = 64
 _MAX_DOUBLINGS = 12
@@ -113,7 +108,7 @@ def _refuse_edge_root(z, dlog, a: complex, corners: list, edges: list) -> None:
     by aliasing.
     """
     k = int(np.argmax(np.abs(dlog)))
-    hit = newton(complex(z[k]), a, NEWTON_TOL, _NEWTON_MAX_ITER)
+    hit = newton(complex(z[k]), a, _NEWTON_MAX_ITER)
     if hit is None or abs(hit[2]) < _REFUSE_DERIV_MIN:
         return
     root = hit[0]
@@ -231,30 +226,11 @@ def _solve_isolated(win: Window, a: complex) -> complex | None:
     c = win.center
     seeds += [c + complex(sx * qw, sy * qh) for sx in (-1, 1) for sy in (-1, 1)]
     for z0 in seeds:
-        polished = newton(z0, a, NEWTON_TOL, _NEWTON_MAX_ITER)
+        polished = newton(z0, a, _NEWTON_MAX_ITER)
         # strict containment: a neighbor cell's root must not be claimed
         if polished is not None and win.contains(polished[0], margin=1e-9):
             return polished[0]
     return None
-
-
-def _check_residual_floor(win: Window, a: complex) -> None:
-    """Raise NumericalError when rounding, not the cell, stops Newton.
-
-    A loose Newton from the center finds the cell's root; there |f - a|
-    cannot reliably fall below eps |z| |f'(z)|, and when that floor is
-    above NEWTON_TOL no subdivision helps.
-    """
-    hit = newton(win.center, a, _LOOSE_TOL, _NEWTON_MAX_ITER)
-    if hit is None or not win.contains(hit[0], margin=1e-9):
-        return
-    z, _, d = hit
-    floor = sys.float_info.epsilon * abs(z) * abs(d)
-    if floor > NEWTON_TOL:
-        raise NumericalError(
-            f"Newton cannot polish the root near {z:.6g} to residual "
-            f"{NEWTON_TOL:g}: the rounding floor eps |z| |f'(z)| there is {floor:.3g}"
-        )
 
 
 def _split_candidates(win: Window):
@@ -302,11 +278,12 @@ def find_roots(a: complex, window: Window) -> LabeledRootSet:
     Subdivision isolates roots counted by count_roots: elongated cells
     are halved across their long side and near-square ones quartered
     (see _split_candidates).  Isolated roots are polished by Newton to
-    residual 1e-12.  A cell of multiple roots that no cut splits, around
-    a critical point z_n with |a - a_n| <= 1e-6, is a merge cluster: one
-    entry at z_n carries the cluster multiplicity and is flagged
-    near-merge.  So is a pair that a cut did isolate within 5e-5 of
-    z_n.  Other resolved roots closer than 1e-4 are flagged as a pair.
+    residual max(1e-12, rounding_floor) and checked on return.  A
+    cell of multiple roots that no cut splits, around a critical point
+    z_n with |a - a_n| <= 1e-6, is a merge cluster: one entry at z_n
+    carries the cluster multiplicity and is flagged near-merge.  So is a
+    pair that a cut did isolate within 5e-5 of z_n.  Other resolved roots
+    closer than 1e-4 are flagged as a pair.
 
     If a root lands on the window edge the window is expanded in steps of
     1e-3 (up to ten times); the effective window is recorded on the result.
@@ -330,7 +307,6 @@ def find_roots(a: complex, window: Window) -> LabeledRootSet:
                 positions.append(z)
                 multiplicities.append(1)
                 continue
-            _check_residual_floor(win, a)
         try:
             stack.extend((ch, n, depth + 1) for ch, n in _split_counted(win, a, cnt))
         except SubdivisionError:
@@ -363,5 +339,5 @@ def find_roots(a: complex, window: Window) -> LabeledRootSet:
         raise NumericalError(
             f"located multiplicity {result.total_multiplicity()} != contour count {total}"
         )
-    result.validate_residuals(FAMILY, tol=1e-10)
+    result.validate_residuals()
     return result

@@ -2,34 +2,34 @@
 
 Each step moves the parameter a along a piece of the path, predicts
 every root by the first-order motion dz = da / f'(z), and corrects with
-full Newton to residual CORRECTOR_TOL.  A Rouche disc around every root
-sizes the step and certifies that no label changes root on the way.
+full Newton to equation's residual rule.  A Rouche disc around every
+root sizes the step and certifies that no label changes root on the way.
 
 The disc.  Around a root z_i of f(z) = z + e^z write E = |e^{z_i}|,
-F = |f'(z_i)|, res_i = |f(z_i) - a| and u = w - z_i.  Then
-f(w) - a = f(z_i) - a + f'(z_i) u + e^{z_i} (e^u - 1 - u) exactly, and
-|e^u - 1 - u| <= e^R - 1 - R on |u| = R, so whenever
-res_i < S(R) = (F + E) R - E expm1(R), f = a has exactly one zero in
-the disc |u| < R and none on its boundary (Rouche's theorem).
+F = |f'(z_i)|, u = w - z_i and rho_i = res_i + tau_i, the computed
+|f(z_i) - a| plus its rounding floor (equation.rounding_floor), which
+bounds the exact one.  Then f(w) - a = f(z_i) - a + f'(z_i) u +
+e^{z_i} (e^u - 1 - u) exactly, and the last term is at most
+exp_tail(E, R) on |u| = R, so whenever rho_i < S(R) = F R - exp_tail(E, R),
+f = a has exactly one zero in |u| < R and none on |u| = R (Rouche).
 
 The step.  R_i = min(log1p(F / E), d_min / 2) is the maximiser of S,
 capped so that the discs are pairwise disjoint (d_min is the bundle's
 least pairwise distance).  Let a piece of the path stay within `reach`
 of its start (segment.reach bounds the sup of |a(t) - a(u)| over the
-piece, not the chord).  When res_i + reach < S(R_i) for every i, each
+piece, not the chord).  When rho_i + reach < S(R_i) for every i, each
 disc holds exactly one root of f = a(t) for every t on the piece, and
 no root crosses a disc's boundary: the root that carries label i stays
 in disc i, and no two labels can exchange.  step_control returns the
-largest such reach, min_i (S(R_i) - res_i); report.max_load records the
-largest (res_i + reach) / S(R_i) over accepted steps, which the
+largest such reach, min_i (S(R_i) - rho_i); report.max_load records the
+largest (rho_i + reach) / S(R_i) over accepted steps, which the
 certificate keeps below 1.
 
-Acceptance.  A corrected root z' with residual res' is accepted when the
-same inequality holds at z' with radius s = 2 res' / |f'(z')|, that is
-|e^{z'}| (e^s - 1 - s) < res' (or res' = 0), which proves a zero within
-s of z', and when |z' - z_i| + s <= R_i, which puts that zero in disc i:
-it is the root that label i followed.  Residuals are the binary64
-values; the certificate carries no rounding-error bounds.
+Acceptance.  A corrected root z' with rho' = res' + tau' is accepted
+when exp_tail(|e^{z'}|, s) < rho' with s = 2 rho' / |f'(z')|, which
+proves a zero within s of z', and when |z' - z_i| + s <= R_i, which puts
+that zero in disc i: it is the root that label i followed.
+report.max_residual and the trajectory keep the computed res.
 
 A step that fails the test (or whose corrector diverges) is rejected
 and halved.  A certified reach below MIN_STEP, which happens as the path
@@ -48,7 +48,7 @@ import io
 import math
 from dataclasses import dataclass, field
 
-from .equation import FAMILY, nearest_critical, newton
+from .equation import FAMILY, RESIDUAL_TOL, exp_tail, nearest_critical, newton, rounding_floor
 from .errors import PreconditionError, StepUnderflowError
 from .jsonio import atomic_write_text
 from .paths import ParamPath
@@ -57,7 +57,6 @@ from .rootsets import LabeledRootSet, RootEntry, _near_merge_pairs, min_separati
 _CORRECTOR_MAX_ITER = 8
 _GROWTH = 1.6
 NEAR_CRITICAL_RADIUS = 1e-3
-CORRECTOR_TOL = 1e-12
 MIN_STEP = 1e-9
 # the most steps a max_step cap may ask for
 STEP_BUDGET = 1_000_000
@@ -97,17 +96,17 @@ def _disc(fa: float, ee: float, half_dmin: float) -> tuple[float, float]:
     peak = math.log1p(fa / ee) if ee else math.inf
     if peak <= half_dmin:
         return peak, (fa + ee) * peak - fa
-    return half_dmin, (fa + ee) * half_dmin - ee * math.expm1(half_dmin)
+    return half_dmin, fa * half_dmin - exp_tail(ee, half_dmin)
 
 
-def step_control(discs, residuals, max_step: float | None = None) -> float:
+def step_control(discs, rhos, max_step: float | None = None) -> float:
     """Largest certified reach for the next step (see the module docstring).
 
-    discs holds (R_i, S(R_i)) and residuals |f(z_i) - a| per root; the
-    result is min_i (S(R_i) - res_i), capped by max_step when one is set,
-    and inf for an empty bundle.
+    discs holds (R_i, S(R_i)) and rhos the bound res_i + tau_i on
+    |f(z_i) - a| per root; the result is min_i (S(R_i) - rho_i), capped
+    by max_step when one is set, and inf for an empty bundle.
     """
-    allowed = min((bound - res for (_, bound), res in zip(discs, residuals)), default=math.inf)
+    allowed = min((bound - rho for (_, bound), rho in zip(discs, rhos)), default=math.inf)
     return allowed if max_step is None else min(allowed, max_step)
 
 
@@ -154,20 +153,22 @@ def track_bundle(
         raise PreconditionError(
             f"path starts at {path.start!r} but bundle sits at {start.a!r}"
         )
-    residuals = []
+    residuals, rhos, derivs = [], [], []
     for e in start.entries:
         if e.multiplicity != 1:
             raise PreconditionError(
                 f"label {e.label} is a multiplicity-{e.multiplicity} cluster; "
                 f"move the basepoint away from the critical value"
             )
-        fz = FAMILY.eval(e.z)
+        fz, d = FAMILY.eval(e.z), FAMILY.deriv(e.z)
+        tau = rounding_floor(abs(e.z), math.exp(e.z.real), abs(path.start), abs(d))
         r0 = abs(fz - start.a)
-        if r0 > 10.0 * CORRECTOR_TOL:
-            raise PreconditionError(
-                f"label {e.label} starts with residual {r0:.3g}"
-            )
-        residuals.append(abs(fz - path.start))  # tracking starts at path.start
+        if r0 > max(RESIDUAL_TOL, tau):
+            raise PreconditionError(f"label {e.label} starts with residual {r0:.3g}")
+        res = abs(fz - path.start)  # tracking starts at path.start
+        residuals.append(res)
+        rhos.append(res + tau)
+        derivs.append(d)
     labels = [e.label for e in start.entries]
     zs = [complex(e.z) for e in start.entries]
     # bundle state carried from one accepted step to the next
@@ -177,7 +178,6 @@ def track_bundle(
             f"bundle separation {dmin:.3g} below "
             f"NEAR_CRITICAL_RADIUS {NEAR_CRITICAL_RADIUS:g}"
         )
-    derivs = [FAMILY.deriv(z) for z in zs]
     # (|f'|, |e^z|) per root
     scales = [(abs(d), math.exp(z.real)) for z, d in zip(zs, derivs)]
 
@@ -196,7 +196,7 @@ def track_bundle(
             du = min(du, 1.0 - u)
             half_dmin = 0.5 * dmin
             discs = [_disc(fa, ee, half_dmin) for fa, ee in scales]
-            allowed = step_control(discs, residuals, max_step)
+            allowed = step_control(discs, rhos, max_step)
             if not allowed >= MIN_STEP:  # NaN included
                 raise _underflow("cannot certify a step above", i_seg + u, a_cur)
             # geometric sizing: shrink du until the piece's reach fits
@@ -217,29 +217,29 @@ def track_bundle(
 
             a_next = seg.point(u_next)
             step_a = a_next - a_cur
-            new_zs, new_derivs, new_res, new_scales = [], [], [], []
+            am = abs(a_next)
+            new_zs, new_derivs, new_res, new_rhos, new_scales = [], [], [], [], []
             load_max = 0.0
-            for z, d, (radius, bound), res in zip(zs, derivs, discs, residuals):
+            for z, d, (radius, bound), rho in zip(zs, derivs, discs, rhos):
                 # sizing lets reach exceed its allowance by a relative 1e-7,
                 # so the piece's certificate is checked outright
-                load = (res + reach) / bound
+                load = (rho + reach) / bound
                 if not load < 1.0:
                     break
-                corrected = newton(z + step_a / d, a_next, CORRECTOR_TOL, _CORRECTOR_MAX_ITER)
+                corrected = newton(z + step_a / d, a_next, _CORRECTOR_MAX_ITER)
                 if corrected is None:
                     break
                 z_new, res_new, d_new = corrected
                 fa, ee = abs(d_new), math.exp(z_new.real)
-                s = 2.0 * res_new / fa if fa else math.inf
+                rho_new = res_new + rounding_floor(abs(z_new), ee, am, fa)
+                s = 2.0 * rho_new / fa if fa else math.inf
                 # a zero lies within s of z_new, and so inside disc i
-                if not (
-                    (ee * (math.expm1(s) - s) < res_new or res_new == 0.0)
-                    and abs(z_new - z) + s <= radius
-                ):
+                if not (exp_tail(ee, s) < rho_new and abs(z_new - z) + s <= radius):
                     break
                 load_max = max(load_max, load)
                 new_zs.append(z_new)
                 new_res.append(res_new)
+                new_rhos.append(rho_new)
                 new_derivs.append(d_new)
                 new_scales.append((fa, ee))
             if len(new_zs) < len(zs):
@@ -252,12 +252,12 @@ def track_bundle(
             report.min_pairwise_distance = min(report.min_pairwise_distance, dmin)
             report.max_load = max(report.max_load, load_max)
             report.max_residual = max(report.max_residual, max(new_res, default=0.0))
-            zs, derivs, residuals, scales = new_zs, new_derivs, new_res, new_scales
+            zs, derivs, rhos, scales = new_zs, new_derivs, new_rhos, new_scales
             a_cur = a_next
             u = u_next
             report.steps_accepted += 1
             if record:
-                for lab, z, res in zip(labels, zs, residuals):
+                for lab, z, res in zip(labels, zs, new_res):
                     report.trajectory.append((i_seg + u, lab, z, a_cur, res))
             du = min(du * _GROWTH, 1.0)
 

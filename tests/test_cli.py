@@ -320,11 +320,6 @@ def test_bad_input_exits_two_without_traceback(capsys, tmp_path, argv):
             ["roots", "--a=0,0", "--window=-5,5,-2000,2000"], 2, "precondition",
             "last cause: boundary quadrature did not settle",
         ),
-        # near z = 5 + 155.5i rounding alone keeps |f - a| above 1e-12
-        (
-            ["roots", "--a=0,0", "--window=-10,10,150,170"], 3, "numerical",
-            "rounding floor eps |z| |f'(z)| there is 5.",
-        ),
         # the end angle of 20,000 turns misses the start by 3.5e-12
         (
             ["track", "--path", "loop", "--turns", "20000"], 2, "precondition",
@@ -332,8 +327,7 @@ def test_bad_input_exits_two_without_traceback(capsys, tmp_path, argv):
         ),
     ],
     ids=[
-        "critical-index-huge", "loop-index-huge", "jitter-quadrature", "residual-floor",
-        "loop-turns-huge",
+        "critical-index-huge", "loop-index-huge", "jitter-quadrature", "loop-turns-huge",
     ],
 )
 def test_error_message_names_the_cause(capsys, argv, code, prefix, cause):
@@ -392,6 +386,28 @@ def test_roots_below_the_residual_floor_still_polished(capsys):
     code, d, _ = run(capsys, "roots", "--a=0,0", "--window=-10,10,100,120")
     assert code == 0
     assert len(d["roots"]) == 3
+
+
+@pytest.mark.parametrize(
+    "window", ["-10,10,150,170", "-10,10,140,160", "-5,5,-200,200"],
+    ids=["residual-floor", "height-140", "height-200"],
+)
+def test_roots_above_height_130_match_oracle(capsys, window):
+    # near z = 5 + 155.5i rounding alone keeps |f - a| above 1e-12; Newton
+    # stops within that rounding floor, so every root polishes
+    code, d, _ = run(
+        capsys, "oracle", "--a=0,0", "--k-from", "-40", "--k-to", "40",
+        "--compare", f"--window={window}",
+    )
+    assert code == 0
+    assert d["compare"]["match"] is True
+
+
+def test_group_on_tall_window(capsys):
+    # 47 roots up to |Im z| = 200; the four default loops move only five
+    code, d, _ = run(capsys, "group", "--window=-5,5,-200,200")
+    assert code == 0
+    assert d["order"] == 120 and len(d["labels"]) == 47
 
 
 # Values per option: (valid, invalid).  Values that are valid but make a

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mono.equation import (
     EXP_RE_MAX,
     FAMILY,
+    RESIDUAL_TOL,
     EvalRangeError,
     PreconditionError,
     SingularArgumentError,
@@ -19,10 +20,12 @@ from mono.equation import (
     nearest_critical,
     newton,
     real_root,
+    rounding_floor,
     to_b,
     to_x,
     to_z,
 )
+from mono.lambertw import lambert_w
 
 TWO_PI = 2.0 * math.pi
 
@@ -31,7 +34,6 @@ def test_family_eval_and_derivatives():
     z = 0.3 - 1.7j
     assert FAMILY.eval(z) == z + cmath.exp(z)
     assert FAMILY.deriv(z) == 1.0 + cmath.exp(z)
-    assert FAMILY.deriv2(z) == cmath.exp(z)
 
 
 def test_critical_points_annihilate_derivative():
@@ -40,8 +42,8 @@ def test_critical_points_annihilate_derivative():
         assert abs(FAMILY.deriv(cp.z)) < 1e-12
         assert abs(FAMILY.eval(cp.z) - cp.a) < 1e-12
         assert cp.order == 1
-        # second derivative stays on the unit circle, so never zero
-        assert abs(abs(FAMILY.deriv2(cp.z)) - 1.0) < 1e-12
+        # f'' = e^z stays on the unit circle, so never zero
+        assert abs(abs(cmath.exp(cp.z)) - 1.0) < 1e-12
 
 
 def test_lattice_layout():
@@ -125,21 +127,31 @@ def test_non_finite_rejected():
         nearest_critical(complex(math.inf, 1.0))
 
 
-def _reference_newton(z, a, tol, max_iter):
-    # the unfused loop on the guarded family: two exps per iterate
+def _tau(z, a):
+    return rounding_floor(abs(z), abs(cmath.exp(z)), abs(a), abs(FAMILY.deriv(z)))
+
+
+def _reference_newton(z, a, max_iter):
+    # the unfused loop on the guarded family: two exps per iterate; it
+    # stops at RESIDUAL_TOL, or within the rounding floor once the
+    # residual fails to halve
+    prev = math.inf
     for _ in range(max_iter):
         fz = FAMILY.eval(z) - a
         r = abs(fz)
-        if r <= tol:
+        if r <= RESIDUAL_TOL or (r > 0.5 * prev and r <= _tau(z, a)):
             return z, r
         d = FAMILY.deriv(z)
         if d == 0:
             return None
+        prev = r
         z = z - fz / d
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             return None
     r = abs(FAMILY.eval(z) - a)
-    return (z, r) if r <= tol else None
+    if r <= RESIDUAL_TOL or (r > 0.5 * prev and r <= _tau(z, a)):
+        return z, r
+    return None
 
 
 def _reference_outcome(*args):
@@ -157,12 +169,11 @@ _im = st.floats(-60.0, 60.0)
 @given(
     z=st.builds(complex, st.floats(-30.0, 700.0), _im),
     a=st.builds(complex, st.floats(-30.0, 700.0), _im),
-    tol=st.sampled_from([1e-12, 1e-8]),
     max_iter=st.integers(0, 60),
 )
-def test_newton_matches_unfused_reference(z, a, tol, max_iter):
-    got = newton(z, a, tol, max_iter)
-    want = _reference_outcome(z, a, tol, max_iter)
+def test_newton_matches_unfused_reference(z, a, max_iter):
+    got = newton(z, a, max_iter)
+    want = _reference_outcome(z, a, max_iter)
     if want is None:
         assert got is None
         return
@@ -176,9 +187,36 @@ def test_newton_iterate_past_exp_guard_finds_nothing():
     # re(z) ~ 1e6, where e^z would overflow
     z0 = complex(1e-3, math.pi)
     assert z0.real < EXP_RE_MAX
-    assert newton(z0, complex(-1000.0, math.pi), 1e-12, 8) is None
+    assert newton(z0, complex(-1000.0, math.pi), 8) is None
 
 
 def test_newton_non_finite_start_gives_none():
-    assert newton(complex(math.nan, 0.0), 0j, 1e-12, 8) is None
-    assert newton(complex(0.0, math.inf), 0j, 1e-12, 8) is None
+    assert newton(complex(math.nan, 0.0), 0j, 8) is None
+    assert newton(complex(0.0, math.inf), 0j, 8) is None
+
+
+@settings(max_examples=400)
+@given(
+    a=st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    k=st.integers(-63, 63),
+    log_dist=st.floats(-8.0, -1.5),
+    turn=st.floats(0.0, 1.0),
+)
+def test_newton_polishes_roots_at_any_height(a, k, log_dist, turn):
+    # oracle roots up to |Im z| = 400, where the rounding floor is near
+    # 4e-11; from up to 10^-1.5 away Newton stops within 8 iterations
+    root = a - lambert_w(cmath.exp(a), k)
+    got = newton(root + cmath.rect(10.0**log_dist, 2.0 * math.pi * turn), a, 8)
+    assert got is not None
+    z, r, _ = got
+    assert abs(z - root) < 1e-9 * abs(root)
+    assert r <= max(RESIDUAL_TOL, _tau(z, a))
+    if abs(root.imag) < 60.0:
+        assert r <= RESIDUAL_TOL
+
+
+def test_rounding_floor_passes_residual_tol_near_height_67():
+    # at a root of z + e^z = 0, |e^z| = |z|, so tau is about eps |z|^2
+    for height, above in ((60.0, False), (75.0, True), (400.0, True)):
+        z = complex(math.log(height), height)
+        assert (_tau(z, 0j) > RESIDUAL_TOL) is above

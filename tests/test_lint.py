@@ -86,3 +86,49 @@ def test_no_unread_private_names():
         if (found := _unread_private_names(ast.parse(path.read_text())))
     }
     assert not unread
+
+
+def _unreferenced_defs(defining: dict, readers: list) -> list[str]:
+    """Functions, methods and classes defined in the defining trees (by
+    file name) whose name no reader tree mentions as a name, an attribute
+    or a string; dunder methods are called by Python itself."""
+    mentioned = set()
+    for tree in readers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                mentioned.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                mentioned.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                mentioned.add(node.value)
+    return [
+        f"{name} line {node.lineno}: {node.name}"
+        for name, tree in defining.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in mentioned
+    ]
+
+
+def test_unreferenced_def_detector():
+    tree = ast.parse(
+        "class K:\n    def __len__(self):\n        return 0\n"
+        "    def m(self):\n        return f()\n    def spare(self):\n        pass\n"
+        "def f():\n    return K\ndef g():\n    pass\n"
+    )
+    reader = ast.parse("import x\nx.m()\nsetattr(x, 'g', None)\n")
+    assert _unreferenced_defs({"t.py": tree}, [tree, reader]) == ["t.py line 6: spare"]
+
+
+def test_every_def_is_referenced():
+    # a def or class that nothing in the package, the benchmark or the
+    # tests names is dead code
+    root = pathlib.Path(__file__).resolve().parents[1]
+    defining = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    readers = list(defining.values()) + [
+        ast.parse(path.read_text())
+        for folder in ("bench", "tests")
+        for path in sorted((root / folder).glob("*.py"))
+    ]
+    assert _unreferenced_defs(defining, readers) == []

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mono.equation import FAMILY, critical_value
-from mono.errors import PreconditionError, UnmatchedRootError
+from mono.equation import RESIDUAL_TOL, critical_value
+from mono.errors import NumericalError, PreconditionError, UnmatchedRootError
 from mono.rootsets import (
     NEAR_MERGE_RADIUS,
     SEPARATION_FLOOR,
@@ -99,10 +99,13 @@ def test_residual_validation():
     from mono.lambertw import oracle_roots
 
     rs = oracle_roots(0.3 + 0.4j, range(-1, 2))
-    rs.validate_residuals(FAMILY, 1e-10)
+    assert rs.validate_residuals() <= RESIDUAL_TOL
+    # heights 250-400: the rounding floor, not 1e-12, bounds the residual
+    high = oracle_roots(0j, range(40, 64))
+    assert high.validate_residuals() > RESIDUAL_TOL
     bad = LabeledRootSet(0.3 + 0.4j, (RootEntry(1, 5.0 + 0j),))
-    with pytest.raises(Exception):
-        bad.validate_residuals(FAMILY, 1e-10)
+    with pytest.raises(NumericalError):
+        bad.validate_residuals()
 
 
 _PS = [0j, 1.0 + 1.0j, -2.0 + 0.5j]
