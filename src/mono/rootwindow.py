@@ -8,19 +8,23 @@ to trust an undersampled ring, and each refinement doubles the ring in
 place, evaluating only the new midpoints.  A contour that fails its
 first pass because a simple root sits on an edge, closer than any
 refinement could resolve, is refused at once instead of refined to
-exhaustion.  find_roots recurses down to isolated roots: a cell at least
-twice as long as it is wide is halved across its long side, any other
-cell is quartered, and the cut lines move off roots along a ladder of
-offsets until the children's counts add up.  Isolated roots get a
-Newton polish to equation's residual rule, at any height; roots merging
-at a critical point, which no cut clears or which a cut isolates within
-rounding of it, become one cluster entry there.
+exhaustion: discs that an exclusion test proves root-free cover the
+edges, and only where they fail does Newton look for that root.
+find_roots recurses down to isolated roots: a cell at least twice as
+long as it is wide is halved across its long side, any other cell is
+quartered, and the cut lines move off roots along a ladder of offsets
+until the children's counts add up.  A child whose circumscribed disc
+passes the exclusion test counts 0 without a contour.  Isolated roots
+get a Newton polish to equation's residual rule, at any height; roots
+merging at a critical point, which no cut clears or which a cut
+isolates within rounding of it, become one cluster entry there.
 This route never consults the closed-form oracle; the two are compared
 only in tests and in the CLI cross-check commands.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -28,9 +32,11 @@ import numpy as np
 from .equation import (
     EXP_RE_MAX,
     critical_point,
+    exp_tail,
     nearest_critical,
     newton,
     require_finite,
+    rounding_floor,
 )
 from .errors import (
     BoundaryTooCloseError,
@@ -49,6 +55,8 @@ _NEWTON_MAX_ITER = 60
 # boundary samples per edge before doubling, and how often to double
 _EDGE_SAMPLES = 64
 _MAX_DOUBLINGS = 12
+# first-pass sample fractions along each edge
+_FIRST_U = np.arange(_EDGE_SAMPLES) / _EDGE_SAMPLES
 _MAX_DEPTH = 48
 # |a - a_n| up to which a multi-root cell at z_n that no cut splits is a cluster
 _CLUSTER_DIST = 1e-6
@@ -58,17 +66,20 @@ _SPLIT_OFFSETS = (0.0, 0.033, -0.033, 0.071, -0.071, 0.137, -0.137)
 _JITTER_STEP = 1e-3
 _JITTER_TRIES = 10
 
-# a root within this many finest sample spacings of an edge is refused at
-# the first pass; only simple roots (|f'| above the floor) are refused, so
+# a simple root within one finest sample spacing of an edge is refused at
+# the first pass: doubling resolves a root one spacing off an edge, not a
+# quarter of one.  Only simple roots (|f'| above the floor) are refused, so
 # a pair near a critical point still reaches the cluster fallback
-_REFUSE_SPACINGS = 4
 _REFUSE_DERIV_MIN = 1e-3
+# an edge cover halves up to this many failing pieces one at a time in
+# Python; more are halved together, where numpy's per-call cost pays
+_COVER_FEW = 8
 
 
 def _ring_samples(z: np.ndarray, a: complex):
-    """f - a and f' at the boundary points z, from one exp of the array."""
+    """f - a and e^z at the boundary points z, from one exp of the array."""
     e = np.exp(z)
-    return z + e - a, 1.0 + e
+    return z + e - a, e
 
 
 def _edge_points(corners: np.ndarray, edges: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -87,7 +98,7 @@ def _interleave(old: np.ndarray, new: np.ndarray) -> np.ndarray:
 def _check_clearance(z: np.ndarray, fz: np.ndarray) -> float:
     """Smallest |f - a| among the samples; raises if a root is on them."""
     mod = np.abs(fz)
-    k = int(np.argmin(mod))
+    k = int(mod.argmin())
     if mod[k] <= BOUNDARY_CLEARANCE:
         raise BoundaryTooCloseError(
             f"|f - a| = {mod[k]:.3g} on window boundary",
@@ -97,18 +108,88 @@ def _check_clearance(z: np.ndarray, fz: np.ndarray) -> float:
     return float(mod[k])
 
 
-def _refuse_edge_root(z, dlog, a: complex, corners: list, edges: list) -> None:
+def _excluded(z, fz, e, a: complex, r: float):
+    """True where the closed disc |w - z| <= r provably holds no root.
+
+    The soft exclusion test T0 (Yap, Sagraloff & Sharma, CiE 2013; Becker,
+    Sagraloff, Sharma & Yap, J. Symb. Comput. 86, 2018) with the exact
+    Taylor tail of f = z + e^z, whose derivatives past the first are all
+    e^z: on the disc |f(w) - a| >= |f(z) - a| - |f'(z)| r - exp_tail,
+    and the computed |f(z) - a| is within rounding_floor of the true one.
+    fz is f(z) - a and e is e^z; works elementwise on arrays for a scalar r.
+    """
+    if r > EXP_RE_MAX:  # e^r overflows: a disc this wide is never cleared
+        return np.zeros(np.shape(fz), dtype=bool)
+    ee, fa = abs(e), abs(1.0 + e)
+    return abs(fz) - rounding_floor(abs(z), ee, abs(a), fa) > fa * r + exp_tail(ee, r)
+
+
+def _cell_excluded(win: Window, a: complex) -> bool:
+    """_excluded on the disc around the cell's centre through its corners."""
+    m = win.center
+    e = cmath.exp(m)
+    return _excluded(m, m + e - a, e, a, 0.5 * math.hypot(win.width, win.height))
+
+
+def _refuse_edge_root(z, fz, e, a: complex, corners: list, edges: list) -> None:
     """Raise BoundaryTooCloseError for a simple root too close to an edge.
 
-    Newton runs from the ring sample z with the least |f|/|f'|, the
-    largest |dlog| = |f'/f| (the shortest Newton step).  A root it
-    settles on with |f'| above the floor, within _REFUSE_SPACINGS finest
-    spacings (edge length / (64 * 2^12)) of an edge, is closer than any
-    doubling resolves: the guards would fail through every pass, or pass
-    by aliasing.
+    A root with |f'| above the floor within one finest spacing (edge
+    length / 2^18) of an edge is closer than any doubling resolves: the
+    guards would fail through every pass, or pass by aliasing.  Exclusion
+    discs, widened by the longest edge's finest spacing (the reach),
+    cover the edges.  A first-pass interval is cleared by the discs of
+    half the longest spacing around both its end samples; a piece that
+    fails is halved, each half in the disc around its midpoint, until it
+    is no longer than the reach.  Newton runs from each piece that still
+    fails and whose Newton step |f|/|f'| is at most twice the reach.
     """
-    k = int(np.argmax(np.abs(dlog)))
-    hit = newton(complex(z[k]), a, _NEWTON_MAX_ITER)
+    m = _EDGE_SAMPLES
+    longest = max(abs(d) for d in edges)
+    reach = longest / (m << _MAX_DOUBLINGS)
+    half = 0.5 * longest / m  # half of the longest piece
+    bad = ~_excluded(z, fz, e, a, math.hypot(half, reach))
+    k = np.flatnonzero(bad | np.concatenate((bad[1:], bad[:1])))
+    start, piece = z[k], (np.array(edges) / m)[k // m]
+    # many failing pieces are halved together, a few one by one, depth
+    # first; a failing piece no longer than the reach is kept only if its
+    # Newton step is short
+    while start.size > _COVER_FEW and 2.0 * half > reach:
+        half *= 0.5
+        piece = 0.5 * np.concatenate((piece, piece))
+        start = np.concatenate((start, start + piece[: start.size]))
+        c = start + 0.5 * piece
+        ec = np.exp(c)
+        fc = c + ec - a
+        keep = ~_excluded(c, fc, ec, a, math.hypot(half, reach))
+        if 2.0 * half <= reach:
+            keep &= np.abs(fc) <= 2.0 * reach * np.abs(1.0 + ec)
+        start, piece = start[keep], piece[keep]
+    stack = [(s, p, half) for s, p in zip(start.tolist(), piece.tolist())]
+    while stack:
+        s0, p, h = stack.pop()
+        if 2.0 * h <= reach:
+            _refuse_root_at(s0 + 0.5 * p, a, corners, edges)
+            continue
+        p *= 0.5
+        h *= 0.5
+        failed = []
+        for s in (s0, s0 + p):
+            c = s + 0.5 * p
+            ec = cmath.exp(c)
+            fc = c + ec - a
+            if not _excluded(c, fc, ec, a, math.hypot(h, reach)) and (
+                2.0 * h > reach or abs(fc) <= 2.0 * reach * abs(1.0 + ec)
+            ):
+                failed.append((abs(fc), s))
+        # the half with the smaller |f - a| is searched first
+        stack.extend((s, p, h) for _, s in sorted(failed, reverse=True))
+
+
+def _refuse_root_at(z0: complex, a: complex, corners: list, edges: list) -> None:
+    """Newton from z0; raise if it settles on a simple root within an
+    edge's finest sample spacing."""
+    hit = newton(z0, a, _NEWTON_MAX_ITER)
     if hit is None or abs(hit[2]) < _REFUSE_DERIV_MIN:
         return
     root = hit[0]
@@ -116,10 +197,10 @@ def _refuse_edge_root(z, dlog, a: complex, corners: list, edges: list) -> None:
     for c, d in zip(corners, edges):
         t = min(max(((root - c) * d.conjugate()).real / abs(d) ** 2, 0.0), 1.0)
         dist = abs(root - (c + t * d))
-        if dist < _REFUSE_SPACINGS * abs(d) / finest:
+        if dist < abs(d) / finest:
             raise BoundaryTooCloseError(
                 f"root at {root:.6g} lies {dist:.3g} from the window edge, "
-                f"closer than {_REFUSE_SPACINGS} of its finest sample spacings",
+                f"under its finest sample spacing {abs(d) / finest:.3g}",
                 clearance=dist,
                 location=root,
             )
@@ -140,10 +221,13 @@ def count_roots(a: complex, window: Window) -> int:
 
     Unless the first pass is accepted with every sample's Newton step
     |f|/|f'| longer than its interval, the contour is checked once for a
-    simple root on an edge (see _refuse_edge_root).  Such a contour is
-    refused at once with BoundaryTooCloseError, as is one where |f - a|
-    dips below the clearance floor at a sample; the caller should move
-    it.  Raises ResidualTooLargeError if refinement is exhausted, and
+    simple root within one finest sample spacing of an edge: exclusion
+    discs around the first-pass samples, halved only where they fail,
+    cover every edge, and Newton runs only from a piece that still fails
+    at that distance (see _refuse_edge_root).  Such a contour is refused
+    at once with BoundaryTooCloseError, as is one where |f - a| dips
+    below the clearance floor at a sample; the caller should move it.
+    Raises ResidualTooLargeError if refinement is exhausted, and
     EvalRangeError for a window reaching past EXP_RE_MAX, where e^z
     overflows.
     """
@@ -152,37 +236,40 @@ def count_roots(a: complex, window: Window) -> int:
             f"exp would overflow: window re_max = {window.re_max:.6g} "
             f"exceeds {EXP_RE_MAX:.6g}"
         )
-    corner_list = window.corners()
-    edge_list = [corner_list[(i + 1) % 4] - corner_list[i] for i in range(4)]
-    corners, edges = np.array(corner_list), np.array(edge_list)
+    corners = np.array(window.corners())
+    edges = corners[[1, 2, 3, 0]] - corners
     # a corner sample weighs half of each of the two edges' intervals
-    corner_weights = np.array([0.5 * (edge_list[i - 1] + d) for i, d in enumerate(edge_list)])
+    corner_weights = 0.5 * (edges[[3, 0, 1, 2]] + edges)
     m = _EDGE_SAMPLES
-    z = _edge_points(corners, edges, np.arange(m) / m)
-    fz, fpz = _ring_samples(z, a)
+    z = _edge_points(corners, edges, _FIRST_U)
+    fz, e = _ring_samples(z, a)
     min_abs = _check_clearance(z, fz)
-    dlog = fpz / fz
-    ring = np.append(fz, fz[0])  # f - a around the closed ring
+    dlog = (1.0 + e) / fz
+    ring = np.empty(fz.size + 1, dtype=fz.dtype)  # f - a around the closed ring
+    ring[:-1] = fz
+    ring[-1] = fz[0]
     for doubling in range(_MAX_DOUBLINGS + 1):
-        weights = np.repeat(edges / m, m)
-        weights[::m] = corner_weights / m
         # weighted integrand: its sum is the trapezoid rule, and each term
-        # is the predicted change of log(f - a) over the sample's interval
-        terms = weights * dlog
+        # is the predicted change of log(f - a) over the sample's interval;
+        # a sample weighs its edge's interval, a corner its corner weight
+        terms = dlog.reshape(4, m) * (edges / m)[:, None]
+        terms[:, 0] = dlog[::m] * (corner_weights / m)
+        terms = terms.ravel()
         winding = complex(terms.sum()) / (2j * math.pi)
-        increments = np.angle(ring[1:] / ring[:-1])
-        phase_total = float(np.sum(increments)) / (2.0 * math.pi)
+        ratio = ring[1:] / ring[:-1]
+        increments = np.arctan2(ratio.imag, ratio.real)
+        phase_total = float(increments.sum()) / (2.0 * math.pi)
         n_phase = round(phase_total)
         misfit = abs(winding.real - n_phase) + abs(winding.imag)
         accepted = (
-            float(np.max(np.abs(increments))) < _PHASE_INC_MAX
+            float(np.abs(increments).max()) < _PHASE_INC_MAX
             and abs(phase_total - n_phase) < 1e-6
             and misfit < _AGREE_TOL
         )
         # a first pass is trusted without the edge-root check only if no
         # sample's Newton step |f|/|f'| is shorter than its interval
-        if doubling == 0 and not (accepted and float(np.max(np.abs(terms))) < 1.0):
-            _refuse_edge_root(z, dlog, a, corner_list, edge_list)
+        if doubling == 0 and not (accepted and float(np.abs(terms).max()) < 1.0):
+            _refuse_edge_root(z, fz, e, a, corners.tolist(), edges.tolist())
         if accepted:
             if n_phase < 0:
                 raise NumericalError(f"negative winding {n_phase}; f is entire")
@@ -190,10 +277,10 @@ def count_roots(a: complex, window: Window) -> int:
         if doubling == _MAX_DOUBLINGS:
             break
         zm = _edge_points(corners, edges, (2 * np.arange(m) + 1) / (2 * m))
-        fm, fpm = _ring_samples(zm, a)
+        fm, em = _ring_samples(zm, a)
         min_abs = min(min_abs, _check_clearance(zm, fm))
         ring = _interleave(ring, fm)
-        dlog = _interleave(dlog, fpm / fm)
+        dlog = _interleave(dlog, (1.0 + em) / fm)
         m *= 2
     raise ResidualTooLargeError(
         f"boundary quadrature did not settle after {_MAX_DOUBLINGS} doublings "
@@ -258,11 +345,14 @@ def _split_counted(win: Window, a: complex, expected: int):
 
     The split lines are jittered away from roots: the candidates of
     _split_candidates are tried until each child contour has clearance
-    and the counts are additive.
+    and the counts are additive.  A child cleared by _cell_excluded
+    counts 0 without a contour.
     """
     for children in _split_candidates(win):
         try:
-            counted = [(ch, count_roots(a, ch)) for ch in children]
+            counted = [
+                (ch, 0 if _cell_excluded(ch, a) else count_roots(a, ch)) for ch in children
+            ]
         except (BoundaryTooCloseError, ResidualTooLargeError):
             continue
         if sum(n for _, n in counted) == expected:
@@ -277,8 +367,11 @@ def find_roots(a: complex, window: Window) -> LabeledRootSet:
 
     Subdivision isolates roots counted by count_roots: elongated cells
     are halved across their long side and near-square ones quartered
-    (see _split_candidates).  Isolated roots are polished by Newton to
-    residual max(1e-12, rounding_floor) and checked on return.  A
+    (see _split_candidates).  A child cell whose circumscribed disc the
+    exclusion test clears holds no root, on its edges either, and counts
+    0 without a contour; the children's counts must still add up.
+    Isolated roots are polished by Newton to residual
+    max(1e-12, rounding_floor) and checked on return.  A
     cell of multiple roots that no cut splits, around a critical point
     z_n with |a - a_n| <= 1e-6, is a merge cluster: one entry at z_n
     carries the cluster multiplicity and is flagged near-merge.  So is a

@@ -3,9 +3,9 @@
 Each workload is built at seed 1 and every job is run once, as in one
 pass of bench/run.py, so a check the program no longer meets (for
 example max_residual < 1e-12 on a tracked word) fails here before it
-fails in the benchmark.  The tracked steps per pass are pinned too: the
-step law has no randomness, so a change to them is a change of
-behaviour, not noise.
+fails in the benchmark.  The tracked steps and the contours counted per
+pass are pinned too: neither the step law nor the subdivision has any
+randomness, so a change to them is a change of behaviour, not noise.
 """
 
 import sys
@@ -17,6 +17,9 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # accepted tracking steps per seed-1 pass; roots-w19 does no tracking
 STEPS = {"group-w5": 917, "words-w19": 971, "roots-w19": 0}
+# count_roots calls and refused or unsettled contours per seed-1 pass;
+# words-w19 locates its roots in set-up, outside the pass
+CONTOURS = {"group-w5": (70, 7), "words-w19": (0, 0), "roots-w19": (1033, 8)}
 
 
 @pytest.fixture
@@ -46,3 +49,5 @@ def test_workload_jobs_pass_their_checks(bench, workload):
         t.uninstall()
     steps = (summary["tracking.steps_accepted"], summary["tracking.steps_rejected"])
     assert steps == (STEPS[workload], 0)
+    contours = (summary["rootwindow.count_roots.calls"], summary["rootwindow.count_roots.failed"])
+    assert contours == CONTOURS[workload]

@@ -315,10 +315,12 @@ def test_bad_input_exits_two_without_traceback(capsys, tmp_path, argv):
     [
         (["roots", "--a=0,1e300"], 2, "precondition", "|n| = 1.59e+299 exceeds"),
         (["loop", "--n", str(10**23)], 2, "precondition", "|n| = 1e+23 exceeds 1000000"),
-        # every expansion exhausts refinement: the message says so, not "blocked"
+        # the root 5.0058 - 149.19i stays within one finest spacing (0.015)
+        # of the edge Re z = 5 through all ten expansions of 1e-3: each
+        # contour is refused at its first pass, and the message names it
         (
             ["roots", "--a=0,0", "--window=-5,5,-2000,2000"], 2, "precondition",
-            "last cause: boundary quadrature did not settle",
+            "last cause: root at 5.0058-149.192j lies",
         ),
         # the end angle of 20,000 turns misses the start by 3.5e-12
         (

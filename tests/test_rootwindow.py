@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 from mono import rootwindow
 from mono.equation import FAMILY, critical_point, critical_value, real_root
-from mono.errors import BoundaryTooCloseError, PreconditionError, SubdivisionError
+from mono.errors import (
+    BoundaryTooCloseError,
+    PreconditionError,
+    ResidualTooLargeError,
+    SubdivisionError,
+)
 from mono.lambertw import lambert_w, oracle_roots
 from mono.rootsets import Window, match_positions, min_separation
 from mono.rootwindow import count_roots, find_roots
@@ -155,6 +160,27 @@ def test_edge_through_root_refused_after_first_pass(monkeypatch):
     assert ei.value.clearance < 1e-12
 
 
+def test_edge_root_between_samples_refused_after_first_pass(monkeypatch):
+    # 5.0058 - 149.19i lies 0.0058 inside the edge Re z = 5, under its
+    # finest spacing 4000 / 2^18 = 0.015, and 24 from the nearest
+    # first-pass sample: the edge cover finds it there, so no doubling is
+    # spent on a contour that none of them could settle
+    batches = _count_samples(monkeypatch)
+    with pytest.raises(BoundaryTooCloseError) as ei:
+        count_roots(0j, Window(-5.0, 5.0, -2000.0, 2000.0))
+    assert batches == [4 * rootwindow._EDGE_SAMPLES]
+    assert abs(ei.value.location - complex(5.005797, -149.192111)) < 1e-6
+    assert abs(ei.value.clearance - 0.005797) < 1e-6
+
+
+def test_exclusion_discs_past_exp_range_are_not_cleared():
+    # the first edge discs and the first cells of this window are wider
+    # than 710, where e^r overflows: they fail the test instead of raising
+    a, w = 0.3 + 0.2j, Window(-1e5, 5.0, -3.0, 3.0)
+    assert count_roots(a, w) == 1
+    _assert_matches_oracle(a, w)
+
+
 @pytest.mark.parametrize("offset, expected", [(1e-3, 1), (-1e-3, 0)])
 def test_root_resolvably_close_to_edge_counted(offset, expected):
     # the real root 1e-3 inside (or outside) the left edge of a unit window
@@ -185,16 +211,23 @@ def _count_calls(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "window, roots, calls",
-    [(Window(-5.0, 5.0, -60.0, 60.0), 19, 60), (Window(-5.0, 5.0, -6.0, 18.0), 5, 12)],
+    "window, roots, calls, cleared",
+    [(Window(-5.0, 5.0, -60.0, 60.0), 19, 45, 15), (Window(-5.0, 5.0, -6.0, 18.0), 5, 10, 2)],
     ids=["W19", "W5"],
 )
-def test_subdivision_work(monkeypatch, window, roots, calls):
-    # contours counted per find_roots, a machine-independent cost; quartering
-    # every cell, elongated ones too, took 78 and 13
+def test_subdivision_work(monkeypatch, window, roots, calls, cleared):
+    # contours counted per find_roots, a machine-independent cost.  The
+    # exclusion test clears 15 (2) of the 59 (11) child cells it is asked
+    # about, without a contour; counting every child took 60 (12)
+    # contours, and quartering every cell as well took 78 (13)
     windows = _count_calls(monkeypatch)
+    verdicts = []
+    test = rootwindow._cell_excluded
+    monkeypatch.setattr(
+        rootwindow, "_cell_excluded", lambda w, a: verdicts.append(test(w, a)) or verdicts[-1]
+    )
     assert len(find_roots(0j, window)) == roots
-    assert len(windows) == calls
+    assert (len(windows), sum(verdicts)) == (calls, cleared)
 
 
 def test_elongated_cell_halved_across_long_side(monkeypatch):
@@ -356,6 +389,47 @@ def test_count_additive_under_long_side_split(a, tall, re_min, im_min, short, as
     except BoundaryTooCloseError:
         reject()  # a contour through a root has no count
     assert sum(parts) == total == len(oracle_roots(a, range(-6, 7), window=w))
+
+
+@settings(max_examples=300)
+@given(
+    n=st.integers(-20, 20),
+    near=st.booleans(),
+    log_dist=st.floats(-8.0, -2.0),
+    far=st.complex_numbers(max_magnitude=4.0),
+    angle=st.floats(0.0, 2.0 * math.pi),
+    re=st.floats(-40.0, 5.0),
+    im=st.floats(-400.0, 400.0),
+    snap=st.floats(0.0, 2.0),
+    log_r=st.floats(-6.0, 1.0),
+)
+def test_exclusion_never_clears_a_root(n, near, log_dist, far, angle, re, im, snap, log_r):
+    # a next to a critical value a_n or anywhere in |a| <= 4; the disc of
+    # radius r around a point, or around a point within 2r of the root
+    # nearest to it, so that many discs hold a root
+    a = critical_value(n) + cmath.rect(10.0**log_dist, angle) if near else far
+    r = 10.0**log_r
+    # branch k holds the root near height Im a - 2 pi k; the disc, even
+    # when moved, lies within 8 branches of k0
+    k0 = round((a.imag - im) / (2.0 * math.pi))
+    if abs(k0) > 56:
+        reject()  # the oracle's branches end at |k| = 64
+    roots = oracle_roots(a, range(k0 - 8, k0 + 9)).positions()
+    m = complex(re, im)
+    if snap < 1.0:
+        m = min(roots, key=lambda z: abs(z - m)) + cmath.rect(2.0 * snap * r, angle)
+    e = cmath.exp(m)
+    if rootwindow._excluded(m, m + e - a, e, a, r):
+        assert all(abs(z - m) > r for z in roots)
+    # the square inscribed in that disc: a cleared cell counts 0 by contour
+    s = r / math.sqrt(2.0)
+    cell = Window(m.real - s, m.real + s, m.imag - s, m.imag + s)
+    if rootwindow._cell_excluded(cell, a):
+        assert not any(cell.contains(z) for z in roots)
+        try:
+            assert count_roots(a, cell) == 0
+        except (BoundaryTooCloseError, ResidualTooLargeError):
+            pass  # a refused contour has no count
 
 
 TALL_BRANCHES = range(-50, 51)  # every root with |Im z| <= 300
