@@ -71,9 +71,13 @@ _JITTER_TRIES = 10
 # quarter of one.  Only simple roots (|f'| above the floor) are refused, so
 # a pair near a critical point still reaches the cluster fallback
 _REFUSE_DERIV_MIN = 1e-3
-# an edge cover halves up to this many failing pieces one at a time in
-# Python; more are halved together, where numpy's per-call cost pays
-_COVER_FEW = 8
+# an edge cover cuts each failing piece into _COVER_SPLIT (three halvings
+# per numpy pass) and keeps at most _COVER_MAX failing pieces per cut,
+# shortest Newton step first: four first-pass rings.  W19's covers keep at
+# most 22, -5,5,-2000,2000's 644; -5,5,-1e6,1e6's would keep 522,732
+_COVER_SPLIT = 8
+_SPLIT_AT = np.arange(_COVER_SPLIT)
+_COVER_MAX = 16 * _EDGE_SAMPLES
 
 
 def _ring_samples(z: np.ndarray, a: complex):
@@ -140,50 +144,41 @@ def _refuse_edge_root(z, fz, e, a: complex, corners: list, edges: list) -> None:
     discs, widened by the longest edge's finest spacing (the reach),
     cover the edges.  A first-pass interval is cleared by the discs of
     half the longest spacing around both its end samples; a piece that
-    fails is halved, each half in the disc around its midpoint, until it
-    is no longer than the reach.  Newton runs from each piece that still
-    fails and whose Newton step |f|/|f'| is at most twice the reach.
+    fails is cut into _COVER_SPLIT parts, each tested in the disc around
+    its midpoint that reaches one reach past its ends, so that the discs
+    of the pieces next to a corner also cover the quadrant outside it.
+    Cutting stops at pieces no longer than the reach, and Newton runs
+    from each that still fails and whose Newton step |f|/|f'| is at most
+    twice the reach.  A cut keeps at most _COVER_MAX failing pieces, those with the
+    shortest steps, so an edge far longer than e^z's scale of variation,
+    where the discs fail along its whole length, costs about as much as
+    a short one.
     """
     m = _EDGE_SAMPLES
     longest = max(abs(d) for d in edges)
     reach = longest / (m << _MAX_DOUBLINGS)
     half = 0.5 * longest / m  # half of the longest piece
-    bad = ~_excluded(z, fz, e, a, math.hypot(half, reach))
-    k = np.flatnonzero(bad | np.concatenate((bad[1:], bad[:1])))
-    start, piece = z[k], (np.array(edges) / m)[k // m]
-    # many failing pieces are halved together, a few one by one, depth
-    # first; a failing piece no longer than the reach is kept only if its
-    # Newton step is short
-    while start.size > _COVER_FEW and 2.0 * half > reach:
-        half *= 0.5
-        piece = 0.5 * np.concatenate((piece, piece))
-        start = np.concatenate((start, start + piece[: start.size]))
-        c = start + 0.5 * piece
-        ec = np.exp(c)
-        fc = c + ec - a
-        keep = ~_excluded(c, fc, ec, a, math.hypot(half, reach))
-        if 2.0 * half <= reach:
-            keep &= np.abs(fc) <= 2.0 * reach * np.abs(1.0 + ec)
-        start, piece = start[keep], piece[keep]
-    stack = [(s, p, half) for s, p in zip(start.tolist(), piece.tolist())]
-    while stack:
-        s0, p, h = stack.pop()
-        if 2.0 * h <= reach:
-            _refuse_root_at(s0 + 0.5 * p, a, corners, edges)
-            continue
-        p *= 0.5
-        h *= 0.5
-        failed = []
-        for s in (s0, s0 + p):
-            c = s + 0.5 * p
-            ec = cmath.exp(c)
+    # past Re z = 703 the rounding floor overflows to inf: such discs fail
+    with np.errstate(over="ignore"):
+        bad = ~_excluded(z, fz, e, a, math.hypot(half, reach))
+        k = np.flatnonzero(bad | np.concatenate((bad[1:], bad[:1])))
+        start, piece = z[k], (np.array(edges) / m)[k // m]
+        while start.size and 2.0 * half > reach:
+            half /= _COVER_SPLIT
+            piece = np.repeat(piece / _COVER_SPLIT, _COVER_SPLIT)
+            start = (start[:, None] + _SPLIT_AT * piece[::_COVER_SPLIT, None]).ravel()
+            c = start + 0.5 * piece
+            ec = np.exp(c)
             fc = c + ec - a
-            if not _excluded(c, fc, ec, a, math.hypot(h, reach)) and (
-                2.0 * h > reach or abs(fc) <= 2.0 * reach * abs(1.0 + ec)
-            ):
-                failed.append((abs(fc), s))
-        # the half with the smaller |f - a| is searched first
-        stack.extend((s, p, h) for _, s in sorted(failed, reverse=True))
+            keep = ~_excluded(c, fc, ec, a, math.hypot(half + reach, reach))
+            if 2.0 * half <= reach:
+                keep &= np.abs(fc) <= 2.0 * reach * np.abs(1.0 + ec)
+            start, piece, fc, ec = start[keep], piece[keep], fc[keep], ec[keep]
+            if start.size > _COVER_MAX:
+                k = np.argsort(np.abs(fc) / np.abs(1.0 + ec), kind="stable")
+                start, piece = start[k[:_COVER_MAX]], piece[k[:_COVER_MAX]]
+    for z0 in (start + 0.5 * piece).tolist():
+        _refuse_root_at(z0, a, corners, edges)
 
 
 def _refuse_root_at(z0: complex, a: complex, corners: list, edges: list) -> None:
@@ -222,9 +217,9 @@ def count_roots(a: complex, window: Window) -> int:
     Unless the first pass is accepted with every sample's Newton step
     |f|/|f'| longer than its interval, the contour is checked once for a
     simple root within one finest sample spacing of an edge: exclusion
-    discs around the first-pass samples, halved only where they fail,
-    cover every edge, and Newton runs only from a piece that still fails
-    at that distance (see _refuse_edge_root).  Such a contour is refused
+    discs around the first-pass samples, cut smaller only where they
+    fail, cover every edge, and Newton runs only from a piece that still
+    fails at that distance (see _refuse_edge_root).  Such a contour is refused
     at once with BoundaryTooCloseError, as is one where |f - a| dips
     below the clearance floor at a sample; the caller should move it.
     Raises ResidualTooLargeError if refinement is exhausted, and

@@ -322,6 +322,13 @@ def test_bad_input_exits_two_without_traceback(capsys, tmp_path, argv):
             ["roots", "--a=0,0", "--window=-5,5,-2000,2000"], 2, "precondition",
             "last cause: root at 5.0058-149.192j lies",
         ),
+        # on the edge Re z = 5, 2e6 long, the discs fail wherever e^z
+        # dominates: the cover keeps its shortest Newton steps and still
+        # finds the real root 5.58 inside, under the finest spacing 7.63
+        (
+            ["roots", "--a=0,0", "--window=-5,5,-1e6,1e6"], 2, "precondition",
+            "lies 5.58 from the window edge, under its finest sample spacing 7.63",
+        ),
         # the end angle of 20,000 turns misses the start by 3.5e-12
         (
             ["track", "--path", "loop", "--turns", "20000"], 2, "precondition",
@@ -329,11 +336,14 @@ def test_bad_input_exits_two_without_traceback(capsys, tmp_path, argv):
         ),
     ],
     ids=[
-        "critical-index-huge", "loop-index-huge", "jitter-quadrature", "loop-turns-huge",
+        "critical-index-huge", "loop-index-huge", "jitter-quadrature", "edge-cover-long",
+        "loop-turns-huge",
     ],
 )
 def test_error_message_names_the_cause(capsys, argv, code, prefix, cause):
+    t0 = time.perf_counter()
     got, payload, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
     assert got == code
     assert payload is None
     assert err.startswith(prefix)

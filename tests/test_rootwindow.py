@@ -103,7 +103,6 @@ def test_cluster_at_critical_value_flagged():
     assert all(abs(z - zc) < 1e-4 for z in found.positions())
 
 
-
 @pytest.mark.parametrize(
     "n, window, count",
     [
@@ -122,6 +121,7 @@ def test_pair_at_critical_value_is_one_double_entry(n, window, count):
     (double,) = [e for e in found.entries if e.multiplicity > 1]
     assert (double.z, double.multiplicity) == (critical_point(n).z, 2)
     assert found.near_merge_pairs == ()
+
 
 def test_find_roots_rejects_silly_window():
     with pytest.raises(PreconditionError):
@@ -173,6 +173,27 @@ def test_edge_root_between_samples_refused_after_first_pass(monkeypatch):
     assert abs(ei.value.clearance - 0.005797) < 1e-6
 
 
+def test_edge_cover_work_is_bounded(monkeypatch):
+    # on the edge Re z = 5, 2e6 long, discs of the finest spacing 7.6 fail
+    # wherever e^z dominates f: each cut keeps at most 1,024 pieces
+    # (unbounded, the cover tested 1.26 million discs), and a root within
+    # one spacing of that edge is still found, here the real root
+    tested = []
+    test = rootwindow._excluded
+
+    def counted(z, fz, e, a, r):
+        tested.append(getattr(fz, "size", 1))
+        return test(z, fz, e, a, r)
+
+    monkeypatch.setattr(rootwindow, "_excluded", counted)
+    with pytest.raises(BoundaryTooCloseError) as ei:
+        count_roots(0j, Window(-5.0, 5.0, -1e6, 1e6))
+    assert abs(ei.value.location - real_root()) < 1e-12
+    assert ei.value.clearance < 2e6 / 2**18
+    # the first pass and four cuts of at most 1,024 pieces into 8
+    assert sum(tested) <= 256 + 4 * 8 * 1024
+
+
 def test_exclusion_discs_past_exp_range_are_not_cleared():
     # the first edge discs and the first cells of this window are wider
     # than 710, where e^r overflows: they fail the test instead of raising
@@ -186,6 +207,85 @@ def test_root_resolvably_close_to_edge_counted(offset, expected):
     # the real root 1e-3 inside (or outside) the left edge of a unit window
     x = real_root()
     assert count_roots(0j, Window(x - offset, x - offset + 1.0, -0.5, 0.5)) == expected
+
+
+def test_root_off_a_corner_refused_after_first_pass(monkeypatch):
+    # the real root lies 0.85 finest spacings diagonally outside the lower
+    # left corner, where no edge piece's disc reaches it
+    s = 1.0 / (rootwindow._EDGE_SAMPLES << rootwindow._MAX_DOUBLINGS)
+    x = real_root() + 0.6 * s
+    batches = _count_samples(monkeypatch)
+    with pytest.raises(BoundaryTooCloseError) as ei:
+        count_roots(0j, Window(x, x + 1.0, 0.6 * s, 1.0))
+    assert batches == [4 * rootwindow._EDGE_SAMPLES]
+    assert abs(ei.value.location - real_root()) < 1e-12
+
+
+def _edge_distances(z, w):
+    """Distance from z to each edge of w, with each edge's finest spacing."""
+    finest = rootwindow._EDGE_SAMPLES << rootwindow._MAX_DOUBLINGS
+    corners = w.corners()
+    out = []
+    for c, d in zip(corners, corners[1:] + corners[:1]):
+        d -= c
+        t = min(max(((z - c) * d.conjugate()).real / abs(d) ** 2, 0.0), 1.0)
+        out.append((abs(z - (c + t * d)), abs(d) / finest))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.complex_numbers(max_magnitude=3.0),
+    branch=st.integers(-40, 40),
+    side=st.sampled_from(["left", "right", "bottom", "top"]),
+    log_length=st.floats(0.0, math.log10(4000.0)),
+    spacings=st.floats(0.5, 4.0),
+    inside=st.booleans(),
+    aspect=st.floats(0.1, 1.0),
+    frac=st.floats(0.1, 0.9),
+)
+def test_root_near_long_edge_counted_or_refused(
+    a, branch, side, log_length, spacings, inside, aspect, frac
+):
+    # one edge passes 0.5 to 4 of its finest spacings from an oracle root,
+    # inside or outside the window: the count is right, or the contour is
+    # refused naming a root within one finest spacing of an edge (the
+    # refusal distance).  Edges run 1 to 4000 long, vertical ones to 790,
+    # so that |Im z| <= 395 keeps every root on the oracle's branches
+    r = a - lambert_w(cmath.exp(a), branch)
+    length = 10.0**log_length
+    if side in ("left", "right"):
+        length = min(length, 790.0)
+    off = spacings * length / (rootwindow._EDGE_SAMPLES << rootwindow._MAX_DOUBLINGS)
+    off = off if inside else -off
+    other = aspect * min(length, 300.0)
+    if side in ("left", "right"):
+        lo = min(max(r.imag - frac * length, -395.0), 395.0 - length)
+        if side == "left":
+            w = Window(r.real - off, min(r.real - off + other, 20.0), lo, lo + length)
+        else:
+            w = Window(r.real + off - other, r.real + off, lo, lo + length)
+    else:
+        # the window stays left of Re z = 20, where e^z is tame
+        lo = min(r.real - frac * length, 20.0 - length)
+        if side == "bottom":
+            w = Window(lo, lo + length, r.imag - off, min(r.imag - off + other, 395.0))
+        else:
+            w = Window(lo, lo + length, max(r.imag + off - other, -395.0), r.imag + off)
+    roots = oracle_roots(a, range(-64, 65)).positions()
+    # the outcome only: a failing example must not keep count_roots' frames,
+    # whose refined rings reach 1e6 samples, alive through its traceback
+    try:
+        count, refused = count_roots(a, w), None
+    except BoundaryTooCloseError as exc:
+        count, refused = None, exc.location
+    except ResidualTooLargeError:
+        count, refused = "refinement exhausted", None
+    if refused is None:
+        assert count == sum(w.contains(z) for z in roots)
+    else:
+        assert any(abs(z - refused) < 1e-9 for z in roots)
+        assert any(dist < finest for dist, finest in _edge_distances(refused, w))
 
 
 def test_nineteen_root_bundle_boundary_work(monkeypatch):
