@@ -7,7 +7,8 @@ root of f, and the double-logarithm change of variables that links the
 self-power equation x^x = a to this family.
 
 It also holds the one residual rule, |f(z) - a| <= max(RESIDUAL_TOL,
-rounding_floor): newton stops on it, and every caller accepts by it.
+rounding_floor): newton stops on it, and every caller accepts by
+residual_bound.
 """
 
 from __future__ import annotations
@@ -70,6 +71,14 @@ def rounding_floor(zm: float, ee: float, am: float, fa: float) -> float:
     Stability of Numerical Algorithms, 2nd ed., ch. 3).  At a root tau is
     about eps |z|^2, above 1e-12 past |z| = 67."""
     return _EPS * (zm + ee + am + zm * fa)
+
+
+def residual_bound(z: complex, a: complex, d: complex) -> tuple[float, float]:
+    """(tau, bound) at a root z of f = a with f'(z) = d: tau is
+    rounding_floor with |e^z| = exp(Re z), and bound = max(RESIDUAL_TOL,
+    tau) is the largest |f(z) - a| the residual rule accepts."""
+    tau = rounding_floor(abs(z), math.exp(z.real), abs(a), abs(d))
+    return tau, max(RESIDUAL_TOL, tau)
 
 
 def exp_tail(ee: float, r: float) -> float:
@@ -155,29 +164,33 @@ def nearest_critical(a: complex) -> tuple[int, float]:
     return best_n, best_d
 
 
+def solve_increasing(g, dg, lo: float, hi: float) -> float:
+    """The zero of g, strictly increasing on [lo, hi] with derivative dg:
+    80 bisections bracket it, then 4 Newton steps polish it to machine
+    precision."""
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    x = 0.5 * (lo + hi)
+    for _ in range(4):
+        x -= g(x) / dg(x)
+    return x
+
+
 _REAL_ROOT: float | None = None
 
 
 def real_root() -> float:
-    """Unique real solution of x + e^x = 0.
-
-    Bisection on [-1, 0] brackets the root (the function is strictly
-    increasing on the reals), then a few Newton steps polish to machine
-    precision.  The value is cached after the first call.
-    """
+    """Unique real solution of x + e^x = 0, in [-1, 0], where the function
+    is strictly increasing; cached after the first call."""
     global _REAL_ROOT
     if _REAL_ROOT is None:
-        lo, hi = -1.0, 0.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if mid + math.exp(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        x = 0.5 * (lo + hi)
-        for _ in range(4):
-            x -= (x + math.exp(x)) / (1.0 + math.exp(x))
-        _REAL_ROOT = x
+        _REAL_ROOT = solve_increasing(
+            lambda x: x + math.exp(x), lambda x: 1.0 + math.exp(x), -1.0, 0.0
+        )
     return _REAL_ROOT
 
 

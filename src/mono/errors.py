@@ -50,7 +50,9 @@ class ConvergenceError(NumericalError):
 
 
 class ResidualTooLargeError(NumericalError):
-    """Adaptive quadrature exhausted refinement without meeting tolerance."""
+    """A contour's winding number could not be certified: boundary pieces
+    still fail the exclusion test at the finest spacing, or too many fail
+    at one cut, and Newton names no root next to an edge."""
 
 
 class SubdivisionError(NumericalError):

@@ -35,6 +35,7 @@ from .equation import (
     critical_value,
     real_root,
     require_finite,
+    solve_increasing,
 )
 from .errors import PathContinuityError, PreconditionError
 
@@ -305,17 +306,9 @@ def horizontal_stop(rho: float) -> float:
     from the left."""
     rho = _validate_rho(rho)
     target = -(1.0 + rho)
-    lo, hi = -(2.0 + rho), 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid - math.exp(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    s = 0.5 * (lo + hi)
-    for _ in range(4):
-        s -= (s - math.exp(s) - target) / (1.0 - math.exp(s))
-    return s
+    return solve_increasing(
+        lambda s: s - math.exp(s) - target, lambda s: 1.0 - math.exp(s), -(2.0 + rho), 0.0
+    )
 
 
 def _closed_arc(center: complex, rho: float, turns: int) -> ArcSegment:

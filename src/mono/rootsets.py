@@ -14,7 +14,7 @@ from functools import cmp_to_key
 
 import numpy as np
 
-from .equation import FAMILY, RESIDUAL_TOL, rounding_floor
+from .equation import FAMILY, residual_bound
 from .errors import NumericalError, PreconditionError, UnmatchedRootError
 
 SEPARATION_FLOOR = 1e-8
@@ -190,8 +190,7 @@ class LabeledRootSet:
                 continue
             r = abs(FAMILY.eval(e.z) - self.a)
             worst = max(worst, r)
-            d = FAMILY.deriv(e.z)
-            bound = max(RESIDUAL_TOL, rounding_floor(abs(e.z), abs(d - 1.0), abs(self.a), abs(d)))
+            _, bound = residual_bound(e.z, self.a, FAMILY.deriv(e.z))
             if r > bound:
                 raise NumericalError(f"label {e.label} residual {r:.3g} > {bound:.3g}")
         return worst

@@ -1,15 +1,13 @@
 """Contour-based root counting and location in rectangular windows.
 
-count_roots integrates f'/(f - a) around the window boundary to get the
-number of roots inside.  The boundary is one ring of samples, all four
-edges in one array evaluated by one exp; the composite trapezoid rule is
-a dot product with per-sample weights.  A phase-increment guard refuses
-to trust an undersampled ring, and each refinement doubles the ring in
-place, evaluating only the new midpoints.  A contour that fails its
-first pass because a simple root sits on an edge, closer than any
-refinement could resolve, is refused at once instead of refined to
-exhaustion: discs that an exclusion test proves root-free cover the
-edges, and only where they fail does Newton look for that root.
+count_roots gets the number of roots inside the window as the winding
+number of f - a around its boundary, certified piece by piece: discs
+that an exclusion test proves root-free cover the boundary, and across
+each piece so covered arg(f - a) changes by the principal arg of the
+ratio of its end values.  All four edges are sampled in one array by
+one exp, and only the pieces whose discs fail are cut and sampled
+again.  A piece that still fails at the finest spacing marks a root on
+or next to an edge: Newton names it, and the contour is refused.
 find_roots recurses down to isolated roots: a cell at least twice as
 long as it is wide is halved across its long side, any other cell is
 quartered, and the cut lines move off roots along a ladder of offsets
@@ -26,17 +24,16 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
 from .equation import (
     EXP_RE_MAX,
     critical_point,
-    exp_tail,
     nearest_critical,
     newton,
     require_finite,
-    rounding_floor,
 )
 from .errors import (
     BoundaryTooCloseError,
@@ -48,15 +45,21 @@ from .errors import (
 from .rootsets import NEAR_MERGE_RADIUS, LabeledRootSet, Window, canonical_root_set
 
 BOUNDARY_CLEARANCE = 1e-9
-# tighter internal agreement target between quadrature and phase count
-_AGREE_TOL = 0.05
-_PHASE_INC_MAX = 0.5 * math.pi
+_EPS = sys.float_info.epsilon
 _NEWTON_MAX_ITER = 60
-# boundary samples per edge before doubling, and how often to double
+# first-pass pieces per edge; a piece that fails is cut into _COVER_SPLIT,
+# at most _CUTS times, down to the finest spacing edge / _FINEST = edge / 2^18
 _EDGE_SAMPLES = 64
-_MAX_DOUBLINGS = 12
-# first-pass sample fractions along each edge
-_FIRST_U = np.arange(_EDGE_SAMPLES) / _EDGE_SAMPLES
+_COVER_SPLIT = 8
+_CUTS = 4
+_FINEST = _EDGE_SAMPLES * _COVER_SPLIT**_CUTS
+# sample fractions along an edge, both corners included, and inside a piece
+_FIRST_U = np.arange(_EDGE_SAMPLES + 1) / _EDGE_SAMPLES
+_CUT_U = np.arange(1, _COVER_SPLIT) / _COVER_SPLIT
+# a cut with more failed pieces than this is not refined but refused:
+# -5,5,-1e6,1e6 fails 8,192 at its third cut, the benchmark's contours
+# at most 64 at any cut
+_COVER_MAX = 16 * _EDGE_SAMPLES
 _MAX_DEPTH = 48
 # |a - a_n| up to which a multi-root cell at z_n that no cut splits is a cluster
 _CLUSTER_DIST = 1e-6
@@ -66,18 +69,10 @@ _SPLIT_OFFSETS = (0.0, 0.033, -0.033, 0.071, -0.071, 0.137, -0.137)
 _JITTER_STEP = 1e-3
 _JITTER_TRIES = 10
 
-# a simple root within one finest sample spacing of an edge is refused at
-# the first pass: doubling resolves a root one spacing off an edge, not a
-# quarter of one.  Only simple roots (|f'| above the floor) are refused, so
-# a pair near a critical point still reaches the cluster fallback
+# a simple root within one finest spacing of an edge is refused by name.
+# Only simple roots (|f'| above the floor) are refused, so a pair near a
+# critical point still reaches the cluster fallback
 _REFUSE_DERIV_MIN = 1e-3
-# an edge cover cuts each failing piece into _COVER_SPLIT (three halvings
-# per numpy pass) and keeps at most _COVER_MAX failing pieces per cut,
-# shortest Newton step first: four first-pass rings.  W19's covers keep at
-# most 22, -5,5,-2000,2000's 644; -5,5,-1e6,1e6's would keep 522,732
-_COVER_SPLIT = 8
-_SPLIT_AT = np.arange(_COVER_SPLIT)
-_COVER_MAX = 16 * _EDGE_SAMPLES
 
 
 def _ring_samples(z: np.ndarray, a: complex):
@@ -86,99 +81,45 @@ def _ring_samples(z: np.ndarray, a: complex):
     return z + e - a, e
 
 
-def _edge_points(corners: np.ndarray, edges: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Points at fractions u along each edge, in ring order (edge by edge)."""
-    return (corners[:, None] + u * edges[:, None]).ravel()
-
-
-def _interleave(old: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """old[0], new[0], old[1], new[1], ...: midpoints into their ring slots."""
-    out = np.empty(old.size + new.size, dtype=old.dtype)
-    out[0::2] = old
-    out[1::2] = new
-    return out
-
-
-def _check_clearance(z: np.ndarray, fz: np.ndarray) -> float:
-    """Smallest |f - a| among the samples; raises if a root is on them."""
+def _check_clearance(z: np.ndarray, fz: np.ndarray) -> None:
+    """Raise if |f - a| is under the clearance floor at a sample."""
     mod = np.abs(fz)
-    k = int(mod.argmin())
-    if mod[k] <= BOUNDARY_CLEARANCE:
+    k = mod.argmin()
+    if mod.flat[k] <= BOUNDARY_CLEARANCE:
         raise BoundaryTooCloseError(
-            f"|f - a| = {mod[k]:.3g} on window boundary",
-            clearance=float(mod[k]),
-            location=complex(z[k]),
+            f"|f - a| = {mod.flat[k]:.3g} on window boundary",
+            clearance=float(mod.flat[k]),
+            location=complex(z.flat[k]),
         )
-    return float(mod[k])
 
 
-def _excluded(z, fz, e, a: complex, r: float):
+def _excluded(z, fz, e, a: complex, r):
     """True where the closed disc |w - z| <= r provably holds no root.
 
     The soft exclusion test T0 (Yap, Sagraloff & Sharma, CiE 2013; Becker,
     Sagraloff, Sharma & Yap, J. Symb. Comput. 86, 2018) with the exact
     Taylor tail of f = z + e^z, whose derivatives past the first are all
-    e^z: on the disc |f(w) - a| >= |f(z) - a| - |f'(z)| r - exp_tail,
-    and the computed |f(z) - a| is within rounding_floor of the true one.
-    fz is f(z) - a and e is e^z; works elementwise on arrays for a scalar r.
+    e^z: on the disc |f(w) - f(z)| <= |f'(z)| r + exp_tail(|e^z|, r), and
+    the computed f(z) - a is within rounding_floor of the true one.  So
+    where |f(z) - a| exceeds their sum, f - a maps the disc into a disc
+    around the computed f(z) - a that excludes 0.  fz is f(z) - a and e
+    is e^z, elementwise on arrays, r too; z enters only through |z|, so a
+    bound on |z| serves for a whole array.  Past r = EXP_RE_MAX, e^r
+    overflows to inf and the disc fails (under np.errstate for arrays).
     """
-    if r > EXP_RE_MAX:  # e^r overflows: a disc this wide is never cleared
-        return np.zeros(np.shape(fz), dtype=bool)
     ee, fa = abs(e), abs(1.0 + e)
-    return abs(fz) - rounding_floor(abs(z), ee, abs(a), fa) > fa * r + exp_tail(ee, r)
+    zm = abs(z)
+    # rounding_floor(zm, ee, |a|, fa) + fa r + exp_tail(ee, r), gathered by
+    # modulus so that an array takes few passes
+    return abs(fz) > fa * (r + _EPS * zm) + ee * (np.expm1(r) - r + _EPS) + _EPS * (zm + abs(a))
 
 
 def _cell_excluded(win: Window, a: complex) -> bool:
     """_excluded on the disc around the cell's centre through its corners."""
     m = win.center
+    r = 0.5 * math.hypot(win.width, win.height)
     e = cmath.exp(m)
-    return _excluded(m, m + e - a, e, a, 0.5 * math.hypot(win.width, win.height))
-
-
-def _refuse_edge_root(z, fz, e, a: complex, corners: list, edges: list) -> None:
-    """Raise BoundaryTooCloseError for a simple root too close to an edge.
-
-    A root with |f'| above the floor within one finest spacing (edge
-    length / 2^18) of an edge is closer than any doubling resolves: the
-    guards would fail through every pass, or pass by aliasing.  Exclusion
-    discs, widened by the longest edge's finest spacing (the reach),
-    cover the edges.  A first-pass interval is cleared by the discs of
-    half the longest spacing around both its end samples; a piece that
-    fails is cut into _COVER_SPLIT parts, each tested in the disc around
-    its midpoint that reaches one reach past its ends, so that the discs
-    of the pieces next to a corner also cover the quadrant outside it.
-    Cutting stops at pieces no longer than the reach, and Newton runs
-    from each that still fails and whose Newton step |f|/|f'| is at most
-    twice the reach.  A cut keeps at most _COVER_MAX failing pieces, those with the
-    shortest steps, so an edge far longer than e^z's scale of variation,
-    where the discs fail along its whole length, costs about as much as
-    a short one.
-    """
-    m = _EDGE_SAMPLES
-    longest = max(abs(d) for d in edges)
-    reach = longest / (m << _MAX_DOUBLINGS)
-    half = 0.5 * longest / m  # half of the longest piece
-    # past Re z = 703 the rounding floor overflows to inf: such discs fail
-    with np.errstate(over="ignore"):
-        bad = ~_excluded(z, fz, e, a, math.hypot(half, reach))
-        k = np.flatnonzero(bad | np.concatenate((bad[1:], bad[:1])))
-        start, piece = z[k], (np.array(edges) / m)[k // m]
-        while start.size and 2.0 * half > reach:
-            half /= _COVER_SPLIT
-            piece = np.repeat(piece / _COVER_SPLIT, _COVER_SPLIT)
-            start = (start[:, None] + _SPLIT_AT * piece[::_COVER_SPLIT, None]).ravel()
-            c = start + 0.5 * piece
-            ec = np.exp(c)
-            fc = c + ec - a
-            keep = ~_excluded(c, fc, ec, a, math.hypot(half + reach, reach))
-            if 2.0 * half <= reach:
-                keep &= np.abs(fc) <= 2.0 * reach * np.abs(1.0 + ec)
-            start, piece, fc, ec = start[keep], piece[keep], fc[keep], ec[keep]
-            if start.size > _COVER_MAX:
-                k = np.argsort(np.abs(fc) / np.abs(1.0 + ec), kind="stable")
-                start, piece = start[k[:_COVER_MAX]], piece[k[:_COVER_MAX]]
-    for z0 in (start + 0.5 * piece).tolist():
-        _refuse_root_at(z0, a, corners, edges)
+    return r <= EXP_RE_MAX and bool(_excluded(m, m + e - a, e, a, r))
 
 
 def _refuse_root_at(z0: complex, a: complex, corners: list, edges: list) -> None:
@@ -188,14 +129,13 @@ def _refuse_root_at(z0: complex, a: complex, corners: list, edges: list) -> None
     if hit is None or abs(hit[2]) < _REFUSE_DERIV_MIN:
         return
     root = hit[0]
-    finest = _EDGE_SAMPLES << _MAX_DOUBLINGS
     for c, d in zip(corners, edges):
         t = min(max(((root - c) * d.conjugate()).real / abs(d) ** 2, 0.0), 1.0)
         dist = abs(root - (c + t * d))
-        if dist < abs(d) / finest:
+        if dist < abs(d) / _FINEST:
             raise BoundaryTooCloseError(
                 f"root at {root:.6g} lies {dist:.3g} from the window edge, "
-                f"under its finest sample spacing {abs(d) / finest:.3g}",
+                f"under its finest sample spacing {abs(d) / _FINEST:.3g}",
                 clearance=dist,
                 location=root,
             )
@@ -204,88 +144,87 @@ def _refuse_root_at(z0: complex, a: complex, corners: list, edges: list) -> None
 def count_roots(a: complex, window: Window) -> int:
     """Number of roots of z + e^z = a inside the window, by winding number.
 
-    One ring of m samples per edge covers the whole boundary, sampled by
-    one exp.  The boundary integral (1/2 pi i) of f'/(f - a) is the
-    trapezoid rule written as one dot product of per-sample weights with
-    the integrand: each sample weighs dz/2 from each neighbouring
-    interval.  A pass is accepted when every
-    discrete phase increment of f - a along the ring stays below pi/2
-    and the quadrature agrees with the integer phase winding.  Otherwise
-    m doubles in place: only the new midpoints are evaluated, and every
-    earlier sample is kept.
+    The boundary is cut into pieces, 64 per edge at first, with both
+    corners sampled on each edge.  A piece of length h is certified when
+    _excluded clears the discs of radius h/2 around both its end samples:
+    f - a maps each half of the piece into a disc around its end value
+    that excludes 0, and the two discs overlap, so arg(f - a) changes
+    along the piece by the principal arg of f(z1) - a over f(z0) - a.
+    The winding number is the rounded sum of those changes over the
+    certified pieces.  A piece that fails is cut into _COVER_SPLIT and
+    only the new points are evaluated, down to the finest spacing edge
+    length / 2^18.
 
-    Unless the first pass is accepted with every sample's Newton step
-    |f|/|f'| longer than its interval, the contour is checked once for a
-    simple root within one finest sample spacing of an edge: exclusion
-    discs around the first-pass samples, cut smaller only where they
-    fail, cover every edge, and Newton runs only from a piece that still
-    fails at that distance (see _refuse_edge_root).  Such a contour is refused
-    at once with BoundaryTooCloseError, as is one where |f - a| dips
-    below the clearance floor at a sample; the caller should move it.
-    Raises ResidualTooLargeError if refinement is exhausted, and
-    EvalRangeError for a window reaching past EXP_RE_MAX, where e^z
-    overflows.
+    Pieces that still fail there, or a cut with more than _COVER_MAX
+    failed pieces, end the count: Newton runs from their start samples,
+    shortest Newton step |f|/|f'| first, and a simple root it finds
+    within one finest spacing of an edge is refused with
+    BoundaryTooCloseError, as is a sample where |f - a| dips below the
+    clearance floor; the caller should move the contour.  Otherwise
+    ResidualTooLargeError.  EvalRangeError for a window reaching past
+    EXP_RE_MAX, where e^z overflows.
     """
     if window.re_max > EXP_RE_MAX:
         raise EvalRangeError(
             f"exp would overflow: window re_max = {window.re_max:.6g} "
             f"exceeds {EXP_RE_MAX:.6g}"
         )
-    corners = np.array(window.corners())
-    edges = corners[[1, 2, 3, 0]] - corners
-    # a corner sample weighs half of each of the two edges' intervals
-    corner_weights = 0.5 * (edges[[3, 0, 1, 2]] + edges)
-    m = _EDGE_SAMPLES
-    z = _edge_points(corners, edges, _FIRST_U)
+    corners = window.corners()
+    ends = corners[1:] + corners[:1]
+    edges = [q - p for p, q in zip(corners, ends)]
+    # one row per edge, both of its corners sampled: points z, f - a,
+    # e^z, and r, half the row's piece length
+    step = np.array(edges)[:, None]
+    z = np.array(corners)[:, None] + _FIRST_U * step
+    z[:, -1] = ends
+    r = abs(step) / (2 * _EDGE_SAMPLES)
+    zm = max(map(abs, corners))  # |z| is largest at a corner
     fz, e = _ring_samples(z, a)
-    min_abs = _check_clearance(z, fz)
-    dlog = (1.0 + e) / fz
-    ring = np.empty(fz.size + 1, dtype=fz.dtype)  # f - a around the closed ring
-    ring[:-1] = fz
-    ring[-1] = fz[0]
-    for doubling in range(_MAX_DOUBLINGS + 1):
-        # weighted integrand: its sum is the trapezoid rule, and each term
-        # is the predicted change of log(f - a) over the sample's interval;
-        # a sample weighs its edge's interval, a corner its corner weight
-        terms = dlog.reshape(4, m) * (edges / m)[:, None]
-        terms[:, 0] = dlog[::m] * (corner_weights / m)
-        terms = terms.ravel()
-        winding = complex(terms.sum()) / (2j * math.pi)
-        ratio = ring[1:] / ring[:-1]
-        increments = np.arctan2(ratio.imag, ratio.real)
-        phase_total = float(increments.sum()) / (2.0 * math.pi)
-        n_phase = round(phase_total)
-        misfit = abs(winding.real - n_phase) + abs(winding.imag)
-        accepted = (
-            float(np.abs(increments).max()) < _PHASE_INC_MAX
-            and abs(phase_total - n_phase) < 1e-6
-            and misfit < _AGREE_TOL
-        )
-        # a first pass is trusted without the edge-root check only if no
-        # sample's Newton step |f|/|f'| is shorter than its interval
-        if doubling == 0 and not (accepted and float(np.abs(terms).max()) < 1.0):
-            _refuse_edge_root(z, fz, e, a, corners.tolist(), edges.tolist())
-        if accepted:
-            if n_phase < 0:
-                raise NumericalError(f"negative winding {n_phase}; f is entire")
-            return int(n_phase)
-        if doubling == _MAX_DOUBLINGS:
-            break
-        zm = _edge_points(corners, edges, (2 * np.arange(m) + 1) / (2 * m))
-        fm, em = _ring_samples(zm, a)
-        min_abs = min(min_abs, _check_clearance(zm, fm))
-        ring = _interleave(ring, fm)
-        dlog = _interleave(dlog, (1.0 + em) / fm)
-        m *= 2
-    raise ResidualTooLargeError(
-        f"boundary quadrature did not settle after {_MAX_DOUBLINGS} doublings "
-        f"(misfit {misfit:.3g}, min boundary |f - a| = {min_abs:.3g})"
-    )
+    _check_clearance(z, fz)
+    winding = 0.0
+    # a bound that overflows, as e^r does past r = EXP_RE_MAX, fails its disc
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cut in range(_CUTS + 1):
+            ok = _excluded(zm, fz, e, a, r)
+            ratio = fz[:, 1:] / fz[:, :-1]
+            turn = np.arctan2(ratio.imag, ratio.real)
+            if ok.all():
+                winding += float(turn.sum())
+                break
+            certified = ok[:, :-1] & ok[:, 1:]
+            winding += float(turn[certified].sum())
+            failed = ~certified
+            z0, z1 = z[:, :-1][failed], z[:, 1:][failed]
+            f0, f1 = fz[:, :-1][failed], fz[:, 1:][failed]
+            e0, e1 = e[:, :-1][failed], e[:, 1:][failed]
+            if cut == _CUTS or z0.size > _COVER_MAX:
+                order = np.argsort(np.abs(f0) / np.abs(1.0 + e0), kind="stable")
+                for z_start in z0[order[:_COVER_MAX]].tolist():
+                    _refuse_root_at(z_start, a, corners, edges)
+                raise ResidualTooLargeError(
+                    f"winding number not certified: {z0.size} boundary pieces "
+                    f"fail the exclusion test at spacing {2.0 * float(r.min()):.3g} "
+                    f"(min |f - a| = {float(np.abs(f0).min()):.3g})"
+                )
+            # cut each failed piece; only the new points are evaluated
+            zn = z0[:, None] + _CUT_U * (z1 - z0)[:, None]
+            fn, en = _ring_samples(zn, a)
+            _check_clearance(zn, fn)
+            z = np.hstack((z0[:, None], zn, z1[:, None]))
+            fz = np.hstack((f0[:, None], fn, f1[:, None]))
+            e = np.hstack((e0[:, None], en, e1[:, None]))
+            r = np.broadcast_to(r, failed.shape)[failed][:, None] / _COVER_SPLIT
+    if not math.isfinite(winding):  # f - a near 1e308 overflows the turn
+        raise EvalRangeError(f"f - a overflows on the boundary of {window!r}")
+    n = round(winding / (2.0 * math.pi))
+    if n < 0:
+        raise NumericalError(f"negative winding {n}; f is entire")
+    return n
 
 
 def _count_with_jitter(a: complex, window: Window) -> tuple[int, Window]:
     """count_roots, expanding the window slightly when a root sits on or
-    impractically close to the edge (quadrature exhaustion counts too)."""
+    too close to the edge for the disc cover to certify the count."""
     w = window
     for _ in range(_JITTER_TRIES):
         try:

@@ -48,7 +48,7 @@ import io
 import math
 from dataclasses import dataclass, field
 
-from .equation import FAMILY, RESIDUAL_TOL, exp_tail, nearest_critical, newton, rounding_floor
+from .equation import FAMILY, exp_tail, nearest_critical, newton, residual_bound, rounding_floor
 from .errors import PreconditionError, StepUnderflowError
 from .jsonio import atomic_write_text
 from .paths import ParamPath
@@ -161,9 +161,9 @@ def track_bundle(
                 f"move the basepoint away from the critical value"
             )
         fz, d = FAMILY.eval(e.z), FAMILY.deriv(e.z)
-        tau = rounding_floor(abs(e.z), math.exp(e.z.real), abs(path.start), abs(d))
+        tau, bound = residual_bound(e.z, path.start, d)
         r0 = abs(fz - start.a)
-        if r0 > max(RESIDUAL_TOL, tau):
+        if r0 > bound:
             raise PreconditionError(f"label {e.label} starts with residual {r0:.3g}")
         res = abs(fz - path.start)  # tracking starts at path.start
         residuals.append(res)

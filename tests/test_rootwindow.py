@@ -150,48 +150,39 @@ def _count_samples(monkeypatch):
     return batches
 
 
-def test_edge_through_root_refused_after_first_pass(monkeypatch):
-    # the bottom edge Im z = 0 runs through the real root of z + e^z = 0
+def test_edge_through_root_refused(monkeypatch):
+    # the bottom edge Im z = 0 runs through the real root of z + e^z = 0:
+    # the two pieces around it fail down to the finest spacing, and Newton
+    # from them names the root
     batches = _count_samples(monkeypatch)
     with pytest.raises(BoundaryTooCloseError) as ei:
         count_roots(0j, Window(-1.0, 1.0, 0.0, 1.0))
-    assert batches == [4 * rootwindow._EDGE_SAMPLES]
+    assert batches == [260] + [2 * 7] * rootwindow._CUTS
     assert abs(ei.value.location - real_root()) < 1e-12
     assert ei.value.clearance < 1e-12
 
 
-def test_edge_root_between_samples_refused_after_first_pass(monkeypatch):
+def test_edge_root_between_samples_counted(monkeypatch):
     # 5.0058 - 149.19i lies 0.0058 inside the edge Re z = 5, under its
-    # finest spacing 4000 / 2^18 = 0.015, and 24 from the nearest
-    # first-pass sample: the edge cover finds it there, so no doubling is
-    # spent on a contour that none of them could settle
+    # finest spacing 4000 / 2^18 = 0.015, but no finest piece's end disc
+    # reaches it: the contour is certified, and the count is the oracle's
     batches = _count_samples(monkeypatch)
-    with pytest.raises(BoundaryTooCloseError) as ei:
-        count_roots(0j, Window(-5.0, 5.0, -2000.0, 2000.0))
-    assert batches == [4 * rootwindow._EDGE_SAMPLES]
-    assert abs(ei.value.location - complex(5.005797, -149.192111)) < 1e-6
-    assert abs(ei.value.clearance - 0.005797) < 1e-6
+    w = Window(-5.0, 5.0, -2000.0, 2000.0)
+    assert count_roots(0j, w) == len(oracle_roots(0j, range(-64, 65), window=w)) == 47
+    assert batches == [260, 896, 3584, 840, 56]
 
 
 def test_edge_cover_work_is_bounded(monkeypatch):
-    # on the edge Re z = 5, 2e6 long, discs of the finest spacing 7.6 fail
-    # wherever e^z dominates f: each cut keeps at most 1,024 pieces
-    # (unbounded, the cover tested 1.26 million discs), and a root within
-    # one spacing of that edge is still found, here the real root
-    tested = []
-    test = rootwindow._excluded
-
-    def counted(z, fz, e, a, r):
-        tested.append(getattr(fz, "size", 1))
-        return test(z, fz, e, a, r)
-
-    monkeypatch.setattr(rootwindow, "_excluded", counted)
+    # on the edge Re z = 5, 2e6 long, discs fail wherever e^z dominates f:
+    # the third cut fails 8,192 pieces, more than _COVER_MAX, so the count
+    # ends there, and a root within one spacing of that edge is still
+    # found, here the real root
+    batches = _count_samples(monkeypatch)
     with pytest.raises(BoundaryTooCloseError) as ei:
         count_roots(0j, Window(-5.0, 5.0, -1e6, 1e6))
     assert abs(ei.value.location - real_root()) < 1e-12
-    assert ei.value.clearance < 2e6 / 2**18
-    # the first pass and four cuts of at most 1,024 pieces into 8
-    assert sum(tested) <= 256 + 4 * 8 * 1024
+    assert ei.value.clearance < 2e6 / rootwindow._FINEST
+    assert batches == [260, 7 * 128, 7 * rootwindow._COVER_MAX]
 
 
 def test_exclusion_discs_past_exp_range_are_not_cleared():
@@ -209,21 +200,21 @@ def test_root_resolvably_close_to_edge_counted(offset, expected):
     assert count_roots(0j, Window(x - offset, x - offset + 1.0, -0.5, 0.5)) == expected
 
 
-def test_root_off_a_corner_refused_after_first_pass(monkeypatch):
+def test_root_off_a_corner_counted(monkeypatch):
     # the real root lies 0.85 finest spacings diagonally outside the lower
-    # left corner, where no edge piece's disc reaches it
-    s = 1.0 / (rootwindow._EDGE_SAMPLES << rootwindow._MAX_DOUBLINGS)
+    # left corner: the corner pieces fail down to the finest spacing,
+    # whose end discs miss it, and the count is the oracle's 0
+    s = 1.0 / rootwindow._FINEST
     x = real_root() + 0.6 * s
+    w = Window(x, x + 1.0, 0.6 * s, 1.0)
     batches = _count_samples(monkeypatch)
-    with pytest.raises(BoundaryTooCloseError) as ei:
-        count_roots(0j, Window(x, x + 1.0, 0.6 * s, 1.0))
-    assert batches == [4 * rootwindow._EDGE_SAMPLES]
-    assert abs(ei.value.location - real_root()) < 1e-12
+    assert count_roots(0j, w) == len(oracle_roots(0j, range(-3, 4), window=w)) == 0
+    assert batches == [260] + [2 * 7] * rootwindow._CUTS
 
 
 def _edge_distances(z, w):
     """Distance from z to each edge of w, with each edge's finest spacing."""
-    finest = rootwindow._EDGE_SAMPLES << rootwindow._MAX_DOUBLINGS
+    finest = rootwindow._FINEST
     corners = w.corners()
     out = []
     for c, d in zip(corners, corners[1:] + corners[:1]):
@@ -256,7 +247,7 @@ def test_root_near_long_edge_counted_or_refused(
     length = 10.0**log_length
     if side in ("left", "right"):
         length = min(length, 790.0)
-    off = spacings * length / (rootwindow._EDGE_SAMPLES << rootwindow._MAX_DOUBLINGS)
+    off = spacings * length / rootwindow._FINEST
     off = off if inside else -off
     other = aspect * min(length, 300.0)
     if side in ("left", "right"):
@@ -288,6 +279,73 @@ def test_root_near_long_edge_counted_or_refused(
         assert any(dist < finest for dist, finest in _edge_distances(refused, w))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["plain", "elongated", "near-critical", "near-edge"]),
+    a=st.complex_numbers(max_magnitude=3.0),
+    n=st.integers(-20, 20),
+    log_dist=st.floats(-12.0, -3.0),
+    angle=st.floats(0.0, 2.0 * math.pi),
+    short=st.floats(0.5, 6.0),
+    aspect=st.floats(1.0, 40.0),
+    tall=st.booleans(),
+    fx=st.floats(0.0, 1.0),
+    fy=st.floats(0.0, 1.0),
+    side=st.sampled_from(["left", "right", "bottom", "top"]),
+    spacings=st.floats(0.5, 4.0),
+    inside=st.booleans(),
+)
+def test_count_matches_oracle_or_refuses(
+    kind, a, n, log_dist, angle, short, aspect, tall, fx, fy, side, spacings, inside
+):
+    # count_roots gives the oracle's count, or refuses naming an oracle
+    # root within one finest spacing of an edge.  Plain windows have
+    # aspect up to 2, elongated ones up to 40.  Near-critical windows hold
+    # z_n, with |a - a_n| from 1e-12 to 1e-3, at least 5% of a side inside:
+    # a pair straddling an edge within a finest spacing has |f'| under the
+    # refusal floor and is left to find_roots' cluster fallback.  Near-edge
+    # windows have one edge 0.5 to 4 finest spacings inside or outside the
+    # root on branch n.  All stay within |Im z| <= 395, the oracle's reach
+    width, height = short, short * min(aspect, 2.0)
+    if kind == "elongated":
+        width, height = (short, short * aspect) if tall else (short * aspect, short)
+    if kind == "near-critical":
+        a = critical_value(n) + cmath.rect(10.0**log_dist, angle)
+        p, fx, fy = critical_point(n).z, 0.05 + 0.9 * fx, 0.05 + 0.9 * fy
+    elif kind == "near-edge":
+        p = a - lambert_w(cmath.exp(a), n)
+    else:
+        p = complex(-10.0 + 15.0 * fx, -250.0 + 500.0 * fy)
+    re_min, im_min = p.real - fx * width, p.imag - fy * height
+    re_max, im_max = re_min + width, im_min + height
+    if kind == "near-edge":
+        length = height if side in ("left", "right") else width
+        off = spacings * length / rootwindow._FINEST * (1.0 if inside else -1.0)
+        if side == "left":
+            re_min, re_max = p.real - off, p.real - off + width
+        elif side == "right":
+            re_min, re_max = p.real + off - width, p.real + off
+        elif side == "bottom":
+            im_min, im_max = p.imag - off, p.imag - off + height
+        else:
+            im_min, im_max = p.imag + off - height, p.imag + off
+    w = Window(re_min, min(re_max, 20.0), max(im_min, -395.0), min(im_max, 395.0))
+    roots = oracle_roots(a, range(-64, 65)).positions()
+    # the outcome only, as in test_root_near_long_edge_counted_or_refused
+    try:
+        count, refused = count_roots(a, w), None
+    except BoundaryTooCloseError as exc:
+        count, refused = None, exc.location
+    except ResidualTooLargeError:
+        count, refused = "refinement exhausted", None
+    if refused is None:
+        assert count == sum(w.contains(z) for z in roots)
+    else:
+        finest = max(w.width, w.height) / rootwindow._FINEST
+        assert any(abs(z - refused) < finest for z in roots)
+        assert any(dist < spacing for dist, spacing in _edge_distances(refused, w))
+
+
 def test_nineteen_root_bundle_boundary_work(monkeypatch):
     # before the ring was refined in place and edge roots refused, this
     # call evaluated 2,812,540 boundary samples
@@ -311,16 +369,22 @@ def _count_calls(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "window, roots, calls, cleared",
-    [(Window(-5.0, 5.0, -60.0, 60.0), 19, 45, 15), (Window(-5.0, 5.0, -6.0, 18.0), 5, 10, 2)],
+    "window, roots, calls, cleared, samples",
+    [
+        (Window(-5.0, 5.0, -60.0, 60.0), 19, 45, 15, (54, 12_260)),
+        (Window(-5.0, 5.0, -6.0, 18.0), 5, 10, 2, (14, 2_656)),
+    ],
     ids=["W19", "W5"],
 )
-def test_subdivision_work(monkeypatch, window, roots, calls, cleared):
+def test_subdivision_work(monkeypatch, window, roots, calls, cleared, samples):
     # contours counted per find_roots, a machine-independent cost.  The
     # exclusion test clears 15 (2) of the 59 (11) child cells it is asked
     # about, without a contour; counting every child took 60 (12)
-    # contours, and quartering every cell as well took 78 (13)
+    # contours, and quartering every cell as well took 78 (13).  The
+    # contours evaluate 12,260 (2,656) boundary samples in 54 (14)
+    # batches; the trapezoid rule with doubling took 13,568 (2,560) in 51 (10)
     windows = _count_calls(monkeypatch)
+    batches = _count_samples(monkeypatch)
     verdicts = []
     test = rootwindow._cell_excluded
     monkeypatch.setattr(
@@ -328,6 +392,7 @@ def test_subdivision_work(monkeypatch, window, roots, calls, cleared):
     )
     assert len(find_roots(0j, window)) == roots
     assert (len(windows), sum(verdicts)) == (calls, cleared)
+    assert (len(batches), sum(batches)) == samples
 
 
 def test_elongated_cell_halved_across_long_side(monkeypatch):
