@@ -25,7 +25,7 @@ import sys
 from .equation import critical_point, nearest_critical
 from .errors import MonoError, NumericalError, PreconditionError, UnmatchedRootError
 from .figures import FIGURES
-from .jsonio import atomic_write_text, canonical_json
+from .jsonio import atomic_write_text, canonical_json, complex_to_json
 from .lambertw import oracle_roots
 from .paths import (
     DEFAULT_RHO,
@@ -173,10 +173,6 @@ def _resolve(args, defaults: dict) -> argparse.Namespace:
     return args
 
 
-def _cpx(z: complex) -> list[float]:
-    return [z.real, z.imag]
-
-
 def cmd_critical(o) -> tuple[dict, int]:
     if o.n_from > o.n_to:
         raise PreconditionError("need n_from <= n_to")
@@ -187,7 +183,8 @@ def cmd_critical(o) -> tuple[dict, int]:
     return {
         "command": "critical",
         "points": [
-            {"n": p.n, "z": _cpx(p.z), "a": _cpx(p.a), "order": p.order} for p in pts
+            {"n": p.n, "z": complex_to_json(p.z), "a": complex_to_json(p.a), "order": p.order}
+            for p in pts
         ],
         "spacing_2pi_max_error": spacing_err,
     }, EXIT_OK
@@ -198,7 +195,7 @@ def cmd_roots(o) -> tuple[dict, int]:
     n_crit, d_crit = nearest_critical(o.a)
     payload = {
         "command": "roots",
-        "a": _cpx(o.a),
+        "a": complex_to_json(o.a),
         "count": rs.total_multiplicity(),
         "roots": rs.to_json()["roots"],
         "near_merge_pairs": [list(p) for p in rs.near_merge_pairs],
@@ -217,7 +214,7 @@ def cmd_oracle(o) -> tuple[dict, int]:
     rs = oracle_roots(o.a, range(o.k_from, o.k_to + 1), window=o.window)
     payload = {
         "command": "oracle",
-        "a": _cpx(o.a),
+        "a": complex_to_json(o.a),
         "k_range": [o.k_from, o.k_to],
         "count": len(rs),
         "roots": rs.to_json()["roots"],
@@ -304,7 +301,7 @@ def cmd_loop(o) -> tuple[dict, int]:
         "n": o.n,
         "rho": o.rho,
         "turns": o.turns,
-        "basepoint": _cpx(path.start),
+        "basepoint": complex_to_json(path.start),
         "window": start.window.to_json(),
         "start": start.to_json(),
         "permutation": _permutation_block(start, end),

@@ -13,7 +13,7 @@ import math
 
 from .equation import critical_point, critical_value, real_root
 from .errors import PreconditionError
-from .jsonio import canonical_json
+from .jsonio import canonical_json, complex_to_json
 from .paths import composite_loop, keyhole_loop
 from .rootsets import Window
 from .rootwindow import find_roots
@@ -143,7 +143,7 @@ def figure_parameter_path(n: int = 2, rho: float = 0.5) -> str:
         ak = critical_value(k)
         cv.cross(ak.real, ak.imag)
         cv.text(ak.real + 0.1, ak.imag + 0.2, f"a_{k}")
-        marked.append([ak.real, ak.imag])
+        marked.append(complex_to_json(ak))
         k += 1
     cv.mark(0.0, 0.0, r=3.5, fill="#208040")
     cv.text(0.1, 0.3, "basepoint")
@@ -185,7 +185,7 @@ def figure_root_trajectories(n: int = 2, rho: float = 0.5) -> str:
         "n": n,
         "rho": rho,
         "labels_moved": moved,
-        "start_roots": {str(e.label): [e.z.real, e.z.imag] for e in start.entries},
+        "start_roots": {str(e.label): complex_to_json(e.z) for e in start.entries},
         "critical_points": [[0.0, (2 * j + 1) * math.pi] for j in range(k)],
     }
     return cv.render()

@@ -72,6 +72,11 @@ def _emit(obj, out: list[str], level: int) -> None:
         raise PreconditionError(f"cannot canonicalize {type(obj).__name__}")
 
 
+def complex_to_json(z: complex) -> list[float]:
+    """A complex number as the [re, im] pair the payloads carry."""
+    return [z.real, z.imag]
+
+
 def canonical_json(obj) -> str:
     out: list[str] = []
     _emit(obj, out, 0)

@@ -38,6 +38,7 @@ from .equation import (
     solve_increasing,
 )
 from .errors import PathContinuityError, PreconditionError
+from .jsonio import complex_to_json
 
 CONTINUITY_TOL = 1e-12
 MIN_LOOP_RADIUS = 0.1
@@ -74,7 +75,7 @@ class LineSegment:
         return LineSegment(self.z1, self.z0)
 
     def to_json(self) -> dict:
-        return {"kind": "line", "z0": _cj(self.z0), "z1": _cj(self.z1)}
+        return {"kind": "line", "z0": complex_to_json(self.z0), "z1": complex_to_json(self.z1)}
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ class ArcSegment:
     def to_json(self) -> dict:
         return {
             "kind": "arc",
-            "center": _cj(self.center),
+            "center": complex_to_json(self.center),
             "radius": self.radius,
             "theta0": self.theta0,
             "theta1": self.theta1,
@@ -174,11 +175,7 @@ class ImageSegment:
         return ImageSegment(self.z1, self.z0)
 
     def to_json(self) -> dict:
-        return {"kind": "image", "z0": _cj(self.z0), "z1": _cj(self.z1)}
-
-
-def _cj(z: complex) -> list[float]:
-    return [z.real, z.imag]
+        return {"kind": "image", "z0": complex_to_json(self.z0), "z1": complex_to_json(self.z1)}
 
 
 def _bisect(fits):

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 
 import numpy as np
 
 from .equation import FAMILY, residual_bound
 from .errors import NumericalError, PreconditionError, UnmatchedRootError
+from .jsonio import complex_to_json
 
-SEPARATION_FLOOR = 1e-8
 NEAR_MERGE_RADIUS = 1e-4
 REAL_AXIS_TOL = 1e-9
 
@@ -69,8 +69,8 @@ class Window:
         return Window(self.re_min - d, self.re_max + d, self.im_min - d, self.im_max + d)
 
     def split4(self, cx: float, cy: float) -> list["Window"]:
-        if not (self.re_min < cx < self.re_max and self.im_min < cy < self.im_max):
-            raise PreconditionError("split point outside window interior")
+        """The four quarters around (cx, cy); a point outside the interior
+        leaves a degenerate quarter, which is refused."""
         return [
             Window(self.re_min, cx, self.im_min, cy),
             Window(cx, self.re_max, self.im_min, cy),
@@ -115,16 +115,13 @@ class RootEntry:
 class LabeledRootSet:
     """Roots of z + e^z = a with persistent labels.
 
-    Entries closer together than SEPARATION_FLOOR must appear in
-    near_merge_pairs (producers flag everything below NEAR_MERGE_RADIUS,
-    which subsumes the floor).  Entries with multiplicity > 1 mark
-    unresolved clusters at, or numerically indistinguishable from, a
-    critical value.
+    near_merge_pairs lists every pair of labels closer together than
+    NEAR_MERGE_RADIUS.  Entries with multiplicity > 1 mark unresolved
+    clusters at, or numerically indistinguishable from, a critical value.
     """
 
     a: complex
     entries: tuple[RootEntry, ...]
-    near_merge_pairs: tuple[tuple[int, int], ...] = ()
     window: Window | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -146,16 +143,16 @@ class LabeledRootSet:
                         f"root {e.z!r} (label {e.label}) lies outside the "
                         f"declared window {self.window}"
                     )
-        flagged = {tuple(sorted(p)) for p in self.near_merge_pairs}
+
+    @cached_property
+    def near_merge_pairs(self) -> tuple[tuple[int, int], ...]:
         es = self.entries
         dist = _distance_matrix([e.z for e in es])
-        for i, j in np.argwhere(dist <= SEPARATION_FLOOR).tolist():
-            pair = tuple(sorted((es[i].label, es[j].label)))
-            if pair not in flagged:
-                raise PreconditionError(
-                    f"labels {pair} are {dist[i, j]:.3g} apart, below the "
-                    f"separation floor, and not flagged as near-merge"
-                )
+        return tuple(
+            tuple(sorted((es[i].label, es[j].label)))
+            for i, j in np.argwhere(dist < NEAR_MERGE_RADIUS).tolist()
+            if i < j
+        )
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -197,11 +194,11 @@ class LabeledRootSet:
 
     def to_json(self) -> dict:
         d = {
-            "a": [self.a.real, self.a.imag],
+            "a": complex_to_json(self.a),
             "roots": [
                 {
                     "label": e.label,
-                    "z": [e.z.real, e.z.imag],
+                    "z": complex_to_json(e.z),
                     "multiplicity": e.multiplicity,
                 }
                 for e in sorted(self.entries, key=lambda e: e.label)
@@ -231,15 +228,6 @@ def _distance_matrix(ps, qs=None) -> np.ndarray:
 def min_separation(zs) -> float:
     """Smallest pairwise distance among zs; inf for fewer than two points."""
     return float(_distance_matrix(zs).min(initial=math.inf))
-
-
-def _near_merge_pairs(entries) -> tuple[tuple[int, int], ...]:
-    dist = _distance_matrix([e.z for e in entries])
-    return tuple(
-        tuple(sorted((entries[i].label, entries[j].label)))
-        for i, j in np.argwhere(dist < NEAR_MERGE_RADIUS).tolist()
-        if i < j
-    )
 
 
 def match_positions(ps, qs, tol: float) -> tuple[list[int], float]:
@@ -316,10 +304,4 @@ def canonical_root_set(
             RootEntry(1, entries[r].z, entries[r].multiplicity),
             RootEntry(entries[r].label, entries[one].z, entries[one].multiplicity),
         )
-    entries_t = tuple(entries)
-    return LabeledRootSet(
-        a=a,
-        entries=entries_t,
-        near_merge_pairs=_near_merge_pairs(entries_t),
-        window=window,
-    )
+    return LabeledRootSet(a=a, entries=tuple(entries), window=window)

@@ -317,6 +317,8 @@ def find_roots(a: complex, window: Window) -> LabeledRootSet:
     """
     a = require_finite(a, "a")
     total, w_eff = _count_with_jitter(a, window)
+    k, dist = nearest_critical(a)
+    z_k = critical_point(k).z
     positions: list[complex] = []
     multiplicities: list[int] = []
     stack: list[tuple[Window, int, int]] = [(w_eff, total, 0)]
@@ -337,31 +339,21 @@ def find_roots(a: complex, window: Window) -> LabeledRootSet:
         try:
             stack.extend((ch, n, depth + 1) for ch, n in _split_counted(win, a, cnt))
         except SubdivisionError:
-            if cnt < 2:
-                raise
             # every cut passes too close to roots merging at z_k: one entry there
-            k, dist = nearest_critical(a)
-            z = critical_point(k).z
-            if dist > _CLUSTER_DIST or not win.contains(z):
+            if cnt < 2 or dist > _CLUSTER_DIST or not win.contains(z_k):
                 raise
-            positions.append(z)
+            positions.append(z_k)
             multiplicities.append(cnt)
 
-    result = canonical_root_set(a, positions, multiplicities=multiplicities, window=w_eff)
-    if result.near_merge_pairs:
+    if dist <= _CLUSTER_DIST:
         # a cut through the pair merging at z_k can isolate it as two
         # "simple" roots within rounding of z_k: they are its cluster too
-        k, dist = nearest_critical(a)
-        z = critical_point(k).z
-        near = [e for e in result.entries if abs(e.z - z) < 0.5 * NEAR_MERGE_RADIUS]
-        if dist <= _CLUSTER_DIST and len(near) > 1:
-            rest = [e for e in result.entries if e not in near]
-            result = canonical_root_set(
-                a,
-                [e.z for e in rest] + [z],
-                multiplicities=[e.multiplicity for e in rest] + [sum(e.multiplicity for e in near)],
-                window=w_eff,
-            )
+        near = [abs(z - z_k) < 0.5 * NEAR_MERGE_RADIUS for z in positions]
+        if sum(near) > 1:
+            cluster = sum(m for m, c in zip(multiplicities, near) if c)
+            positions = [z for z, c in zip(positions, near) if not c] + [z_k]
+            multiplicities = [m for m, c in zip(multiplicities, near) if not c] + [cluster]
+    result = canonical_root_set(a, positions, multiplicities=multiplicities, window=w_eff)
     if result.total_multiplicity() != total:
         raise NumericalError(
             f"located multiplicity {result.total_multiplicity()} != contour count {total}"

@@ -13,17 +13,17 @@ e^{z_i} (e^u - 1 - u) exactly, and the last term is at most
 exp_tail(E, R) on |u| = R, so whenever rho_i < S(R) = F R - exp_tail(E, R),
 f = a has exactly one zero in |u| < R and none on |u| = R (Rouche).
 
-The step.  R_i = min(log1p(F / E), d_min / 2) is the maximiser of S,
-capped so that the discs are pairwise disjoint (d_min is the bundle's
-least pairwise distance).  Let a piece of the path stay within `reach`
-of its start (segment.reach bounds the sup of |a(t) - a(u)| over the
-piece, not the chord).  When rho_i + reach < S(R_i) for every i, each
-disc holds exactly one root of f = a(t) for every t on the piece, and
-no root crosses a disc's boundary: the root that carries label i stays
-in disc i, and no two labels can exchange.  step_control returns the
-largest such reach, min_i (S(R_i) - rho_i); report.max_load records the
-largest (rho_i + reach) / S(R_i) over accepted steps, which the
-certificate keeps below 1.
+The step.  R_i = log1p(F / E) is the maximiser of S.  Let a piece of
+the path stay within `reach` of its start (segment.reach bounds the sup
+of |a(t) - a(u)| over the piece, not the chord).  When rho_i + reach <
+S(R_i) for every i, Rouche puts exactly one root of f = a(t) in disc i
+for every t on the piece, and none on its boundary, so the root in disc
+i is the continuation of z_i: label i follows it.  Two labels cannot
+meet on the way, since a double root would count twice in one disc;
+so the discs may overlap, and no bound on their radius is needed.
+step_control returns the largest such reach, min_i (S(R_i) - rho_i);
+report.max_load records the largest (rho_i + reach) / S(R_i) over
+accepted steps, which the certificate keeps below 1.
 
 Acceptance.  A corrected root z' with rho' = res' + tau' is accepted
 when exp_tail(|e^{z'}|, s) < rho' with s = 2 rho' / |f'(z')|, which
@@ -52,7 +52,7 @@ from .equation import FAMILY, exp_tail, nearest_critical, newton, residual_bound
 from .errors import PreconditionError, StepUnderflowError
 from .jsonio import atomic_write_text
 from .paths import ParamPath
-from .rootsets import LabeledRootSet, RootEntry, _near_merge_pairs, min_separation
+from .rootsets import LabeledRootSet, RootEntry, min_separation
 
 _CORRECTOR_MAX_ITER = 8
 _GROWTH = 1.6
@@ -86,17 +86,17 @@ class TrackReport:
         atomic_write_text(path, buf.getvalue())
 
 
-def _disc(fa: float, ee: float, half_dmin: float) -> tuple[float, float]:
+def _disc(fa: float, ee: float, re_z: float) -> tuple[float, float]:
     """Radius R and bound S(R) of the Rouche disc around a root where
-    |f'| = fa and |e^z| = ee, with R capped at half_dmin (module docstring).
+    |f'| = fa, |e^z| = ee and Re z = re_z (module docstring).
 
-    At the maximiser e^R - 1 = F / E, so S(R) = (F + E) R - F there: +inf,
-    not NaN, for a lone root whose |e^z| is so small that F / E overflows.
+    R = log1p(F / E) solves e^R - 1 = F / E, so S(R) = (F + E) R - F
+    there.  Where |e^z| is so small that F / E overflows, R is taken as
+    log(F + E) - Re z, the same number, so that every disc is finite.
     """
-    peak = math.log1p(fa / ee) if ee else math.inf
-    if peak <= half_dmin:
-        return peak, (fa + ee) * peak - fa
-    return half_dmin, fa * half_dmin - exp_tail(ee, half_dmin)
+    q = fa / ee if ee else math.inf
+    radius = math.log1p(q) if q < math.inf else math.log(fa + ee) - re_z
+    return radius, (fa + ee) * radius - fa
 
 
 def step_control(discs, rhos, max_step: float | None = None) -> float:
@@ -171,15 +171,13 @@ def track_bundle(
         derivs.append(d)
     labels = [e.label for e in start.entries]
     zs = [complex(e.z) for e in start.entries]
-    # bundle state carried from one accepted step to the next
     dmin = min_separation(zs)
     if dmin < NEAR_CRITICAL_RADIUS:
         raise PreconditionError(
             f"bundle separation {dmin:.3g} below "
             f"NEAR_CRITICAL_RADIUS {NEAR_CRITICAL_RADIUS:g}"
         )
-    # (|f'|, |e^z|) per root
-    scales = [(abs(d), math.exp(z.real)) for z, d in zip(zs, derivs)]
+    discs = [_disc(abs(d), math.exp(z.real), z.real) for z, d in zip(zs, derivs)]
 
     report = TrackReport(min_pairwise_distance=dmin)
     a_cur = path.start
@@ -194,8 +192,6 @@ def track_bundle(
         du = 0.25
         while u < 1.0:
             du = min(du, 1.0 - u)
-            half_dmin = 0.5 * dmin
-            discs = [_disc(fa, ee, half_dmin) for fa, ee in scales]
             allowed = step_control(discs, rhos, max_step)
             if not allowed >= MIN_STEP:  # NaN included
                 raise _underflow("cannot certify a step above", i_seg + u, a_cur)
@@ -218,7 +214,7 @@ def track_bundle(
             a_next = seg.point(u_next)
             step_a = a_next - a_cur
             am = abs(a_next)
-            new_zs, new_derivs, new_res, new_rhos, new_scales = [], [], [], [], []
+            new_zs, new_derivs, new_res, new_rhos, new_discs = [], [], [], [], []
             load_max = 0.0
             for z, d, (radius, bound), rho in zip(zs, derivs, discs, rhos):
                 # sizing lets reach exceed its allowance by a relative 1e-7,
@@ -241,18 +237,19 @@ def track_bundle(
                 new_res.append(res_new)
                 new_rhos.append(rho_new)
                 new_derivs.append(d_new)
-                new_scales.append((fa, ee))
+                new_discs.append(_disc(fa, ee, z_new.real))
             if len(new_zs) < len(zs):
                 report.steps_rejected += 1
                 du *= 0.5
                 if reach * 0.5 < MIN_STEP:
                     raise _underflow("rejection halving fell below", i_seg + u, a_cur)
                 continue
-            dmin = min_separation(new_zs)
-            report.min_pairwise_distance = min(report.min_pairwise_distance, dmin)
+            report.min_pairwise_distance = min(
+                report.min_pairwise_distance, min_separation(new_zs)
+            )
             report.max_load = max(report.max_load, load_max)
             report.max_residual = max(report.max_residual, max(new_res, default=0.0))
-            zs, derivs, rhos, scales = new_zs, new_derivs, new_rhos, new_scales
+            zs, derivs, rhos, discs = new_zs, new_derivs, new_rhos, new_discs
             a_cur = a_next
             u = u_next
             report.steps_accepted += 1
@@ -271,4 +268,4 @@ def track_bundle(
                 f"carries label {lab} to {z!r}, outside the window {window}; widen it (--window)"
             )
     entries = tuple(RootEntry(lab, z) for lab, z in zip(labels, zs))
-    return LabeledRootSet(a_cur, entries, _near_merge_pairs(entries), window), report
+    return LabeledRootSet(a_cur, entries, window), report

@@ -132,3 +132,52 @@ def test_every_def_is_referenced():
         for path in sorted((root / folder).glob("*.py"))
     ]
     assert _unreferenced_defs(defining, readers) == []
+
+
+def _unread_constants(defining: dict, readers: list) -> list[str]:
+    """Public ALL-CAPS module constants in the defining trees (by file
+    name) that no reader tree loads as a name or reads as an attribute."""
+    read = set()
+    for tree in readers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    found = []
+    for name, tree in defining.items():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for t in targets:
+                    for n in ast.walk(t):
+                        if (
+                            isinstance(n, ast.Name)
+                            and n.id.isupper()
+                            and not n.id.startswith("_")
+                            and n.id not in read
+                        ):
+                            found.append(f"{name} line {node.lineno}: {n.id}")
+    return found
+
+
+def test_unread_constant_detector():
+    tree = ast.parse(
+        "A = 1\nB, C = 2, 3\n_D = 4\nlower = 5\n"
+        "def f():\n    E = 6\n    return B\n"
+    )
+    reader = ast.parse("import m\nm.C\nprint('A')\n")
+    assert _unread_constants({"t.py": tree}, [tree, reader]) == ["t.py line 1: A"]
+
+
+def test_every_constant_is_read():
+    # a public constant that nothing in the package, the benchmark or the
+    # tests reads is a setting with no effect
+    root = pathlib.Path(__file__).resolve().parents[1]
+    defining = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    readers = list(defining.values()) + [
+        ast.parse(path.read_text())
+        for folder in ("bench", "tests")
+        for path in sorted((root / folder).glob("*.py"))
+    ]
+    assert _unread_constants(defining, readers) == []

@@ -10,7 +10,6 @@ from mono.equation import RESIDUAL_TOL, critical_value
 from mono.errors import NumericalError, PreconditionError, UnmatchedRootError
 from mono.rootsets import (
     NEAR_MERGE_RADIUS,
-    SEPARATION_FLOOR,
     LabeledRootSet,
     RootEntry,
     Window,
@@ -44,6 +43,10 @@ def test_window_expand_and_split():
     # children tile the parent without overlap
     centers = sorted((q.center.real, q.center.imag) for q in quads)
     assert centers == [(0.5, 0.5), (0.5, 1.5), (1.5, 0.5), (1.5, 1.5)]
+    # a point outside the interior leaves a degenerate quarter
+    for cx, cy in ((2.0, 1.0), (1.0, -0.5), (3.0, 3.0)):
+        with pytest.raises(PreconditionError, match="degenerate window"):
+            w.split4(cx, cy)
 
 
 @pytest.mark.parametrize(
@@ -79,18 +82,22 @@ def test_root_set_validation():
         LabeledRootSet(0j, (RootEntry(0, 0j),))  # labels start at 1
 
 
-def test_sub_floor_pair_must_be_flagged():
-    close = (RootEntry(1, 0j), RootEntry(2, complex(SEPARATION_FLOOR / 2, 0.0)))
-    with pytest.raises(PreconditionError):
-        LabeledRootSet(0j, close)
-    flagged = LabeledRootSet(0j, close, near_merge_pairs=((1, 2),))
-    assert flagged.has_near_merge()
+def test_close_entries_come_out_flagged():
+    # the pairs are derived from the entries: every pair of labels closer
+    # than NEAR_MERGE_RADIUS, however close, and none farther apart
+    for gap in (0.0, 1e-12, 0.99 * NEAR_MERGE_RADIUS):
+        close = LabeledRootSet(0j, (RootEntry(2, 0j), RootEntry(1, complex(0.0, gap))))
+        assert close.near_merge_pairs == ((1, 2),) and close.has_near_merge()
+    apart = LabeledRootSet(0j, (RootEntry(1, 0j), RootEntry(2, complex(NEAR_MERGE_RADIUS, 0.0))))
+    assert apart.near_merge_pairs == () and not apart.has_near_merge()
+    assert apart.to_json()["near_merge_pairs"] == []
 
 
 def test_near_merge_accessors():
     entries = (RootEntry(1, 0j), RootEntry(2, complex(NEAR_MERGE_RADIUS / 3, 0.0)),
                RootEntry(3, 1.0 + 1.0j))
-    rs = LabeledRootSet(0j, entries, near_merge_pairs=((1, 2),))
+    rs = LabeledRootSet(0j, entries)
+    assert rs.near_merge_pairs == ((1, 2),)
     assert min_separation(rs.positions()) == pytest.approx(NEAR_MERGE_RADIUS / 3)
     assert rs.total_multiplicity() == 3
 

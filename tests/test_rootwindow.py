@@ -123,6 +123,30 @@ def test_pair_at_critical_value_is_one_double_entry(n, window, count):
     assert found.near_merge_pairs == ()
 
 
+def test_pair_isolated_next_to_critical_point_is_folded():
+    # |a - a_-4| is 1.1e-10: the cuts isolate the merging pair as two
+    # "simple" roots within rounding of z_-4, and the fold makes them the
+    # one double entry at exactly z_-4 = -7 pi i
+    a = -1.0000000001138272 - 21.991148574023107j
+    w = Window(-0.39730934029588394, 0.06575755641450792, -22.29877008777717, -21.835703191066777)
+    found = find_roots(a, w)
+    assert [(e.z, e.multiplicity) for e in found.entries] == [(critical_point(-4).z, 2)]
+    assert critical_point(-4).z == complex(0.0, -7.0 * math.pi)
+    assert found.window == w
+
+
+def test_double_root_just_outside_is_refused_then_expanded():
+    # the double root z_0 lies 1e-4 below the bottom edge: the disc cover
+    # cannot certify that edge, and Newton names no simple root there
+    a, w = critical_value(0), Window(-20.0, 20.0, math.pi + 1e-4, 10.0)
+    with pytest.raises(ResidualTooLargeError, match="not certified"):
+        count_roots(a, w)
+    # one expansion by 1e-3 takes z_0 in, as one double entry
+    found = find_roots(a, w)
+    assert [(e.z, e.multiplicity) for e in found.entries] == [(critical_point(0).z, 2)]
+    assert found.window == w.expand(1e-3)
+
+
 def test_find_roots_rejects_silly_window():
     with pytest.raises(PreconditionError):
         find_roots(0j, Window(-1.0, 1.0, -1.0, math.inf))

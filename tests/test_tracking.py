@@ -10,10 +10,19 @@ from hypothesis import strategies as st
 from mono.equation import FAMILY, critical_value
 from mono.errors import PreconditionError, StepUnderflowError
 from mono.lambertw import oracle_roots
-from mono.paths import ParamPath, LineSegment, circle_path, composite_loop, keyhole_loop
-from mono.rootsets import Window
+from mono.permutation import extract_permutation
+from mono.paths import (
+    LineSegment,
+    ParamPath,
+    circle_path,
+    composite_loop,
+    keyhole_loop,
+    loop_around,
+)
+from mono.rootsets import LabeledRootSet, RootEntry, Window, min_separation
 from mono.rootwindow import find_roots
-from mono.tracking import MIN_STEP, step_control, track_bundle
+from mono import tracking
+from mono.tracking import MIN_STEP, _disc, step_control, track_bundle
 
 from conftest import W3, W5
 
@@ -31,24 +40,23 @@ def test_max_step_validation(bundle3):
     assert "max_step 1e-08 needs at least" in str(ei.value)
 
 
-def _rouche(z: complex, a: complex, radius_cap: float = math.inf):
+def _rouche(z: complex, a: complex):
     """(R, S(R), |f(z) - a|) of the Rouche disc at z, from the closed form
     S(R) = (F + E) R - E expm1(R), F = |1 + e^z|, E = |e^z|."""
     e = cmath.exp(z)
     fa, ee = abs(1.0 + e), abs(e)
-    radius = min(math.log1p(fa / ee), radius_cap)
+    radius = math.log1p(fa / ee)
     return radius, (fa + ee) * radius - ee * math.expm1(radius), abs(z + e - a)
 
 
 def test_step_control_caps(bundle3):
-    from mono.rootsets import min_separation
-
     zs = bundle3.positions()
-    dmin = min_separation(zs)
-    rows = [_rouche(z, 0j, 0.5 * dmin) for z in zs]
+    rows = [_rouche(z, 0j) for z in zs]
     discs, residuals = [(r, s) for r, s, _ in rows], [res for _, _, res in rows]
-    # well-separated roots: every disc is the maximiser of S, not d_min / 2
-    assert all(r < 0.5 * dmin for r, _ in discs)
+    # the tracker's disc is the maximiser of S, from the same closed form
+    for z, disc in zip(zs, discs):
+        e = cmath.exp(z)
+        assert _disc(abs(1.0 + e), abs(e), z.real) == pytest.approx(disc, rel=1e-12)
     expected = min(s - res for _, s, res in rows)
     cap = step_control(discs, residuals)
     assert cap == pytest.approx(expected, rel=1e-12)
@@ -56,13 +64,9 @@ def test_step_control_caps(bundle3):
     # a user cap binds when it is the smaller
     assert step_control(discs, residuals, 0.05) == 0.05
     assert step_control(discs, residuals, 1e6) == cap
-    # two roots 0.01 apart: the disjointness cap d_min / 2 binds
-    close = [0j, 0.01 + 0j, 3.0 + 0j]
-    rows = [_rouche(z, 0j, 0.005) for z in close]
-    assert [r for r, _, _ in rows[:2]] == [0.005, 0.005]
-    fmin = min(abs(FAMILY.deriv(z)) for z in close[:2])
-    cap = step_control([(r, s) for r, s, _ in rows], [0.0] * 3)
-    assert 0.9 * 0.005 * fmin < cap < 0.005 * fmin
+    # the least margin S(R_i) - rho_i binds, whichever root holds it
+    margins = step_control([(0.1, 0.5), (0.2, 0.3), (3.0, 2.0)], [0.0, 0.05, 1.9])
+    assert margins == pytest.approx(0.1)
     # no roots, nothing to certify
     assert step_control([], []) == math.inf
 
@@ -183,12 +187,70 @@ def test_underflow_through_critical_value(bundle3):
 
 @pytest.mark.parametrize("center", [-720.0, -800.0])
 def test_far_left_root_tracks(center):
-    # |e^z| is subnormal at Re z = -720 and 0 at -800: F / E overflows, the
-    # disc of a lone root is unbounded and S(R) is +inf, not NaN
+    # |e^z| is subnormal at Re z = -720 and 0 at -800: F / E overflows, and
+    # the disc of the lone root is log(F + E) - Re z wide, finite, not NaN
     start = find_roots(center - 0.5, Window(center - 5.0, center + 5.0, -3.0, 3.0))
     end, rep = track_bundle(start, circle_path(center, 0.5, 1))
     assert len(start) == 1 and rep.steps_rejected == 0
     assert abs(end.position(1) - start.position(1)) < 1e-9
+
+
+def test_far_left_root_keeps_a_finite_disc():
+    # in a bundle of two, |e^z| = 0 at the far-left root: its disc is
+    # log(F + E) - Re z = 800.5 wide, finite, so the containment test
+    # |z' - z| + s <= R keeps its meaning
+    start = find_roots(-800.5, Window(-805.0, 10.0, -3.0, 5.0))
+    assert len(start) == 2
+    far = start.position(1)
+    assert far == -800.5
+    radius, bound = _disc(abs(FAMILY.deriv(far)), math.exp(far.real), far.real)
+    assert radius == pytest.approx(800.5, rel=1e-15) and math.isfinite(bound)
+    end, rep = track_bundle(start, circle_path(-800.0, 0.5, 1))
+    assert (rep.steps_accepted, rep.steps_rejected) == (3, 0)
+    assert max(abs(end.position(lab) - start.position(lab)) for lab in (1, 2)) < 1e-9
+
+
+def test_rejected_step_is_halved_and_retried(bundle3, monkeypatch):
+    # a corrector that fails once rejects that step; the halved retry
+    # costs one more accepted step and lands on the same roots
+    loop = keyhole_loop(0, 0.5)
+    plain_end, plain = track_bundle(bundle3, loop)
+    newton, calls = tracking.newton, []
+
+    def flaky(*args):
+        calls.append(args)
+        return None if len(calls) == 10 else newton(*args)
+
+    monkeypatch.setattr(tracking, "newton", flaky)
+    end, rep = track_bundle(bundle3, loop)
+    assert (plain.steps_accepted, plain.steps_rejected) == (31, 0)
+    assert (rep.steps_accepted, rep.steps_rejected) == (32, 1)
+    assert extract_permutation(bundle3, end) == extract_permutation(bundle3, plain_end)
+    assert end.positions() == plain_end.positions()
+
+
+def test_constant_segment_moves_nothing():
+    start = find_roots(critical_value(0) - 0.5, W3)
+    end, rep = track_bundle(start, loop_around(0, 0.5, turns=0))
+    assert (rep.steps_accepted, rep.steps_rejected) == (0, 0)
+    assert end == start and end.positions() == start.positions()
+
+
+def test_start_residual_too_large_refused(bundle3):
+    moved = LabeledRootSet(bundle3.a, tuple(RootEntry(e.label, e.z + 1e-6) for e in bundle3))
+    with pytest.raises(PreconditionError, match="starts with residual"):
+        track_bundle(moved, keyhole_loop(0, 0.5))
+
+
+def test_start_roots_too_close_refused():
+    # the two roots next to z_0 at a_0 + d are 2 sqrt(2 d) = 2.8e-4 apart: past
+    # NEAR_MERGE_RADIUS, so not flagged, but under NEAR_CRITICAL_RADIUS
+    a = critical_value(0) + 1e-8
+    pair = oracle_roots(a, range(-2, 2), window=Window(-1.0, 1.0, 2.0, 4.0))
+    assert len(pair) == 2 and not pair.has_near_merge()
+    assert min_separation(pair.positions()) == pytest.approx(2.0 * math.sqrt(2e-8), rel=1e-4)
+    with pytest.raises(PreconditionError, match="bundle separation"):
+        track_bundle(pair, ParamPath((LineSegment(a, a + 0.1),)))
 
 
 def test_start_must_match_path_base(bundle3):
@@ -230,8 +292,6 @@ def test_max_step_influences_step_count(bundle3):
 
 
 def test_multiplicity_entries_refused():
-    from mono.rootsets import LabeledRootSet, RootEntry
-
     rs = LabeledRootSet(0j, (RootEntry(1, -0.5671432904097838 + 0j, multiplicity=2),))
     with pytest.raises(PreconditionError):
         track_bundle(rs, keyhole_loop(0, 0.5))
