@@ -123,8 +123,6 @@ OPTIONS = {
     "corridor_re": (_float, "real part of the keyhole corridor"),
     "center": (_parse_complex, "circle center, as re,im"),
     "csv_out": (_str, "write trajectory CSV here"),
-    "max_step": (_float, "optional cap on each step's reach in the a-plane "
-                          "(no default: Rouche discs size the steps)"),
     "control_winding_zero": (_bool, "use a winding-0 corridor as keyhole (negative control)"),
     "loops": (_parse_loops, "comma-separated critical indices, e.g. -1,0,1,2"),
     "which": (_str, "all or comma-separated figure names"),
@@ -272,7 +270,7 @@ def _report_block(report) -> dict:
 def cmd_track(o) -> tuple[dict, int]:
     path = _build_path(o)
     start = find_roots(path.start, o.window)
-    end, report = track_bundle(start, path, max_step=o.max_step, record=bool(o.csv_out))
+    end, report = track_bundle(start, path, record=bool(o.csv_out))
     payload = {
         "command": "track",
         "path": path.to_json(),
@@ -317,7 +315,7 @@ def cmd_homotopy_check(o) -> tuple[dict, int]:
         # negative control: corridor out and back, no circle, winding 0
         segs = keyhole.segments
         mid = len(segs) // 2
-        keyhole = ParamPath(segs[:mid] + segs[mid + 1 :], closed=True)
+        keyhole = ParamPath(segs[:mid] + segs[mid + 1 :])
     start = find_roots(0j, o.window)
     end_c, _ = track_bundle(start, composite)
     end_k, _ = track_bundle(start, keyhole)
@@ -335,7 +333,7 @@ def cmd_homotopy_check(o) -> tuple[dict, int]:
         "keyhole": block_k,
         "windings_around_a_n": {
             "composite": composite.winding_number(a_n),
-            "keyhole": keyhole.winding_number(a_n) if keyhole.closed else None,
+            "keyhole": keyhole.winding_number(a_n),
         },
         "equal": equal,
     }
@@ -404,7 +402,7 @@ COMMANDS = {
     "track": (cmd_track, "transport a root bundle along a path",
               {"path": "keyhole", "n": 0, "rho": DEFAULT_RHO, "turns": 1,
                "corridor_re": KEYHOLE_CORRIDOR_RE, "center": "0,0", "window": DEFAULT_WINDOW,
-               "csv_out": None, "max_step": None}),
+               "csv_out": None}),
     "loop": (cmd_loop, "simple circle around a critical value",
              {"n": 0, "rho": DEFAULT_RHO, "turns": 1, "window": DEFAULT_WINDOW}),
     "homotopy-check": (cmd_homotopy_check, "composite loop vs keyhole loop around the same a_n",

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 
-from .equation import critical_point, critical_value, real_root
+from .equation import critical_height, critical_point, critical_value, real_root
 from .errors import PreconditionError
 from .jsonio import canonical_json, complex_to_json
-from .paths import composite_loop, keyhole_loop
+from .paths import DEFAULT_RHO, composite_loop, keyhole_loop
 from .rootsets import Window
 from .rootwindow import find_roots
 from .tracking import track_bundle
@@ -45,41 +45,38 @@ class SvgCanvas:
     def _fmt(self, v: float) -> str:
         return f"{v:.2f}"
 
-    def polyline(self, points, *, stroke="#1f5fbf", width=1.5, dashed=False):
+    def polyline(self, points, *, stroke="#1f5fbf", width=1.5):
         pts = " ".join(f"{self._fmt(self.sx(p[0]))},{self._fmt(self.sy(p[1]))}" for p in points)
-        dash = ' stroke-dasharray="6 4"' if dashed else ""
         self.body.append(
-            f'<polyline fill="none" stroke="{stroke}" stroke-width="{width}"{dash} '
-            f'points="{pts}"/>'
+            f'<polyline fill="none" stroke="{stroke}" stroke-width="{width}" points="{pts}"/>'
         )
 
-    def line(self, x0, y0, x1, y1, *, stroke="#999999", width=1.0):
+    def line(self, x0, y0, x1, y1):
         self.body.append(
             f'<line x1="{self._fmt(self.sx(x0))}" y1="{self._fmt(self.sy(y0))}" '
             f'x2="{self._fmt(self.sx(x1))}" y2="{self._fmt(self.sy(y1))}" '
-            f'stroke="{stroke}" stroke-width="{width}"/>'
+            f'stroke="#999999" stroke-width="1.0"/>'
         )
 
-    def mark(self, x, y, *, r=4.0, fill="#c03020", stroke="none"):
+    def mark(self, x, y, *, r=4.0, fill="#c03020"):
         self.body.append(
             f'<circle cx="{self._fmt(self.sx(x))}" cy="{self._fmt(self.sy(y))}" '
-            f'r="{r}" fill="{fill}" stroke="{stroke}"/>'
+            f'r="{r}" fill="{fill}" stroke="none"/>'
         )
 
-    def cross(self, x, y, *, size=5.0, stroke="#222222"):
-        cx, cy = self.sx(x), self.sy(y)
-        s = size
+    def cross(self, x, y):
+        cx, cy, s = self.sx(x), self.sy(y), 5.0
         self.body.append(
             f'<path d="M {cx - s:.2f} {cy - s:.2f} L {cx + s:.2f} {cy + s:.2f} '
             f'M {cx - s:.2f} {cy + s:.2f} L {cx + s:.2f} {cy - s:.2f}" '
-            f'stroke="{stroke}" stroke-width="1.5" fill="none"/>'
+            f'stroke="#222222" stroke-width="1.5" fill="none"/>'
         )
 
-    def text(self, x, y, s, *, size=12, anchor="start", fill="#222222"):
+    def text(self, x, y, s):
         self.body.append(
             f'<text x="{self._fmt(self.sx(x))}" y="{self._fmt(self.sy(y))}" '
-            f'font-family="monospace" font-size="{size}" text-anchor="{anchor}" '
-            f'fill="{fill}">{s}</text>'
+            f'font-family="monospace" font-size="12" text-anchor="start" '
+            f'fill="#222222">{s}</text>'
         )
 
     def axes(self):
@@ -103,6 +100,8 @@ class SvgCanvas:
 
 
 _COLORS = ("#c03020", "#1f5fbf", "#208040", "#a06010", "#7030a0", "#108080")
+# the loop the three path figures draw: around a_2 at the default radius
+_LOOP_N = 2
 
 
 def figure_real_graph() -> str:
@@ -128,8 +127,9 @@ def figure_real_graph() -> str:
     return cv.render()
 
 
-def figure_parameter_path(n: int = 2, rho: float = 0.5) -> str:
+def figure_parameter_path() -> str:
     """The composite loop in the parameter plane with critical values marked."""
+    n, rho = _LOOP_N, DEFAULT_RHO
     path = composite_loop(n, rho)
     pts = [(p.real, p.imag) for p in path.sample(0.02)]
     y_max = max(p[1] for p in pts) + 1.5
@@ -156,8 +156,9 @@ def figure_parameter_path(n: int = 2, rho: float = 0.5) -> str:
     return cv.render()
 
 
-def figure_root_trajectories(n: int = 2, rho: float = 0.5) -> str:
+def figure_root_trajectories() -> str:
     """Root trajectories in the z-plane along the composite loop around a_n."""
+    n, rho = _LOOP_N, DEFAULT_RHO
     window = Window(-5.0, 5.0, -6.0, 18.0)
     start = find_roots(0j, window)
     path = composite_loop(n, rho)
@@ -186,13 +187,14 @@ def figure_root_trajectories(n: int = 2, rho: float = 0.5) -> str:
         "rho": rho,
         "labels_moved": moved,
         "start_roots": {str(e.label): complex_to_json(e.z) for e in start.entries},
-        "critical_points": [[0.0, (2 * j + 1) * math.pi] for j in range(k)],
+        "critical_points": [[0.0, critical_height(j)] for j in range(k)],
     }
     return cv.render()
 
 
-def figure_keyhole(n: int = 2, rho: float = 0.5) -> str:
+def figure_keyhole() -> str:
     """The keyhole loop with winding numbers about each nearby critical value."""
+    n, rho = _LOOP_N, DEFAULT_RHO
     path = keyhole_loop(n, rho)
     pts = [(p.real, p.imag) for p in path.sample(0.02)]
     y_max = max(p[1] for p in pts) + 1.5

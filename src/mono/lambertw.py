@@ -29,7 +29,10 @@ from .equation import FAMILY, checked_exp, require_finite
 
 MAX_BRANCH = 64
 HALLEY_MAX_ITER = 100
-DEFAULT_TOL = 1e-12
+# Halley's residual target, relative to max(1, |w|): an oracle root's residual
+# |f(z) - a| is the W residual amplified by |W| / |w|, which must stay under
+# ORACLE_RESIDUAL_TOL for every branch in range
+HALLEY_TOL = 1e-13
 # every oracle root must satisfy |z + e^z - a| below this
 ORACLE_RESIDUAL_TOL = 1e-10
 
@@ -86,8 +89,8 @@ def _initial_guess(w: complex, k: int) -> complex:
     return L - cmath.log(L)
 
 
-def lambert_w(w: complex, k: int = 0, tol: float = DEFAULT_TOL) -> complex:
-    """Branch k of Lambert W at w, to residual |W e^W - w| <= tol * max(1, |w|).
+def lambert_w(w: complex, k: int = 0) -> complex:
+    """Branch k of Lambert W at w, to residual |W e^W - w| <= HALLEY_TOL * max(1, |w|).
 
     Raises SingularArgumentError at w = 0 on branches other than 0, and
     ConvergenceError (carrying the last iterate) if Halley's method fails
@@ -104,9 +107,9 @@ def lambert_w(w: complex, k: int = 0, tol: float = DEFAULT_TOL) -> complex:
         raise SingularArgumentError("W_k has a logarithmic singularity at w = 0 for k != 0")
 
     # aim for a residual relative to |w|; accept the documented bound
-    # tol * max(1, |w|) as a fallback if iteration stalls above the aim
-    target = tol * abs(w)
-    contract = tol * max(1.0, abs(w))
+    # HALLEY_TOL * max(1, |w|) as a fallback if iteration stalls above the aim
+    target = HALLEY_TOL * abs(w)
+    contract = HALLEY_TOL * max(1.0, abs(w))
     W = complex(_initial_guess(w, k))
     best, best_res = W, math.inf
     for _ in range(HALLEY_MAX_ITER):
@@ -139,7 +142,7 @@ def lambert_w(w: complex, k: int = 0, tol: float = DEFAULT_TOL) -> complex:
     if best_res <= contract:
         return best
     raise ConvergenceError(
-        f"lambert_w(k={k}) did not reach tol {tol:g} at w = {w!r}; "
+        f"lambert_w(k={k}) did not reach HALLEY_TOL {HALLEY_TOL:g} at w = {w!r}; "
         f"best residual {best_res:.3g}",
         last=best,
         residual=best_res,
@@ -166,10 +169,7 @@ def oracle_roots(a: complex, k_range, *, window=None):
     values: list[tuple[int, complex]] = []
     for k in ks:
         try:
-            # tight W tolerance: the root residual |f(z) - a| is the W
-            # residual amplified by |W| / |w|, which must stay under
-            # ORACLE_RESIDUAL_TOL for every branch in range
-            W = lambert_w(w, k, tol=1e-13)
+            W = lambert_w(w, k)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"oracle branch k={k} failed at a = {a!r}: {exc}",

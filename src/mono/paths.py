@@ -194,14 +194,13 @@ def _bisect(fits):
 class ParamPath:
     """Piecewise path in the parameter plane.
 
-    Consecutive segments must join within CONTINUITY_TOL; a closed path
-    must return to its start to the same tolerance.  encircles, when
-    set, records (n, rho): the path is a declared loop around the single
-    critical value a_n at radius rho >= 0.1.
+    Consecutive segments must join within CONTINUITY_TOL, and the path
+    is closed when its end returns to its start to the same tolerance.
+    encircles, when set, records (n, rho): the path is a declared loop
+    around the single critical value a_n at radius rho >= 0.1.
     """
 
     segments: tuple
-    closed: bool = False
     encircles: tuple[int, float] | None = None
 
     def __post_init__(self):
@@ -213,12 +212,6 @@ class ParamPath:
                 raise PathContinuityError(
                     f"segments join with gap {gap:.3g} > {CONTINUITY_TOL:g}"
                 )
-        if self.closed:
-            gap = abs(self.end - self.start)
-            if not gap <= CONTINUITY_TOL:
-                raise PathContinuityError(
-                    f"closed path fails to close: gap {gap:.3g}"
-                )
 
     @property
     def start(self) -> complex:
@@ -227,6 +220,10 @@ class ParamPath:
     @property
     def end(self) -> complex:
         return self.segments[-1].end
+
+    @property
+    def closed(self) -> bool:
+        return abs(self.end - self.start) <= CONTINUITY_TOL
 
     def sample(self, max_step: float) -> list[complex]:
         """Polyline along the path with consecutive spacing <= max_step.
@@ -244,11 +241,8 @@ class ParamPath:
         return pts
 
     def reverse(self) -> "ParamPath":
-        return ParamPath(
-            tuple(s.reversed() for s in reversed(self.segments)),
-            closed=self.closed,
-            encircles=self.encircles,
-        )
+        segs = tuple(s.reversed() for s in reversed(self.segments))
+        return ParamPath(segs, encircles=self.encircles)
 
     def winding_number(self, point: complex) -> int:
         """Winding of the closed path around point, from certified pieces.
@@ -336,7 +330,7 @@ def circle_path(center: complex, rho: float, turns: int = 1) -> ParamPath:
     critical value; use loop_around for that.
     """
     center = require_finite(center, "center")
-    return ParamPath((_closed_arc(center, float(rho), turns),), closed=True)
+    return ParamPath((_closed_arc(center, float(rho), turns),))
 
 
 def loop_around(n: int, rho: float, turns: int = 1) -> ParamPath:
@@ -347,11 +341,7 @@ def loop_around(n: int, rho: float, turns: int = 1) -> ParamPath:
     """
     a_n = critical_value(n)  # refuses a bad index first
     rho = _validate_rho(rho)
-    return ParamPath(
-        (_closed_arc(a_n, rho, turns),),
-        closed=True,
-        encircles=(n, rho) if turns != 0 else None,
-    )
+    return ParamPath((_closed_arc(a_n, rho, turns),), encircles=(n, rho) if turns != 0 else None)
 
 
 def composite_loop(n: int, rho: float = DEFAULT_RHO) -> ParamPath:
@@ -372,11 +362,7 @@ def composite_loop(n: int, rho: float = DEFAULT_RHO) -> ParamPath:
     h = ImageSegment(complex(x, y), complex(s_rho, y))
     theta0 = math.pi if n >= 0 else -3.0 * math.pi
     circle = ArcSegment(a_n, rho, theta0, theta0 + 2.0 * math.pi)
-    return ParamPath(
-        (v, h, circle, h.reversed(), v.reversed()),
-        closed=True,
-        encircles=(n, rho),
-    )
+    return ParamPath((v, h, circle, h.reversed(), v.reversed()), encircles=(n, rho))
 
 
 def keyhole_loop(
@@ -414,16 +400,10 @@ def keyhole_loop(
     out.append(LineSegment(complex(corridor_re, y), landing))
     circle = ArcSegment(a_n, rho, theta0, theta0 + 2.0 * math.pi)
     home = [seg.reversed() for seg in reversed(out)]
-    return ParamPath(
-        tuple(out) + (circle,) + tuple(home),
-        closed=True,
-        encircles=(n, rho),
-    )
+    return ParamPath(tuple(out) + (circle,) + tuple(home), encircles=(n, rho))
 
 
 def concat(*parts: ParamPath) -> ParamPath:
-    """Join paths end to start; the result is closed when it returns home."""
-    segs = tuple(s for p in parts for s in p.segments)
-    closed = bool(segs) and abs(segs[-1].end - segs[0].start) <= CONTINUITY_TOL
-    return ParamPath(segs, closed=closed)
+    """Join paths end to start."""
+    return ParamPath(tuple(s for p in parts for s in p.segments))
 

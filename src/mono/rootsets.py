@@ -38,11 +38,8 @@ class Window:
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise PreconditionError(f"degenerate window {self}")
 
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
-        return (
-            self.re_min - margin <= z.real <= self.re_max + margin
-            and self.im_min - margin <= z.imag <= self.im_max + margin
-        )
+    def contains(self, z: complex) -> bool:
+        return self.re_min <= z.real <= self.re_max and self.im_min <= z.imag <= self.im_max
 
     @property
     def center(self) -> complex:

@@ -249,7 +249,7 @@ def _solve_isolated(win: Window, a: complex) -> complex | None:
     for z0 in seeds:
         polished = newton(z0, a, _NEWTON_MAX_ITER)
         # strict containment: a neighbor cell's root must not be claimed
-        if polished is not None and win.contains(polished[0], margin=1e-9):
+        if polished is not None and win.contains(polished[0]):
             return polished[0]
     return None
 

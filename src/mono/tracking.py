@@ -35,10 +35,8 @@ A step that fails the test (or whose corrector diverges) is rejected
 and halved.  A certified reach below MIN_STEP, which happens as the path
 runs into a critical value and two roots merge, aborts with
 StepUnderflowError, carrying the arc position and the nearest critical
-value.  max_step, when set, caps every step's reach as well, and a cap
-that needs more than STEP_BUDGET steps is refused.  Bundles whose roots
-start closer than NEAR_CRITICAL_RADIUS are refused, and so is a loop
-that carries a root out of the start window.
+value.  Bundles whose roots start closer than NEAR_CRITICAL_RADIUS are
+refused, and so is a loop that carries a root out of the start window.
 """
 
 from __future__ import annotations
@@ -58,8 +56,6 @@ _CORRECTOR_MAX_ITER = 8
 _GROWTH = 1.6
 NEAR_CRITICAL_RADIUS = 1e-3
 MIN_STEP = 1e-9
-# the most steps a max_step cap may ask for
-STEP_BUDGET = 1_000_000
 
 
 @dataclass
@@ -99,15 +95,14 @@ def _disc(fa: float, ee: float, re_z: float) -> tuple[float, float]:
     return radius, (fa + ee) * radius - fa
 
 
-def step_control(discs, rhos, max_step: float | None = None) -> float:
+def step_control(discs, rhos) -> float:
     """Largest certified reach for the next step (see the module docstring).
 
     discs holds (R_i, S(R_i)) and rhos the bound res_i + tau_i on
-    |f(z_i) - a| per root; the result is min_i (S(R_i) - rho_i), capped
-    by max_step when one is set, and inf for an empty bundle.
+    |f(z_i) - a| per root; the result is min_i (S(R_i) - rho_i), and inf
+    for an empty bundle.
     """
-    allowed = min((bound - rho for (_, bound), rho in zip(discs, rhos)), default=math.inf)
-    return allowed if max_step is None else min(allowed, max_step)
+    return min((bound - rho for (_, bound), rho in zip(discs, rhos)), default=math.inf)
 
 
 def _underflow(what: str, arc: float, a: complex) -> StepUnderflowError:
@@ -121,34 +116,16 @@ def _underflow(what: str, arc: float, a: complex) -> StepUnderflowError:
 
 
 def track_bundle(
-    start: LabeledRootSet,
-    path: ParamPath,
-    *,
-    max_step: float | None = None,
-    record: bool = False,
+    start: LabeledRootSet, path: ParamPath, *, record: bool = False
 ) -> tuple[LabeledRootSet, TrackReport]:
     """Transport every root of the start set along the path.
 
     Returns the end set (same labels, transported positions, a = path
     end) and a report.  The start set must sit at the path start, with
     simple well-separated roots; bundles flagged near-merge are refused,
-    since labels would be ambiguous from the outset.  max_step, if set,
-    caps each step's reach in the a-plane; record fills report.trajectory.
+    since labels would be ambiguous from the outset.  record fills
+    report.trajectory.
     """
-    if max_step is not None:
-        if not MIN_STEP < max_step:
-            raise PreconditionError(
-                f"max_step must exceed MIN_STEP {MIN_STEP:g}, got {max_step!r}"
-            )
-        # a step covers about max_step of path at most; the polyline is no
-        # longer than the path
-        pts = path.sample(0.05)
-        need = sum(abs(q - p) for p, q in zip(pts, pts[1:])) / max_step
-        if need > STEP_BUDGET:
-            raise PreconditionError(
-                f"max_step {max_step:g} needs at least {math.ceil(need)} steps "
-                f"along this path, over STEP_BUDGET {STEP_BUDGET}; raise max_step"
-            )
     if abs(path.start - start.a) > 1e-9:
         raise PreconditionError(
             f"path starts at {path.start!r} but bundle sits at {start.a!r}"
@@ -192,7 +169,7 @@ def track_bundle(
         du = 0.25
         while u < 1.0:
             du = min(du, 1.0 - u)
-            allowed = step_control(discs, rhos, max_step)
+            allowed = step_control(discs, rhos)
             if not allowed >= MIN_STEP:  # NaN included
                 raise _underflow("cannot certify a step above", i_seg + u, a_cur)
             # geometric sizing: shrink du until the piece's reach fits

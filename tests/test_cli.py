@@ -245,6 +245,17 @@ def test_unknown_flag_is_usage_error():
     assert ei.value.code == 2
 
 
+def test_step_cap_is_unknown_input(capsys, tmp_path):
+    # Rouche discs alone size the steps: a cap is neither a flag nor a key
+    with pytest.raises(SystemExit) as ei:
+        main(["track", "--max-step", "0.1"])
+    assert ei.value.code == 2
+    cfg = _config(tmp_path, '{"track": {"max_step": 0.1}}')
+    code, payload, err = run(capsys, "track", "--config", cfg)
+    assert (code, payload) == (2, None)
+    assert "unknown keys ['max_step']" in err
+
+
 def test_console_script_installed():
     # the child finds mono where this process does, installed or from src/
     src = os.path.dirname(os.path.dirname(mono.__file__))
@@ -349,13 +360,11 @@ def test_error_message_names_the_cause(capsys, argv, code, prefix, cause):
 @pytest.mark.parametrize(
     "argv, cause",
     [
-        # about 1.6e9 steps along the default keyhole: refused before tracking
-        (["track", "--max-step", "1e-8"], "max_step 1e-08 needs at least"),
         # the loop around a_1 carries a root above Im z = 6
         (["group", "--loops=1", "--window=-5,5,-6,6"], "the loop around a_1 carries label 1"),
         (["homotopy-check", "--n", "1", "--window=-5,5,-6,6"], "the loop around a_1 carries"),
     ],
-    ids=["max-step-over-budget", "group-root-leaves-window", "homotopy-root-leaves-window"],
+    ids=["group-root-leaves-window", "homotopy-root-leaves-window"],
 )
 def test_refusal_is_fast_and_names_the_fix(capsys, argv, cause):
     t0 = time.perf_counter()
@@ -363,7 +372,7 @@ def test_refusal_is_fast_and_names_the_fix(capsys, argv, cause):
     assert time.perf_counter() - t0 < 1.0
     assert (code, payload) == (2, None)
     assert err.startswith("precondition error: ") and cause in err
-    assert "raise max_step" in err or "widen it (--window)" in err
+    assert "widen it (--window)" in err
 
 
 @pytest.mark.parametrize(
@@ -424,8 +433,8 @@ def test_group_on_tall_window(capsys):
 
 
 # Values per option: (valid, invalid).  Values that are valid but make a
-# run arbitrarily long (thousands of turns or critical indices, a 1e-8
-# step cap) are left out: they are slow, not wrong.
+# run arbitrarily long (thousands of turns or critical indices) are left
+# out: they are slow, not wrong.
 _FLAG_VALUES = {
     "n_from": (["-2", "0", "3"], ["x", "1.5"]),
     "n_to": (["-3", "1", "4"], ["x"]),
@@ -439,7 +448,6 @@ _FLAG_VALUES = {
     "turns": (["-2", "-1", "0", "1", "2"], ["x"]),
     "corridor_re": (["-2", "0.5", "0"], ["-1", "nan", "inf"]),
     "center": (["0,0", "0.5,0.5", "-1.5,3.141592653589793", "1e300,0"], ["x"]),
-    "max_step": (["1e6", "0.1"], ["0", "-1", "nan", "1e-12"]),
     "loops": (["-1,0,1,2", "0", "-2,2"], ["", "a", "0,1.5"]),
     "which": (["real_graph", "keyhole", "real_graph,keyhole"], ["nope"]),
 }

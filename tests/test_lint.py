@@ -1,6 +1,7 @@
 """Source hygiene checks that need no installed linter."""
 
 import ast
+import math
 import pathlib
 
 import mono
@@ -181,3 +182,79 @@ def test_every_constant_is_read():
         for path in sorted((root / folder).glob("*.py"))
     ]
     assert _unread_constants(defining, readers) == []
+
+
+
+def _public_defs(tree: ast.Module):
+    """(called name, def, whether the first parameter is bound) for the
+    module's public functions and the public methods of its public
+    classes; a class name calls its __init__."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node, False
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef) and (
+                    m.name == "__init__" or not m.name.startswith("_")
+                ):
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in m.decorator_list)
+                    yield (node.name if m.name == "__init__" else m.name), m, not static
+
+
+def _unvaried_defaults(defining: dict, callers: list) -> list[str]:
+    """Parameters with a default on the public defs of the defining trees
+    (by file name) that no call in the caller trees passes, by keyword or
+    by position.  Calls are matched by the called name; a starred
+    argument passes every position, and **kwargs every keyword."""
+    positions, keywords = {}, set()
+    for tree in callers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                count = math.inf if starred else len(node.args)
+                positions[name] = max(positions.get(name, 0), count)
+                keywords |= {(name, kw.arg) for kw in node.keywords}  # None: **kwargs
+    found = []
+    for file_name, tree in defining.items():
+        for call, fn, bound in _public_defs(tree):
+            a = fn.args
+            params = (a.posonlyargs + a.args)[1 if bound else 0 :]
+            defaulted = list(enumerate(params))[len(params) - len(a.defaults) :]
+            defaulted += [
+                (math.inf, p) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None
+            ]
+            for i, p in defaulted:
+                passed = {(call, p.arg), (call, None)} & keywords
+                if not (passed or positions.get(call, 0) > i):
+                    found.append(f"{file_name} line {fn.lineno}: {call}({p.arg})")
+    return found
+
+
+def test_unvaried_default_detector():
+    tree = ast.parse(
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+        "def _g(x=1):\n    pass\n"
+        "class K:\n    def __init__(self, t=0):\n        pass\n"
+        "    def m(self, u=1, v=2):\n        pass\n"
+        "    @staticmethod\n    def s(w=1):\n        pass\n"
+        "class _P:\n    def m2(self, q=1):\n        pass\n"
+    )
+    caller = ast.parse("f(0, 1, e=5)\nK(t=1)\nk.m(1)\nK.s(*ws)\n")
+    assert _unvaried_defaults({"t.py": tree}, [tree, caller]) == [
+        "t.py line 1: f(c)",
+        "t.py line 1: f(d)",
+        "t.py line 8: m(v)",
+    ]
+
+
+def test_every_default_is_varied():
+    # a default that no call in the package or the benchmark overrides is
+    # a setting nothing varies: it should be a constant, or derived
+    root = pathlib.Path(__file__).resolve().parents[1]
+    defining = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    callers = list(defining.values()) + [
+        ast.parse(path.read_text()) for path in sorted((root / "bench").glob("*.py"))
+    ]
+    assert _unvaried_defaults(defining, callers) == []

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mono.equation import critical_point
+from mono.lambertw import oracle_roots
 from mono.paths import concat, keyhole_loop, loop_around
 from mono.permutation import Permutation, compose, extract_permutation, is_transposition
 from mono.rootsets import Window
@@ -121,8 +122,9 @@ def test_random_word_tracks_as_product_of_letters(bundle5, letter_images, word):
 
 
 # Guard for the certified step rule: on W19 (19 roots, heights up to 60)
-# and W5, a word tracked with the certificate alone gives the same
-# permutation as the same word under the old fixed cap max_step = 0.05.
+# and W5, a word tracked with the certificate alone gives the product of
+# its letters' transpositions, read off the oracle's roots by height, as
+# the same word did under the old fixed cap max_step = 0.05.
 _GUARD_WINDOWS = {
     "W19": (Window(-5.0, 5.0, -60.0, 60.0), (-2, -1, 0, 1, 2)),
     "W5": (W5, (-1, 0, 1, 2)),
@@ -134,17 +136,33 @@ def guard_bundles():
     return {name: find_roots(0j, window) for name, (window, _) in _GUARD_WINDOWS.items()}
 
 
+def _keyhole_swaps(bundle, window, gens):
+    """The pair each keyhole generator swaps, from the oracle alone: the
+    real root and the (n+1)-th root above it for n >= 0, or the |n|-th
+    root below it for n < 0, by height."""
+    oracle = oracle_roots(0j, range(-12, 13), window=window)
+    assert oracle.labels() == bundle.labels()
+    for lab in oracle.labels():
+        assert abs(oracle.position(lab) - bundle.position(lab)) < 1e-9
+    by_height = sorted(oracle.labels(), key=lambda lab: oracle.position(lab).imag)
+    i = min(range(len(by_height)), key=lambda j: abs(oracle.position(by_height[j]).imag))
+    return {n: (by_height[i], by_height[i + (n + 1 if n >= 0 else n)]) for n in gens}
+
+
 @pytest.mark.parametrize("name", list(_GUARD_WINDOWS))
 @settings(max_examples=6)
 @given(data=st.data())
 def test_certified_steps_match_the_fixed_cap(guard_bundles, name, data):
     bundle = guard_bundles[name]
-    letters = st.tuples(st.sampled_from(_GUARD_WINDOWS[name][1]), st.sampled_from((1, -1)))
+    window, gens = _GUARD_WINDOWS[name]
+    swaps = _keyhole_swaps(bundle, window, gens)
+    letters = st.tuples(st.sampled_from(gens), st.sampled_from((1, -1)))
     word = data.draw(st.lists(letters, min_size=1, max_size=4), label="word")
-    path = concat(*(_letter(*letter) for letter in word))
-    images = []
-    for max_step in (None, 0.05):
-        end, rep = track_bundle(bundle, path, max_step=max_step)
-        assert rep.max_load < 1.0
-        images.append(extract_permutation(bundle, end).images)
-    assert images[0] == images[1]
+    # a transposition is its own inverse; the first letter acts first
+    product = tuple(range(1, len(bundle) + 1))
+    for n, _sign in word:
+        p, q = swaps[n]
+        product = tuple(q if i == p else p if i == q else i for i in product)
+    end, rep = track_bundle(bundle, concat(*(_letter(*letter) for letter in word)))
+    assert rep.max_load < 1.0
+    assert extract_permutation(bundle, end).images == product

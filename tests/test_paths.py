@@ -79,8 +79,12 @@ def test_path_continuity_enforced():
 
 
 def test_closed_flag_requires_closure():
-    with pytest.raises(PreconditionError):
-        ParamPath((LineSegment(0j, 1.0 + 0j),), closed=True)
+    # closure is read off the path's ends, never declared
+    out = LineSegment(0j, 1.0 + 0j)
+    assert not ParamPath((out,)).closed
+    assert ParamPath((out, out.reversed())).closed
+    with pytest.raises(TypeError):
+        ParamPath((out,), closed=True)
 
 
 def test_sample_spacing():

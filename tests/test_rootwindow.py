@@ -466,6 +466,14 @@ def test_newton_seed_past_exp_range_did_not_stick():
     assert abs(rootwindow._solve_isolated(w, a) - root) < 1e-12
 
 
+def test_isolated_root_just_outside_the_cell_is_not_claimed():
+    # the cell ends 5e-10 left of the real root: Newton from inside finds
+    # that root, which belongs to the neighbouring cell, so nothing sticks
+    x = real_root()
+    assert rootwindow._solve_isolated(Window(x - 1.0, x - 5e-10, -0.5, 0.5), 0j) is None
+    assert abs(rootwindow._solve_isolated(Window(x - 1.0, x + 5e-10, -0.5, 0.5), 0j) - x) < 1e-15
+
+
 # -- properties: find_roots against the oracle on edge cases --------------
 
 BRANCHES = range(-8, 9)
