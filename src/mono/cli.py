@@ -277,13 +277,9 @@ def cmd_track(o) -> tuple[dict, int]:
         "window": start.window.to_json(),
         "start": start.to_json(),
         "end": end.to_json(),
-        "report": {
-            **_report_block(report),
-            "min_pairwise_distance": report.min_pairwise_distance if len(start) > 1 else None,
-        },
+        "report": _report_block(report),
+        "permutation": _permutation_block(start, end),
     }
-    if path.closed:
-        payload["permutation"] = _permutation_block(start, end)
     if o.csv_out:
         report.to_csv(_out_path(o, o.csv_out))
         payload["csv"] = _out_path(o, o.csv_out)

@@ -63,12 +63,13 @@ class StepUnderflowError(NumericalError):
     """No continuation step above the floor could be certified.
 
     Usually means the path runs too close to a critical value, where two
-    roots merge; the arc position and nearest critical value are
-    attached for diagnostics.
+    roots merge; the label that failed, its arc position and the nearest
+    critical value are attached for diagnostics.
     """
 
-    def __init__(self, message, *, arc_param=None, nearest_critical=None):
+    def __init__(self, message, *, label=None, arc_param=None, nearest_critical=None):
         super().__init__(message)
+        self.label = label
         self.arc_param = arc_param
         self.nearest_critical = nearest_critical
 

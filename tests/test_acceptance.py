@@ -22,6 +22,7 @@ from mono.equation import (
     critical_point,
     critical_value,
     nearest_critical,
+    newton,
     real_root,
 )
 from mono.errors import UnmatchedRootError
@@ -113,20 +114,25 @@ def test_criterion_4_keyhole_transpositions_and_shrink(bundle5):
         ok &= is_swap and got == pair
 
     # as the circle shrinks, the swapped pair closes in on the critical
-    # point at the sqrt(2 rho) rate of a first-order merge
+    # point at the sqrt(2 rho) rate of a first-order merge.  Each label
+    # keeps its own step schedule, so the pair is compared at the arc
+    # positions either label recorded: there the other label's root at
+    # the same a is polished by Newton from its nearest recorded row.
     z2 = critical_point(2).z
     approach = {}
     for rho in (0.5, 0.1):
         end, rep = _track(bundle5, keyhole_loop(2, rho), record=True)
-        by_arc = {}
-        for arc, lab, z, _a, _r in rep.trajectory:
-            if lab in (1, 5):
-                by_arc.setdefault(arc, {})[lab] = z
-        approach[rho] = min(
-            max(abs(z - z2) for z in d.values())
-            for d in by_arc.values()
-            if len(d) == 2
-        )
+        rows = {1: [], 5: []}
+        for arc, lab, z, a, _r in rep.trajectory:
+            if lab in rows:
+                rows[lab].append((arc, z, a))
+        closest = math.inf
+        for lab, partner in ((1, 5), (5, 1)):
+            for arc, z, a in rows[lab]:
+                _, z_near, _ = min(rows[partner], key=lambda row: abs(row[0] - arc))
+                z_partner, _, _ = newton(z_near, a, 8)
+                closest = min(closest, max(abs(z - z2), abs(z_partner - z2)))
+        approach[rho] = closest
     ok &= abs(approach[0.5] - 0.986935) < 0.02
     ok &= abs(approach[0.1] - 0.448009) < 0.01
     ok &= abs(approach[0.1] - math.sqrt(0.2)) < 0.01

@@ -15,8 +15,9 @@ import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
-# accepted tracking steps per seed-1 pass; roots-w19 does no tracking
-STEPS = {"group-w5": 917, "words-w19": 971, "roots-w19": 0}
+# accepted and rejected root-steps per seed-1 pass (each root keeps its own
+# step schedule); roots-w19 does no tracking
+STEPS = {"group-w5": (2216, 8), "words-w19": (4849, 25), "roots-w19": (0, 0)}
 # count_roots calls and refused or unsettled contours per seed-1 pass;
 # words-w19 locates its roots in set-up, outside the pass
 CONTOURS = {"group-w5": (70, 7), "words-w19": (0, 0), "roots-w19": (1033, 8)}
@@ -48,6 +49,6 @@ def test_workload_jobs_pass_their_checks(bench, workload):
     finally:
         t.uninstall()
     steps = (summary["tracking.steps_accepted"], summary["tracking.steps_rejected"])
-    assert steps == (STEPS[workload], 0)
+    assert steps == STEPS[workload]
     contours = (summary["rootwindow.count_roots.calls"], summary["rootwindow.count_roots.failed"])
     assert contours == CONTOURS[workload]

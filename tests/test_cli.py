@@ -10,6 +10,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -20,7 +21,10 @@ from hypothesis import strategies as st
 
 import mono
 from mono.cli import COMMANDS, main
-from mono.paths import CONTINUITY_TOL
+from mono.equation import critical_point
+from mono.paths import CONTINUITY_TOL, circle_path
+from mono.rootsets import Window
+from mono.rootwindow import find_roots
 
 
 def run(capsys, *argv):
@@ -108,12 +112,31 @@ def test_track_closed_loop_permutation(capsys, tmp_path):
     ],
     ids=["one-root", "no-root"],
 )
-def test_track_below_two_roots_has_null_separation(capsys, argv, n_roots):
-    # no pair, no distance: null rather than an unserializable inf
+def test_track_below_two_roots_reports_cleanly(capsys, argv, n_roots):
+    # a bundle of one root or none tracks like any other: exit 0, the
+    # four report fields, and the identity on its labels
     code, d, err = run(capsys, "track", "--path", "circle", *argv)
     assert (code, err) == (0, "")
     assert len(d["start"]["roots"]) == n_roots
-    assert d["report"]["min_pairwise_distance"] is None
+    report = d["report"]
+    assert set(report) == {"steps_accepted", "steps_rejected", "max_residual", "max_load"}
+    assert (report["steps_accepted"] > 0) == (n_roots > 0)
+    assert 0.0 <= report["max_load"] < 1.0 and 0.0 <= report["max_residual"] < 1e-12
+    assert d["permutation"]["images"] == list(range(1, n_roots + 1))
+
+
+def test_track_through_critical_value_names_the_label(capsys):
+    # the circle runs through a_0 halfway round: the two roots that merge
+    # at z_0 cannot be stepped past it, exit 3, and the message says which
+    code, d, err = run(
+        capsys, "track", "--path", "circle", "--center=-1.5,3.141592653589793",
+        "--rho", "0.5", "--window=-5,5,-6,6",
+    )
+    assert (code, d) == (3, None)
+    start = find_roots(circle_path(complex(-1.5, math.pi), 0.5).start, Window(-5.0, 5.0, -6.0, 6.0))
+    pair = sorted(start.entries, key=lambda e: abs(e.z - critical_point(0).z))[:2]
+    assert re.match(rf"numerical failure: label ({pair[0].label}|{pair[1].label}): ", err)
+    assert "nearest critical value index 0" in err
 
 
 def test_track_composite_segment_records(capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mono.equation import FAMILY, critical_value
+from mono.equation import FAMILY, critical_point, critical_value
 from mono.errors import PreconditionError, StepUnderflowError
 from mono.lambertw import oracle_roots
 from mono.permutation import extract_permutation
@@ -55,24 +55,43 @@ def test_step_control_caps(bundle3):
     for z, disc in zip(zs, discs):
         e = cmath.exp(z)
         assert _disc(abs(1.0 + e), abs(e), z.real) == pytest.approx(disc, rel=1e-12)
-    expected = min(s - res for _, s, res in rows)
-    cap = step_control(discs, residuals)
-    assert cap == pytest.approx(expected, rel=1e-12)
-    assert cap > 0.05  # larger than the old fixed step
-    # the least margin S(R_i) - rho_i binds, whichever root holds it
-    margins = step_control([(0.1, 0.5), (0.2, 0.3), (3.0, 2.0)], [0.0, 0.05, 1.9])
-    assert margins == pytest.approx(0.1)
-    # no roots, nothing to certify
-    assert step_control([], []) == math.inf
+    # each root's reach is its own margin S(R) - rho, and every one is
+    # larger than the old fixed step
+    for disc, res in zip(discs, residuals):
+        cap = step_control(disc, res)
+        assert cap == pytest.approx(disc[1] - res, rel=1e-12)
+        assert cap > 0.05
+    assert step_control((0.2, 0.3), 0.05) == pytest.approx(0.25)
 
 
-@pytest.mark.parametrize("n, steps", [(-1, 31), (0, 31), (1, 45), (2, 59)])
+@pytest.mark.parametrize(
+    "n, steps",
+    [(-1, (71, 1)), (0, (72, 1)), (1, (107, 1)), (2, (144, 1))],
+    ids=["-1", "0", "1", "2"],
+)
 def test_step_law_is_deterministic(bundle5, n, steps):
-    # the step-control law has no randomness: these counts are exact, and
-    # any change to them is a change of behaviour, not noise
+    # the step-control law has no randomness: these counts of root-steps
+    # are exact, and any change to them is a change of behaviour, not noise
     _, rep = track_bundle(bundle5, keyhole_loop(n, 0.5))
-    assert (rep.steps_accepted, rep.steps_rejected) == (steps, 0)
+    assert (rep.steps_accepted, rep.steps_rejected) == steps
     assert 0.0 < rep.max_load < 1.0
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1, 2])
+def test_each_root_keeps_its_own_schedule(bundle5, n):
+    # no root's steps depend on the others: tracked alone, each label
+    # ends bit for bit where the bundle puts it, and the bundle's step
+    # counts are the sums of the one-root runs
+    loop = keyhole_loop(n, 0.5)
+    end, rep = track_bundle(bundle5, loop)
+    accepted = rejected = 0
+    for e in bundle5.entries:
+        alone = LabeledRootSet(bundle5.a, (e,), bundle5.window)
+        end_alone, rep_alone = track_bundle(alone, loop)
+        assert end_alone.position(e.label) == end.position(e.label)
+        accepted += rep_alone.steps_accepted
+        rejected += rep_alone.steps_rejected
+    assert (rep.steps_accepted, rep.steps_rejected) == (accepted, rejected)
 
 
 def test_guarded_family_calls_do_not_grow_with_steps(bundle5, monkeypatch):
@@ -98,7 +117,7 @@ def test_guarded_family_calls_do_not_grow_with_steps(bundle5, monkeypatch):
         _, rep = track_bundle(bundle5, path)
         runs.append((rep.steps_accepted, calls["eval"], calls["deriv"]))
     (steps, *guarded), (more_steps, *guarded_more) = runs
-    assert (steps, more_steps) == (59, 118)
+    assert (steps, more_steps) == (144, 288)
     assert max(guarded) <= 2 * len(bundle5) + 2
     assert guarded_more == guarded
 
@@ -140,32 +159,32 @@ def test_residuals_stay_tight(bundle5):
     _, rep = track_bundle(bundle5, composite_loop(2))
     assert rep.max_residual < 1e-12
     assert rep.steps_accepted > 50
-    assert rep.min_pairwise_distance > 0.5
 
 
 @pytest.mark.parametrize("n", [-1, 0, 2])
 def test_root_follows_image_segment_line(bundle5, n):
-    # on an image segment one root moves along the known z-line exactly,
-    # at every step the certified step law takes there
+    # on an image segment one label moves along the known z-line exactly,
+    # at every step its own certified schedule takes there: the real root
+    # on the way out, and the partner it swapped with on the way back
     loop = composite_loop(n)
     _, rep = track_bundle(bundle5, loop, record=True)
     rows: dict = {}
-    for arc, _lab, z, _a, _res in rep.trajectory:
-        rows.setdefault(arc, []).append(z)
+    for arc, lab, z, _a, _res in rep.trajectory:
+        rows.setdefault(lab, []).append((arc, z))
     checked = 0
     for i, seg in enumerate(loop.segments):
         if seg.kind != "image":
             continue
         d = seg.z1 - seg.z0
-        for arc, zs in rows.items():
-            if i <= arc <= i + 1:
-                on_line = (
-                    abs(seg.z0 + min(1.0, max(0.0, ((z - seg.z0) / d).real)) * d - z)
-                    for z in zs
-                )
-                assert min(on_line) < 1e-10
-                checked += 1
-    assert checked == {-1: 30, 0: 30, 2: 106}[n]
+        on_line = {}
+        for lab, label_rows in rows.items():
+            zs = [z for arc, z in label_rows if i <= arc <= i + 1]
+            gaps = [abs(seg.z0 + min(1.0, max(0.0, ((z - seg.z0) / d).real)) * d - z) for z in zs]
+            if max(gaps) < 1e-10:
+                on_line[lab] = len(zs)
+        assert len(on_line) == 1
+        checked += sum(on_line.values())
+    assert checked == {-1: 26, 0: 26, 2: 94}[n]
 
 
 def test_underflow_through_critical_value(bundle3):
@@ -180,6 +199,10 @@ def test_underflow_through_critical_value(bundle3):
     assert abs(err.arc_param - 0.5) < 0.05
     n_near, d_near = err.nearest_critical
     assert n_near == 0 and d_near < 1e-6
+    # the failing root is one of the two that merge at z_0, and named
+    pair = sorted(start.entries, key=lambda e: abs(e.z - critical_point(0).z))[:2]
+    assert err.label in {e.label for e in pair}
+    assert str(err).startswith(f"label {err.label}: ")
 
 
 @pytest.mark.parametrize("center", [-720.0, -800.0])
@@ -203,7 +226,7 @@ def test_far_left_root_keeps_a_finite_disc():
     radius, bound = _disc(abs(FAMILY.deriv(far)), math.exp(far.real), far.real)
     assert radius == pytest.approx(800.5, rel=1e-15) and math.isfinite(bound)
     end, rep = track_bundle(start, circle_path(-800.0, 0.5, 1))
-    assert (rep.steps_accepted, rep.steps_rejected) == (3, 0)
+    assert (rep.steps_accepted, rep.steps_rejected) == (2, 0)
     assert max(abs(end.position(lab) - start.position(lab)) for lab in (1, 2)) < 1e-9
 
 
@@ -220,8 +243,8 @@ def test_rejected_step_is_halved_and_retried(bundle3, monkeypatch):
 
     monkeypatch.setattr(tracking, "newton", flaky)
     end, rep = track_bundle(bundle3, loop)
-    assert (plain.steps_accepted, plain.steps_rejected) == (31, 0)
-    assert (rep.steps_accepted, rep.steps_rejected) == (32, 1)
+    assert (plain.steps_accepted, plain.steps_rejected) == (57, 1)
+    assert (rep.steps_accepted, rep.steps_rejected) == (58, 2)
     assert extract_permutation(bundle3, end) == extract_permutation(bundle3, plain_end)
     assert end.positions() == plain_end.positions()
 
@@ -265,12 +288,16 @@ def test_near_merged_start_refused():
 
 
 def test_trajectory_recording_and_csv(tmp_path, bundle3):
-    end, rep = track_bundle(bundle3, keyhole_loop(0, 0.5), record=True)
+    # rows come label by label, each label's in arc order from 0 to the end
+    loop = keyhole_loop(0, 0.5)
+    end, rep = track_bundle(bundle3, loop, record=True)
     assert rep.trajectory
-    arcs = [row[0] for row in rep.trajectory]
-    assert arcs == sorted(arcs)
-    labels_seen = {row[1] for row in rep.trajectory}
-    assert labels_seen == set(bundle3.labels())
+    labels_in_order = [lab for i, (_, lab, *_) in enumerate(rep.trajectory)
+                       if i == 0 or rep.trajectory[i - 1][1] != lab]
+    assert labels_in_order == [e.label for e in bundle3.entries]
+    for lab in labels_in_order:
+        arcs = [arc for arc, row_lab, *_ in rep.trajectory if row_lab == lab]
+        assert arcs[0] == 0.0 and arcs == sorted(arcs) and arcs[-1] == len(loop.segments)
     out = tmp_path / "traj.csv"
     rep.to_csv(str(out))
     lines = out.read_text().splitlines()
