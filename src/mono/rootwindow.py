@@ -11,8 +11,9 @@ or next to an edge: Newton names it, and the contour is refused.
 find_roots recurses down to isolated roots: a cell at least twice as
 long as it is wide is halved across its long side, any other cell is
 quartered, and the cut lines move off roots along a ladder of offsets
-until the children's counts add up.  A child whose circumscribed disc
-passes the exclusion test counts 0 without a contour.  Isolated roots
+until every child but the last is counted, 0 without a contour if its
+circumscribed disc passes the exclusion test.  The last child, bounded
+by certified contours, counts what its siblings leave.  Isolated roots
 get a Newton polish to equation's residual rule, at any height; roots
 merging at a critical point, which no cut clears or which a cut
 isolates within rounding of it, become one cluster entry there.
@@ -275,24 +276,28 @@ def _split_candidates(win: Window):
 
 
 def _split_counted(win: Window, a: complex, expected: int):
-    """Split into children whose counts add up to the parent count.
+    """Split into children, each with its root count.
 
-    The split lines are jittered away from roots: the candidates of
-    _split_candidates are tried until each child contour has clearance
-    and the counts are additive.  A child cleared by _cell_excluded
-    counts 0 without a contour.
+    Candidates are tried until every child but the last is counted: 0 if
+    _cell_excluded clears it, else by count_roots, which refuses a contour
+    near a root.  The last child's edges lie on root-free contours or
+    cleared discs of the parent and its siblings, so its count is exactly
+    the rest; a negative rest is a broken certificate: NumericalError.
     """
     for children in _split_candidates(win):
         try:
-            counted = [
-                (ch, 0 if _cell_excluded(ch, a) else count_roots(a, ch)) for ch in children
-            ]
-        except (BoundaryTooCloseError, ResidualTooLargeError):
+            counts = [0 if _cell_excluded(ch, a) else count_roots(a, ch) for ch in children[:-1]]
+        except (BoundaryTooCloseError, ResidualTooLargeError) as exc:
+            last = exc
             continue
-        if sum(n for _, n in counted) == expected:
-            return counted
+        if sum(counts) > expected:
+            raise NumericalError(
+                f"children of {win!r} count {sum(counts)} roots, more than its {expected}"
+            )
+        return list(zip(children, counts + [expected - sum(counts)]))
     raise SubdivisionError(
-        f"could not split window around {win.center!r} with additive counts"
+        f"could not split window around {win.center!r}: a counted child refused every "
+        f"cut; last cause: {last} (at {getattr(last, 'location', None)})"
     )
 
 
@@ -303,7 +308,7 @@ def find_roots(a: complex, window: Window) -> LabeledRootSet:
     are halved across their long side and near-square ones quartered
     (see _split_candidates).  A child cell whose circumscribed disc the
     exclusion test clears holds no root, on its edges either, and counts
-    0 without a contour; the children's counts must still add up.
+    0 without a contour; the last child counts what its siblings leave.
     Isolated roots are polished by Newton to residual
     max(1e-12, rounding_floor) and checked on return.  A
     cell of multiple roots that no cut splits, around a critical point

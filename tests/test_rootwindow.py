@@ -11,6 +11,7 @@ from mono import rootwindow
 from mono.equation import FAMILY, critical_point, critical_value, real_root
 from mono.errors import (
     BoundaryTooCloseError,
+    NumericalError,
     PreconditionError,
     ResidualTooLargeError,
     SubdivisionError,
@@ -395,18 +396,20 @@ def _count_calls(monkeypatch):
 @pytest.mark.parametrize(
     "window, roots, calls, cleared, samples",
     [
-        (Window(-5.0, 5.0, -60.0, 60.0), 19, 45, 15, (54, 12_260)),
-        (Window(-5.0, 5.0, -6.0, 18.0), 5, 10, 2, (14, 2_656)),
+        (Window(-5.0, 5.0, -60.0, 60.0), 19, 27, 15, (34, 7_552)),
+        (Window(-5.0, 5.0, -6.0, 18.0), 5, 7, 2, (11, 1_876)),
     ],
     ids=["W19", "W5"],
 )
 def test_subdivision_work(monkeypatch, window, roots, calls, cleared, samples):
     # contours counted per find_roots, a machine-independent cost.  The
-    # exclusion test clears 15 (2) of the 59 (11) child cells it is asked
-    # about, without a contour; counting every child took 60 (12)
-    # contours, and quartering every cell as well took 78 (13).  The
-    # contours evaluate 12,260 (2,656) boundary samples in 54 (14)
-    # batches; the trapezoid rule with doubling took 13,568 (2,560) in 51 (10)
+    # exclusion test clears 15 (2) of the 41 (8) child cells it is asked
+    # about, without a contour, and each split's last child takes the
+    # rest of its parent's count; contouring the last children too took
+    # 45 (10) contours, counting every child 60 (12), and quartering
+    # every cell as well 78 (13).  The contours evaluate 7,552 (1,876)
+    # boundary samples in 34 (11) batches; with the last children
+    # contoured they took 12,260 (2,656) in 54 (14)
     windows = _count_calls(monkeypatch)
     batches = _count_samples(monkeypatch)
     verdicts = []
@@ -422,14 +425,31 @@ def test_subdivision_work(monkeypatch, window, roots, calls, cleared, samples):
 def test_elongated_cell_halved_across_long_side(monkeypatch):
     # 10 x 120 is halved across Im.  The centred cut Im z = 0 runs through
     # the real root, so its lower half is refused and the next ladder rung
-    # cuts 0.033 * 120 higher.
+    # cuts 0.033 * 120 higher.  That lower half is counted; the upper half
+    # takes the rest of the 19 without a contour
     windows = _count_calls(monkeypatch)
-    find_roots(0j, Window(-5.0, 5.0, -60.0, 60.0))
-    assert [(w.re_min, w.re_max, w.im_min, w.im_max) for w in windows[1:4]] == [
+    lower, upper = rootwindow._split_counted(Window(-5.0, 5.0, -60.0, 60.0), 0j, 19)
+    assert [(w.re_min, w.re_max, w.im_min, w.im_max) for w in windows] == [
         (-5.0, 5.0, -60.0, 0.0),
         (-5.0, 5.0, -60.0, 3.96),
-        (-5.0, 5.0, 3.96, 60.0),
     ]
+    assert lower == (Window(-5.0, 5.0, -60.0, 3.96), 10)
+    assert upper == (Window(-5.0, 5.0, 3.96, 60.0), 9)
+
+
+def test_overcounting_child_raises_without_trying_another_cut(monkeypatch):
+    # the children tile the parent: siblings that count more roots than
+    # the parent holds mean a broken certificate, not a cut to move
+    window = Window(-5.0, 5.0, -6.0, 18.0)
+    windows = _count_calls(monkeypatch)
+    counter = rootwindow.count_roots
+    monkeypatch.setattr(
+        rootwindow, "count_roots", lambda a, w: counter(a, w) + 10 * (len(windows) > 1)
+    )
+    with pytest.raises(NumericalError, match="count 13 roots, more than its 5") as info:
+        find_roots(0j, window)
+    assert type(info.value) is NumericalError
+    assert windows == [window, window.split2(6.0)[0]]
 
 
 def test_cluster_fallback_within_depth_limit(monkeypatch):
@@ -449,11 +469,14 @@ def test_cluster_fallback_within_depth_limit(monkeypatch):
 
 
 def test_unsplittable_cell_away_from_critical_value_still_raises(monkeypatch):
-    # the fallback needs |a - a_n| <= 1e-6: a simple root whose cell can
-    # never be split is no cluster
-    monkeypatch.setattr(rootwindow, "_SPLIT_OFFSETS", ())
-    with pytest.raises(SubdivisionError, match="additive counts"):
-        find_roots(critical_value(1) + 1e-3, Window(-1.0, 2.0, 8.0, 11.0))
+    # the fallback needs |a - a_n| <= 1e-6: a simple root that the only
+    # cut runs through is no cluster, and the error names the refusal
+    a = critical_value(1) + 1e-3
+    r = min(oracle_roots(a, range(-3, 4)).positions(), key=lambda z: abs(z - 9.38j))
+    monkeypatch.setattr(rootwindow, "_SPLIT_OFFSETS", (0.0,))
+    with pytest.raises(SubdivisionError, match="refused every cut; last cause: root at") as info:
+        find_roots(a, Window(r.real - 1.0, r.real + 2.0, r.imag - 1.5, r.imag + 1.5))
+    assert abs(complex(str(info.value).rsplit("(at ", 1)[1][:-1]) - r) < 1e-9
 
 
 def test_newton_seed_past_exp_range_did_not_stick():
@@ -586,6 +609,43 @@ def test_count_additive_under_long_side_split(a, tall, re_min, im_min, short, as
     except BoundaryTooCloseError:
         reject()  # a contour through a root has no count
     assert sum(parts) == total == len(oracle_roots(a, range(-6, 7), window=w))
+
+
+@settings(max_examples=150)
+@given(
+    n=st.integers(-8, 8),
+    log_dist=st.floats(-6.0, -2.0),
+    angle=st.floats(0.0, 2.0 * math.pi),
+    shift_re=st.floats(-0.5, 0.5),
+    shift_im=st.floats(-0.5, 0.5),
+    half_w=st.floats(1.5, 4.0),
+    half_h=st.floats(1.5, 4.0),
+    log_off=st.floats(-5.0, 0.0),
+    cut_angle=st.floats(0.0, 2.0 * math.pi),
+    quarter=st.booleans(),
+)
+def test_count_additive_next_to_critical_value(
+    n, log_dist, angle, shift_re, shift_im, half_w, half_h, log_off, cut_angle, quarter
+):
+    # a within 1e-6..1e-2 of a_n, a window around z_n and cuts through a
+    # point 1e-5..1 from z_n, next to the pair meeting there: find_roots
+    # derives a last child's count from its siblings', which holds only
+    # if the counts add up
+    a = critical_value(n) + cmath.rect(10.0**log_dist, angle)
+    z_n = critical_point(n).z
+    c = z_n + complex(shift_re, shift_im)
+    w = Window(c.real - half_w, c.real + half_w, c.imag - half_h, c.imag + half_h)
+    p = z_n + cmath.rect(10.0**log_off, cut_angle)
+    if quarter:
+        children = w.split4(p.real, p.imag)
+    else:
+        children = w.split2(p.real if w.width >= w.height else p.imag)
+    try:
+        total = count_roots(a, w)
+        parts = [count_roots(a, ch) for ch in children]
+    except (BoundaryTooCloseError, ResidualTooLargeError):
+        reject()  # a refused contour has no count
+    assert sum(parts) == total == len(oracle_roots(a, BRANCHES, window=w))
 
 
 @settings(max_examples=300)
