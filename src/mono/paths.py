@@ -61,7 +61,7 @@ class LineSegment:
 
     def reach(self, t0: float, t1: float) -> float:
         """sup |a(t) - a(u)| over t, u in [t0, t1]: the chord, on a line."""
-        return abs(self.point(t1) - self.point(t0))
+        return abs(t1 - t0) * abs(self.z1 - self.z0)
 
     @property
     def start(self) -> complex:
@@ -103,9 +103,8 @@ class ArcSegment:
         apart, which grows with phi: up to a half turn the chord is the
         sup.  A longer piece holds antipodal points, so the sup is 2 r.
         """
-        if abs(t1 - t0) * abs(self.theta1 - self.theta0) <= math.pi:
-            return abs(self.point(t1) - self.point(t0))
-        return 2.0 * self.radius
+        phi = min(math.pi, abs(t1 - t0) * abs(self.theta1 - self.theta0))
+        return 2.0 * self.radius * math.sin(0.5 * phi)
 
     @property
     def start(self) -> complex:

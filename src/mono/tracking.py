@@ -22,10 +22,15 @@ on the piece, and none on its boundary, so the root in disc i is the
 continuation of z_i: label i follows it.  The certificate is the root's
 own, so each root is sized by its own disc alone: step_control returns
 its largest reach, S(R_i) - rho_i, and every segment starts with the
-whole segment as the first try.  Labels share no time, and none needs
-to: a simple root's continuation is unique, so two labels that met
-would have started at the same root, and roots can collide only at
-a = a_n, where the discs shrink and stepping underflows.
+whole segment as the first try.  A piece that ends its segment runs on
+through each following whole segment while the summed reaches, joint
+gaps included (each at most paths.CONTINUITY_TOL, and counted on every
+segment's first step), still fit: a(t) stays within that sum of the a
+the step starts from, so the same test certifies the whole piece.  A
+rejected step halves back inside its own segment.  Labels share no
+time, and none needs to: a simple root's continuation is unique, so two
+labels that met would have started at the same root, and roots can
+collide only at a = a_n, where the discs shrink and stepping underflows.
 report.max_load records the largest (rho_i + reach) / S(R_i) over
 accepted steps, which the certificate keeps below 1, and
 report.steps_accepted and steps_rejected count root-steps.
@@ -43,7 +48,8 @@ StepUnderflowError, carrying the label, its arc position and the
 nearest critical value.  Bundles whose roots start closer than
 NEAR_CRITICAL_RADIUS are refused, and so is a loop that carries a root
 out of the start window.  record keeps each accepted step's root in
-report.trajectory, label by label in arc order.
+report.trajectory, label by label in arc order; rows sit at step ends
+only, so a step that runs through a segment leaves no row on it.
 """
 
 from __future__ import annotations
@@ -122,9 +128,12 @@ def _underflow(what: str, label: int, arc: float, a: complex) -> StepUnderflowEr
 def _track_root(label, z, d, rho, segments, a_cur, report, rows):
     """Carry one root along the moving segments on its own step schedule
     and return its end position; each accepted step adds a trajectory row
-    to rows, unless rows is None."""
+    to rows, unless rows is None.  segments holds (index, segment, gap
+    from the previous end, gap plus the whole segment's reach)."""
     disc = _disc(abs(d), math.exp(z.real), z.real)
-    for i_seg, seg in segments:
+    k = 0
+    while k < len(segments):
+        i_seg, seg, gap, _ = segments[k]
         u, du = 0.0, 1.0
         while u < 1.0:
             du = min(du, 1.0 - u)
@@ -134,7 +143,7 @@ def _track_root(label, z, d, rho, segments, a_cur, report, rows):
             # geometric sizing: shrink du until the piece's reach fits
             for _ in range(80):
                 u_next = 1.0 if 1.0 - (u + du) < 1e-14 else u + du
-                reach = seg.reach(u, u_next)
+                reach = gap + seg.reach(u, u_next)
                 if reach <= allowed * 1.0000001 or reach == 0.0:
                     break
                 du *= max(0.1, 0.9 * allowed / reach)
@@ -147,8 +156,13 @@ def _track_root(label, z, d, rho, segments, a_cur, report, rows):
                 )
             if reach < MIN_STEP and u_next < 1.0:
                 raise _underflow("step fell below", label, i_seg + u, a_cur)
-
-            a_next = seg.point(u_next)
+            # a piece that ends its segment runs on through whole ones that fit
+            last = k
+            while (u_next == 1.0 and last + 1 < len(segments)
+                   and reach + segments[last + 1][3] <= allowed):
+                last += 1
+                reach += segments[last][3]
+            a_next = segments[last][1].point(u_next)
             radius, bound = disc
             # sizing lets reach exceed its allowance by a relative 1e-7,
             # so the piece's certificate is checked outright
@@ -174,11 +188,12 @@ def _track_root(label, z, d, rho, segments, a_cur, report, rows):
             report.max_residual = max(report.max_residual, res_new)
             z, d, rho, disc = z_new, d_new, rho_new, _disc(fa, ee, z_new.real)
             a_cur = a_next
-            u = u_next
+            u, gap, k = u_next, 0.0, last
             report.steps_accepted += 1
             if rows is not None:
-                rows.append((i_seg + u, label, z, a_cur, res_new))
+                rows.append((segments[k][0] + u, label, z, a_cur, res_new))
             du = min(du * _GROWTH, 1.0)
+        k += 1
     return z
 
 
@@ -219,8 +234,12 @@ def track_bundle(
         )
 
     # a constant segment moves nothing
-    segments = [(i, seg) for i, seg in enumerate(path.segments) if seg.reach(0.0, 1.0) != 0.0]
-    a_end = segments[-1][1].point(1.0) if segments else path.start
+    segments, a_end = [], path.start
+    for i, seg in enumerate(path.segments):
+        if (whole := seg.reach(0.0, 1.0)) != 0.0:
+            gap = abs(seg.point(0.0) - a_end)
+            segments.append((i, seg, gap, gap + whole))
+            a_end = seg.point(1.0)
     report = TrackReport()
     rows = report.trajectory if record else None
     entries = []

@@ -166,3 +166,18 @@ def test_certified_steps_match_the_fixed_cap(guard_bundles, name, data):
     end, rep = track_bundle(bundle, concat(*(_letter(*letter) for letter in word)))
     assert rep.max_load < 1.0
     assert extract_permutation(bundle, end).images == product
+
+
+@pytest.mark.parametrize("name", list(_GUARD_WINDOWS))
+@settings(max_examples=6)
+@given(data=st.data())
+def test_splitting_a_path_changes_nothing(guard_bundles, name, data):
+    # tracked whole, a step may run on across the joint of p and q; split
+    # there, every step stops at it: each label ends at the same root
+    bundle = guard_bundles[name]
+    letters = st.tuples(st.sampled_from(_GUARD_WINDOWS[name][1]), st.sampled_from((1, -1)))
+    p, q = (_letter(*data.draw(letters, label=side)) for side in ("p", "q"))
+    whole, _ = track_bundle(bundle, concat(p, q))
+    split, _ = track_bundle(track_bundle(bundle, p)[0], q)
+    assert extract_permutation(bundle, whole) == extract_permutation(bundle, split)
+    assert max(abs(whole.position(lab) - split.position(lab)) for lab in bundle.labels()) < 1e-9

@@ -252,6 +252,64 @@ def test_chord_is_no_reach(seg):
     assert _sampled_sup(seg, 0.0, 1.0) > 1.5 * abs(seg.end - seg.start)
 
 
+def _dense_sup(seg, t0, t1):
+    """_sampled_sup, on an arc also over each sample's antipode on the
+    piece, where the sup of a piece longer than a half turn sits."""
+    ts = np.linspace(min(t0, t1), max(t0, t1), 201)
+    if seg.kind == "arc":
+        half = math.pi / abs(seg.theta1 - seg.theta0)
+        ts = np.concatenate([ts, ts[ts + half <= ts[-1]] + half])
+    pts = np.array([seg.point(t) for t in ts])
+    return np.abs(pts[:, None] - pts[None, :]).max()
+
+
+_point = st.complex_numbers(max_magnitude=10.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seg=st.one_of(
+        st.builds(LineSegment, _point, _point),
+        st.builds(ArcSegment, _point, st.floats(0.1, 3.0), st.floats(-7.0, 7.0), st.floats(-20.0, 20.0)),
+    ),
+    t0=st.floats(0.0, 1.0),
+    t1=st.floats(0.0, 1.0),
+)
+def test_closed_form_reach_is_the_sup(seg, t0, t1):
+    # lines and arcs give their sup in closed form, with no point on the
+    # piece evaluated; pieces long enough that rounding in the sampled
+    # points stays below a relative 1e-12
+    sweep = abs(seg.z1 - seg.z0) if seg.kind == "line" else abs(seg.theta1 - seg.theta0)
+    assume(abs(t1 - t0) * sweep >= 0.1)
+    assert seg.reach(t0, t1) == pytest.approx(_dense_sup(seg, t0, t1), rel=1e-12)
+
+
+_loops = st.one_of(
+    st.builds(
+        keyhole_loop, st.integers(-2, 2), st.sampled_from([0.1, 0.5, 0.9]),
+        corridor_re=st.sampled_from([-2.0, 0.5]),
+    ),
+    st.builds(composite_loop, st.integers(-2, 2), st.sampled_from([0.1, 0.5, 1.0])),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(path=st.one_of(_loops, st.builds(concat, _loops, _loops)), data=st.data())
+def test_reaches_add_across_joints(path, data):
+    # a tracking step that runs on through whole segments stays within the
+    # summed reaches of its pieces plus the gaps at their joints
+    segs = path.segments
+    k = data.draw(st.integers(0, len(segs) - 2), label="first")
+    m = data.draw(st.integers(2, min(4, len(segs) - k)), label="segments")
+    u0, u1 = data.draw(st.floats(0.0, 1.0), label="u0"), data.draw(st.floats(0.0, 1.0), label="u1")
+    run = segs[k:k + m]
+    pieces = [(run[0], u0, 1.0), *((seg, 0.0, 1.0) for seg in run[1:-1]), (run[-1], 0.0, u1)]
+    bound = sum(seg.reach(t0, t1) for seg, t0, t1 in pieces)
+    bound += sum(abs(s1.point(0.0) - s0.point(1.0)) for s0, s1 in zip(run, run[1:]))
+    pts = np.array([seg.point(t) for seg, t0, t1 in pieces for t in np.linspace(t0, t1, 200)])
+    assert np.abs(pts - run[0].point(u0)).max() <= bound * (1.0 + 1e-12)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     center=st.complex_numbers(max_magnitude=10.0),
