@@ -65,28 +65,21 @@ class Window:
     def expand(self, d: float) -> "Window":
         return Window(self.re_min - d, self.re_max + d, self.im_min - d, self.im_max + d)
 
-    def split4(self, cx: float, cy: float) -> list["Window"]:
-        """The four quarters around (cx, cy); a point outside the interior
-        leaves a degenerate quarter, which is refused."""
-        return [
-            Window(self.re_min, cx, self.im_min, cy),
-            Window(cx, self.re_max, self.im_min, cy),
-            Window(self.re_min, cx, cy, self.im_max),
-            Window(cx, self.re_max, cy, self.im_max),
-        ]
-
-    def split2(self, cut: float) -> list["Window"]:
+    def halves(self, offset: float) -> list["Window"]:
         """The two halves either side of a cut across the longer side.
 
-        cut is a real coordinate when the window is at least as wide as
-        it is tall, and an imaginary one otherwise; a cut outside the
-        interior leaves a degenerate half, which is refused.
+        The cut runs across Re when the window is at least as wide as it
+        is tall, else across Im, at the centre plus offset times that
+        side; a cut outside the interior leaves a degenerate half, which
+        is refused.
         """
         if self.width >= self.height:
+            cut = self.center.real + offset * self.width
             return [
                 Window(self.re_min, cut, self.im_min, self.im_max),
                 Window(cut, self.re_max, self.im_min, self.im_max),
             ]
+        cut = self.center.imag + offset * self.height
         return [
             Window(self.re_min, self.re_max, self.im_min, cut),
             Window(self.re_min, self.re_max, cut, self.im_max),

@@ -8,12 +8,11 @@ ratio of its end values.  All four edges are sampled in one array by
 one exp, and only the pieces whose discs fail are cut and sampled
 again.  A piece that still fails at the finest spacing marks a root on
 or next to an edge: Newton names it, and the contour is refused.
-find_roots recurses down to isolated roots: a cell at least twice as
-long as it is wide is halved across its long side, any other cell is
-quartered, and the cut lines move off roots along a ladder of offsets
-until every child but the last is counted, 0 without a contour if its
-circumscribed disc passes the exclusion test.  The last child, bounded
-by certified contours, counts what its siblings leave.  Isolated roots
+find_roots recurses down to isolated roots: every cell is halved
+across its long side, and the cut moves off roots along a ladder of
+offsets until the first half is counted, 0 without a contour if its
+circumscribed disc passes the exclusion test.  The second half, bounded
+by certified contours, counts what the first leaves.  Isolated roots
 get a Newton polish to equation's residual rule, at any height; roots
 merging at a critical point, which no cut clears or which a cut
 isolates within rounding of it, become one cluster entry there.
@@ -61,11 +60,10 @@ _CUT_U = np.arange(1, _COVER_SPLIT) / _COVER_SPLIT
 # -5,5,-1e6,1e6 fails 8,192 at its third cut, the benchmark's contours
 # at most 64 at any cut
 _COVER_MAX = 16 * _EDGE_SAMPLES
-_MAX_DEPTH = 48
+# in halvings: the a_1 cluster on -1,2,-190,210 is reached at depth 37
+_MAX_DEPTH = 64
 # |a - a_n| up to which a multi-root cell at z_n that no cut splits is a cluster
 _CLUSTER_DIST = 1e-6
-# a cell this many times longer than wide is halved across its long side
-_ASPECT_SPLIT = 2.0
 _SPLIT_OFFSETS = (0.0, 0.033, -0.033, 0.071, -0.071, 0.137, -0.137)
 _JITTER_STEP = 1e-3
 _JITTER_TRIES = 10
@@ -255,48 +253,30 @@ def _solve_isolated(win: Window, a: complex) -> complex | None:
     return None
 
 
-def _split_candidates(win: Window):
-    """The ways to split a cell, in the order they are tried.
-
-    A cell whose long side is at least _ASPECT_SPLIT times its short side
-    is halved across the long side; any other is quartered.  The split
-    lines walk the offset ladder (fractions of the side) away from the
-    centre: along the long side for halves, over both sides for quarters.
-    """
-    c = win.center
-    long_side, short_side = max(win.width, win.height), min(win.width, win.height)
-    if long_side >= _ASPECT_SPLIT * short_side:
-        mid = c.real if win.width >= win.height else c.imag
-        for o in _SPLIT_OFFSETS:
-            yield win.split2(mid + o * long_side)
-        return
-    for ox in _SPLIT_OFFSETS:
-        for oy in _SPLIT_OFFSETS:
-            yield win.split4(c.real + ox * win.width, c.imag + oy * win.height)
-
-
 def _split_counted(win: Window, a: complex, expected: int):
-    """Split into children, each with its root count.
+    """Halve across the long side, each half with its root count.
 
-    Candidates are tried until every child but the last is counted: 0 if
-    _cell_excluded clears it, else by count_roots, which refuses a contour
-    near a root.  The last child's edges lie on root-free contours or
-    cleared discs of the parent and its siblings, so its count is exactly
-    the rest; a negative rest is a broken certificate: NumericalError.
+    The cut walks the offset ladder (fractions of the long side) away
+    from the centre until the first half is counted: 0 if _cell_excluded
+    clears it, else by count_roots, which refuses a contour near a root.
+    The second half's edges lie on root-free contours or cleared discs
+    of the parent and the first half, so its count is exactly the rest;
+    a negative rest is a broken certificate: NumericalError.
     """
-    for children in _split_candidates(win):
+    for offset in _SPLIT_OFFSETS:
+        first, second = win.halves(offset)
         try:
-            counts = [0 if _cell_excluded(ch, a) else count_roots(a, ch) for ch in children[:-1]]
+            n = 0 if _cell_excluded(first, a) else count_roots(a, first)
         except (BoundaryTooCloseError, ResidualTooLargeError) as exc:
             last = exc
             continue
-        if sum(counts) > expected:
+        if n > expected:
             raise NumericalError(
-                f"children of {win!r} count {sum(counts)} roots, more than its {expected}"
+                f"the first half of {win!r} counts {n} roots, more than its {expected}"
             )
-        return list(zip(children, counts + [expected - sum(counts)]))
+        return [(first, n), (second, expected - n)]
     raise SubdivisionError(
-        f"could not split window around {win.center!r}: a counted child refused every "
+        f"could not split window around {win.center!r}: its first half refused every "
         f"cut; last cause: {last} (at {getattr(last, 'location', None)})"
     )
 
@@ -304,13 +284,12 @@ def _split_counted(win: Window, a: complex, expected: int):
 def find_roots(a: complex, window: Window) -> LabeledRootSet:
     """All roots of z + e^z = a in the window, canonically labeled.
 
-    Subdivision isolates roots counted by count_roots: elongated cells
-    are halved across their long side and near-square ones quartered
-    (see _split_candidates).  A child cell whose circumscribed disc the
-    exclusion test clears holds no root, on its edges either, and counts
-    0 without a contour; the last child counts what its siblings leave.
-    Isolated roots are polished by Newton to residual
-    max(1e-12, rounding_floor) and checked on return.  A
+    Subdivision isolates roots counted by count_roots: every cell is
+    halved across its long side (see _split_counted).  A first half
+    whose circumscribed disc the exclusion test clears holds no root, on
+    its edges either, and counts 0 without a contour; the second half
+    counts what the first leaves.  Isolated roots are polished by Newton
+    to residual max(1e-12, rounding_floor) and checked on return.  A
     cell of multiple roots that no cut splits, around a critical point
     z_n with |a - a_n| <= 1e-6, is a merge cluster: one entry at z_n
     carries the cluster multiplicity and is flagged near-merge.  So is a

@@ -44,9 +44,9 @@ def test_tracer_installs_every_name(tracer_module):
 )
 def test_tracer_sees_internal_count_roots_calls(tracer_module, im_max, roots, refused):
     # find_roots calls count_roots through the module global the tracer
-    # rebinds.  W3 (10 x 12) is quartered at (0, 0): the split line Im z = 0
-    # runs through the real root, and the first child contour on it is
-    # refused and counted as a failed call; the next ladder rung splits
+    # rebinds.  W3 (10 x 12) is halved across Im at its centre: the cut
+    # Im z = 0 runs through the real root, and the first half's contour on
+    # it is refused and counted as a failed call; the next ladder rung cuts
     # clear of it.  W5 (10 x 24) is halved at Im z = 6, and its lower half
     # is W3 itself, so it sees the same one refusal.
     from mono import rootwindow

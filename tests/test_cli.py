@@ -361,12 +361,18 @@ def test_bad_input_exits_two_without_traceback(capsys, tmp_path, argv):
         # the end angle of 20,000 turns misses the start by 3.5e-12
         (
             ["track", "--path", "loop", "--turns", "20000"], 2, "precondition",
-            "turns = 20000 is too many",
+            "radius 0.5 with turns = 20000 cannot close",
+        ),
+        # one turn of radius 5000 misses its start by 1.2e-12: the radius
+        # is the cause, and the message names both remedies
+        (
+            ["track", "--path", "circle", "--rho", "5000"], 2, "precondition",
+            "radius 5000 with turns = 1 cannot close",
         ),
     ],
     ids=[
         "critical-index-huge", "loop-index-huge", "edge-cover-long",
-        "loop-turns-huge",
+        "loop-turns-huge", "circle-radius-huge",
     ],
 )
 def test_error_message_names_the_cause(capsys, argv, code, prefix, cause):
@@ -401,18 +407,18 @@ def test_refusal_is_fast_and_names_the_fix(capsys, argv, cause):
 @pytest.mark.parametrize(
     "a, window",
     [
-        ("3.7,-1.6", "-20,5,-10,51"),
-        ("-0.2,0.4", "-20,5,-28,76"),
-        ("3.9,2", "-29,5,-38,43"),
         ("0.2,-2.4", "-29,5,15,121"),
+        ("3.7,1.6", "-25,5,24,129"),
+        ("0.7,-0.1", "-24,5,34,109"),
+        ("3.4,-0.8", "-20,5,-27,63"),
     ],
 )
 def test_newton_seed_past_exp_range_is_no_hit(capsys, a, window):
     # a Newton iterate from one of the isolation seeds jumps past
-    # EXP_RE_MAX (to Re z = 826, 1254, 711 and 3573); that seed found
+    # EXP_RE_MAX (to Re z = 3573, 826, 1065 and 791); that seed found
     # nothing, and the window is still valid.  Which cells' seeds jump
-    # depends on where cells are cut: the first two jumped when every
-    # cell was quartered, the last two do with long cells halved.
+    # depends on where cells are cut, so these windows were found by
+    # searching round-number windows under the halving rule.
     code, d, _ = run(
         capsys, "oracle", f"--a={a}", "--k-from", "-20", "--k-to", "20",
         "--compare", f"--window={window}",

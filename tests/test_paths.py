@@ -199,7 +199,7 @@ def test_turn_count_that_cannot_close_refused():
     # misses its start by 3.5e-12, beyond CONTINUITY_TOL
     assert loop_around(0, 0.5, 10_000).closed
     for build in (lambda t: loop_around(0, 0.5, t), lambda t: circle_path(0j, 0.5, t)):
-        with pytest.raises(PreconditionError, match="turns = 20000 is too many"):
+        with pytest.raises(PreconditionError, match="radius 0.5 with turns = 20000 cannot close"):
             build(20_000)
 
 

@@ -31,39 +31,29 @@ def test_window_geometry():
     assert c[1] == 3.0 + 2.0j
     assert c[2] == 3.0 + 4.0j
     assert c[3] == -1.0 + 4.0j
-
-
-def test_window_expand_and_split():
-    w = Window(0.0, 2.0, 0.0, 2.0)
     e = w.expand(0.5)
-    assert (e.re_min, e.re_max, e.im_min, e.im_max) == (-0.5, 2.5, -0.5, 2.5)
-    quads = w.split4(1.0, 1.0)
-    assert len(quads) == 4
-    assert sum(q.width * q.height for q in quads) == pytest.approx(4.0)
-    # children tile the parent without overlap
-    centers = sorted((q.center.real, q.center.imag) for q in quads)
-    assert centers == [(0.5, 0.5), (0.5, 1.5), (1.5, 0.5), (1.5, 1.5)]
-    # a point outside the interior leaves a degenerate quarter
-    for cx, cy in ((2.0, 1.0), (1.0, -0.5), (3.0, 3.0)):
-        with pytest.raises(PreconditionError, match="degenerate window"):
-            w.split4(cx, cy)
+    assert (e.re_min, e.re_max, e.im_min, e.im_max) == (-1.5, 3.5, 1.5, 4.5)
 
 
 @pytest.mark.parametrize(
-    "w, cut, halves",
+    "w, offset, halves",
     [
-        (Window(0.0, 8.0, 0.0, 2.0), 3.0, [(0.0, 3.0, 0.0, 2.0), (3.0, 8.0, 0.0, 2.0)]),
-        (Window(0.0, 2.0, -4.0, 4.0), 1.0, [(0.0, 2.0, -4.0, 1.0), (0.0, 2.0, 1.0, 4.0)]),
+        (Window(0.0, 8.0, 0.0, 2.0), -0.125, [(0.0, 3.0, 0.0, 2.0), (3.0, 8.0, 0.0, 2.0)]),
+        (Window(0.0, 2.0, -4.0, 4.0), 0.125, [(0.0, 2.0, -4.0, 1.0), (0.0, 2.0, 1.0, 4.0)]),
+        (Window(0.0, 2.0, 0.0, 2.0), 0.0, [(0.0, 1.0, 0.0, 2.0), (1.0, 2.0, 0.0, 2.0)]),
     ],
-    ids=["wide", "tall"],
+    ids=["wide", "tall", "square"],
 )
-def test_window_split2_halves_tile(w, cut, halves):
-    # the cut runs across the longer side; the halves share it and tile w
-    got = w.split2(cut)
+def test_window_halves_tile(w, offset, halves):
+    # the cut runs across the longer side, across Re for a square, at the
+    # centre plus offset times that side; the halves share it and tile w
+    got = w.halves(offset)
     assert [(h.re_min, h.re_max, h.im_min, h.im_max) for h in got] == halves
     assert sum(h.width * h.height for h in got) == pytest.approx(w.width * w.height)
-    with pytest.raises(PreconditionError):
-        w.split2(w.re_max + 1.0 if w.width >= w.height else w.im_min)
+    # a cut on or outside the boundary leaves a degenerate half
+    for off in (0.5, -0.5, 0.75):
+        with pytest.raises(PreconditionError, match="degenerate window"):
+            w.halves(off)
 
 
 def test_window_degenerate_rejected():

@@ -396,20 +396,19 @@ def _count_calls(monkeypatch):
 @pytest.mark.parametrize(
     "window, roots, calls, cleared, samples",
     [
-        (Window(-5.0, 5.0, -60.0, 60.0), 19, 27, 15, (34, 7_552)),
-        (Window(-5.0, 5.0, -6.0, 18.0), 5, 7, 2, (11, 1_876)),
+        (Window(-5.0, 5.0, -60.0, 60.0), 19, 22, 6, (29, 6_252)),
+        (Window(-5.0, 5.0, -6.0, 18.0), 5, 6, 0, (10, 1_616)),
     ],
     ids=["W19", "W5"],
 )
 def test_subdivision_work(monkeypatch, window, roots, calls, cleared, samples):
-    # contours counted per find_roots, a machine-independent cost.  The
-    # exclusion test clears 15 (2) of the 41 (8) child cells it is asked
-    # about, without a contour, and each split's last child takes the
-    # rest of its parent's count; contouring the last children too took
-    # 45 (10) contours, counting every child 60 (12), and quartering
-    # every cell as well 78 (13).  The contours evaluate 7,552 (1,876)
-    # boundary samples in 34 (11) batches; with the last children
-    # contoured they took 12,260 (2,656) in 54 (14)
+    # contours counted per find_roots, a machine-independent cost.  Every
+    # cell is halved across its long side; the exclusion test clears 6 (0)
+    # of the 27 (5) first halves it is asked about, without a contour, and
+    # each second half takes the rest of its parent's count.  The contours
+    # evaluate 6,252 (1,616) boundary samples in 29 (10) batches; with
+    # near-square cells quartered they took 27 (7) contours and 7,552
+    # (1,876) samples in 34 (11)
     windows = _count_calls(monkeypatch)
     batches = _count_samples(monkeypatch)
     verdicts = []
@@ -438,34 +437,34 @@ def test_elongated_cell_halved_across_long_side(monkeypatch):
 
 
 def test_overcounting_child_raises_without_trying_another_cut(monkeypatch):
-    # the children tile the parent: siblings that count more roots than
-    # the parent holds mean a broken certificate, not a cut to move
+    # the halves tile the parent: a first half that counts more roots
+    # than the parent holds means a broken certificate, not a cut to move
     window = Window(-5.0, 5.0, -6.0, 18.0)
     windows = _count_calls(monkeypatch)
     counter = rootwindow.count_roots
     monkeypatch.setattr(
         rootwindow, "count_roots", lambda a, w: counter(a, w) + 10 * (len(windows) > 1)
     )
-    with pytest.raises(NumericalError, match="count 13 roots, more than its 5") as info:
+    with pytest.raises(NumericalError, match="counts 13 roots, more than its 5") as info:
         find_roots(0j, window)
     assert type(info.value) is NumericalError
-    assert windows == [window, window.split2(6.0)[0]]
+    assert windows == [window, window.halves(0.0)[0]]
 
 
 def test_cluster_fallback_within_depth_limit(monkeypatch):
     # at a = a_1 the two roots meet at z_1.  Every cut within about 4.5e-5
     # of z_1 is refused for clearance, so the cell holding z_1 stops
-    # splitting 22 levels down this 3 x 400 window and is recorded as one
+    # splitting 37 halvings down this 3 x 400 window and is recorded as one
     # double entry at exactly z_1, well inside the depth limit
     a, w = critical_value(1), Window(-1.0, 2.0, -190.0, 210.0)
     limit = rootwindow._MAX_DEPTH
-    monkeypatch.setattr(rootwindow, "_MAX_DEPTH", 22)
+    monkeypatch.setattr(rootwindow, "_MAX_DEPTH", 37)
     (entry,) = find_roots(a, w).entries
     assert entry.z == critical_point(1).z and entry.multiplicity == 2
-    monkeypatch.setattr(rootwindow, "_MAX_DEPTH", 21)
-    with pytest.raises(SubdivisionError, match="depth 22 exceeded"):
+    monkeypatch.setattr(rootwindow, "_MAX_DEPTH", 36)
+    with pytest.raises(SubdivisionError, match="depth 37 exceeded"):
         find_roots(a, w)
-    assert 22 + 20 <= limit
+    assert 37 + 20 <= limit
 
 
 def test_unsplittable_cell_away_from_critical_value_still_raises(monkeypatch):
@@ -572,17 +571,15 @@ def test_window_edge_through_root_matches_oracle(a, branch, where, width, height
     im_min=st.floats(-15.0, 0.0),
     width=st.floats(1.0, 8.0),
     height=st.floats(1.0, 20.0),
-    fx=st.floats(0.05, 0.95),
-    fy=st.floats(0.05, 0.95),
+    first=st.floats(-0.45, 0.45),
+    second=st.floats(-0.45, 0.45),
 )
-def test_count_additive_under_random_split(a, re_min, im_min, width, height, fx, fy):
+def test_count_additive_under_random_split(a, re_min, im_min, width, height, first, second):
+    # the window halved, and each half halved again, at random offsets
     w = Window(re_min, re_min + width, im_min, im_min + height)
     try:
         total = count_roots(a, w)
-        parts = [
-            count_roots(a, ch)
-            for ch in w.split4(re_min + fx * width, im_min + fy * height)
-        ]
+        parts = [count_roots(a, q) for h in w.halves(first) for q in h.halves(second)]
     except BoundaryTooCloseError:
         reject()  # a contour through a root has no count
     assert sum(parts) == total == len(oracle_roots(a, range(-6, 7), window=w))
@@ -595,20 +592,26 @@ def test_count_additive_under_random_split(a, re_min, im_min, width, height, fx,
     re_min=st.floats(-5.0, 0.0),
     im_min=st.floats(-15.0, 0.0),
     short=st.floats(0.5, 3.0),
-    aspect=st.floats(2.0, 10.0),
-    frac=st.floats(0.05, 0.95),
+    aspect=st.floats(1.0, 10.0),
+    offset=st.floats(-0.45, 0.45),
 )
-def test_count_additive_under_long_side_split(a, tall, re_min, im_min, short, aspect, frac):
-    # the halves of an elongated window, cut anywhere across its long side
+def test_count_additive_under_long_side_split(a, tall, re_min, im_min, short, aspect, offset):
+    # the halves of a window of any aspect, cut anywhere across its long side
     width, height = (short, aspect * short) if tall else (aspect * short, short)
     w = Window(re_min, min(re_min + width, 5.0), im_min, im_min + height)
-    lo, long_side = (w.im_min, w.height) if w.height > w.width else (w.re_min, w.width)
     try:
         total = count_roots(a, w)
-        parts = [count_roots(a, ch) for ch in w.split2(lo + frac * long_side)]
+        parts = [count_roots(a, ch) for ch in w.halves(offset)]
     except BoundaryTooCloseError:
         reject()  # a contour through a root has no count
     assert sum(parts) == total == len(oracle_roots(a, range(-6, 7), window=w))
+
+
+def _halves_near(w, p):
+    """w.halves cut through p, or as near it as a cut 5% inside w gets."""
+    d = p - w.center
+    offset = d.real / w.width if w.width >= w.height else d.imag / w.height
+    return w.halves(min(max(offset, -0.45), 0.45))
 
 
 @settings(max_examples=150)
@@ -622,24 +625,23 @@ def test_count_additive_under_long_side_split(a, tall, re_min, im_min, short, as
     half_h=st.floats(1.5, 4.0),
     log_off=st.floats(-5.0, 0.0),
     cut_angle=st.floats(0.0, 2.0 * math.pi),
-    quarter=st.booleans(),
+    twice=st.booleans(),
 )
 def test_count_additive_next_to_critical_value(
-    n, log_dist, angle, shift_re, shift_im, half_w, half_h, log_off, cut_angle, quarter
+    n, log_dist, angle, shift_re, shift_im, half_w, half_h, log_off, cut_angle, twice
 ):
     # a within 1e-6..1e-2 of a_n, a window around z_n and cuts through a
-    # point 1e-5..1 from z_n, next to the pair meeting there: find_roots
-    # derives a last child's count from its siblings', which holds only
-    # if the counts add up
+    # point 1e-5..1 from z_n, next to the pair meeting there, once or on
+    # each half again: find_roots derives a second half's count from the
+    # first's, which holds only if the counts add up
     a = critical_value(n) + cmath.rect(10.0**log_dist, angle)
     z_n = critical_point(n).z
     c = z_n + complex(shift_re, shift_im)
     w = Window(c.real - half_w, c.real + half_w, c.imag - half_h, c.imag + half_h)
     p = z_n + cmath.rect(10.0**log_off, cut_angle)
-    if quarter:
-        children = w.split4(p.real, p.imag)
-    else:
-        children = w.split2(p.real if w.width >= w.height else p.imag)
+    children = _halves_near(w, p)
+    if twice:
+        children = [q for h in children for q in _halves_near(h, p)]
     try:
         total = count_roots(a, w)
         parts = [count_roots(a, ch) for ch in children]
@@ -697,12 +699,12 @@ TALL_BRANCHES = range(-50, 51)  # every root with |Im z| <= 300
     a=st.complex_numbers(max_magnitude=3.0),
     tall=st.booleans(),
     short=st.floats(0.5, 3.0),
-    aspect=st.floats(4.0, 40.0),
+    aspect=st.floats(1.0, 40.0),
     fx=st.floats(0.0, 1.0),
     fy=st.floats(0.0, 1.0),
 )
 def test_elongated_window_matches_oracle(a, tall, short, aspect, fx, fy):
-    # tall or flat windows of aspect 4-40 inside -300 <= Im z <= 300,
+    # tall or flat windows of aspect 1-40 inside -300 <= Im z <= 300,
     # Re z <= 6; anchored by fractions of the room left for them
     if tall:
         width, height = short, aspect * short
