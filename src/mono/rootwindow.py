@@ -12,10 +12,11 @@ find_roots recurses down to isolated roots: every cell is halved
 across its long side, and the cut moves off roots along a ladder of
 offsets until the first half is counted, 0 without a contour if its
 circumscribed disc passes the exclusion test.  The second half, bounded
-by certified contours, counts what the first leaves.  Isolated roots
-get a Newton polish to equation's residual rule, at any height; roots
-merging at a critical point, which no cut clears or which a cut
-isolates within rounding of it, become one cluster entry there.
+by certified contours, counts what the first leaves.  Newton polishes
+an isolated root to equation's residual rule, at any height, starting
+from the point of a 3 x 3 grid on its cell with the shortest Newton
+step; roots merging at a critical point, which no cut clears or which
+a cut isolates within rounding of it, become one cluster entry there.
 This route never consults the closed-form oracle; the two are compared
 only in tests and in the CLI cross-check commands.
 """
@@ -240,13 +241,17 @@ def _count_with_jitter(a: complex, window: Window) -> tuple[int, Window]:
 
 
 def _solve_isolated(win: Window, a: complex) -> complex | None:
-    """Newton from the center (then quarter points); None if nothing sticks."""
-    seeds = [win.center]
-    qw, qh = 0.25 * win.width, 0.25 * win.height
-    c = win.center
-    seeds += [c + complex(sx * qw, sy * qh) for sx in (-1, 1) for sy in (-1, 1)]
-    for z0 in seeds:
-        polished = newton(z0, a, _NEWTON_MAX_ITER)
+    """Newton from a 3 x 3 grid at 1/6, 1/2 and 5/6 of each side, shortest
+    Newton step |f - a| / |f'| first; None if no run ends inside the cell."""
+    c, dw, dh = win.center, win.width / 3, win.height / 3
+    grid = [c + complex(i * dw, j * dh) for i in (0, -1, 1) for j in (0, -1, 1)]
+    # basins are strips: a long cell's centre is often in a neighbour's
+    step = [
+        abs(z + e - a) / d if (d := abs(1.0 + e)) else math.inf
+        for z, e in zip(grid, map(cmath.exp, grid))
+    ]
+    for k in sorted(range(len(grid)), key=step.__getitem__):
+        polished = newton(grid[k], a, _NEWTON_MAX_ITER)
         # strict containment: a neighbor cell's root must not be claimed
         if polished is not None and win.contains(polished[0]):
             return polished[0]

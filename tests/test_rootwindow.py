@@ -2,13 +2,16 @@
 
 import cmath
 import math
+import random
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from mono import rootwindow
-from mono.equation import FAMILY, critical_point, critical_value, real_root
+from mono.equation import FAMILY, critical_point, critical_value, newton, real_root
 from mono.errors import (
     BoundaryTooCloseError,
     NumericalError,
@@ -394,21 +397,22 @@ def _count_calls(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "window, roots, calls, cleared, samples",
+    "window, roots, calls, cleared, samples, runs",
     [
-        (Window(-5.0, 5.0, -60.0, 60.0), 19, 22, 6, (29, 6_252)),
-        (Window(-5.0, 5.0, -6.0, 18.0), 5, 6, 0, (10, 1_616)),
+        (Window(-5.0, 5.0, -60.0, 60.0), 19, 22, 1, (29, 6_252), 20),
+        (Window(-5.0, 5.0, -6.0, 18.0), 5, 6, 0, (10, 1_616), 6),
     ],
     ids=["W19", "W5"],
 )
-def test_subdivision_work(monkeypatch, window, roots, calls, cleared, samples):
+def test_subdivision_work(monkeypatch, window, roots, calls, cleared, samples, runs):
     # contours counted per find_roots, a machine-independent cost.  Every
-    # cell is halved across its long side; the exclusion test clears 6 (0)
-    # of the 27 (5) first halves it is asked about, without a contour, and
+    # cell is halved across its long side; the exclusion test clears 1 (0)
+    # of the 22 (5) first halves it is asked about, without a contour, and
     # each second half takes the rest of its parent's count.  The contours
-    # evaluate 6,252 (1,616) boundary samples in 29 (10) batches; with
-    # near-square cells quartered they took 27 (7) contours and 7,552
-    # (1,876) samples in 34 (11)
+    # evaluate 6,252 (1,616) boundary samples in 29 (10) batches.  Newton
+    # runs 20 (6) times: once per isolated root, from the grid point with
+    # the shortest Newton step, and once for the refused contour through
+    # the real root
     windows = _count_calls(monkeypatch)
     batches = _count_samples(monkeypatch)
     verdicts = []
@@ -416,9 +420,15 @@ def test_subdivision_work(monkeypatch, window, roots, calls, cleared, samples):
     monkeypatch.setattr(
         rootwindow, "_cell_excluded", lambda w, a: verdicts.append(test(w, a)) or verdicts[-1]
     )
+    newton_runs = []
+    polish = rootwindow.newton
+    monkeypatch.setattr(
+        rootwindow, "newton", lambda *args: newton_runs.append(args) or polish(*args)
+    )
     assert len(find_roots(0j, window)) == roots
     assert (len(windows), sum(verdicts)) == (calls, cleared)
     assert (len(batches), sum(batches)) == samples
+    assert len(newton_runs) == runs
 
 
 def test_elongated_cell_halved_across_long_side(monkeypatch):
@@ -480,12 +490,28 @@ def test_unsplittable_cell_away_from_critical_value_still_raises(monkeypatch):
 
 def test_newton_seed_past_exp_range_did_not_stick():
     # the cell's centre sits 1e-3 right of z_0 = pi i, where f' ~ -1e-3:
-    # Newton from it jumps to Re z ~ 1000 and would overflow e^z.  That seed
-    # finds nothing; a quarter-point seed still finds the cell's one root.
+    # Newton from it jumps to Re z ~ 1000 and would overflow e^z, so it
+    # finds nothing; the grid seeds still find the cell's one root
     a = complex(-2.0, math.pi)
     w = Window(-1.2 + 1e-3, 1.2 + 1e-3, math.pi - 0.5, math.pi + 0.5)
     (root,) = [z for z in oracle_roots(a, range(-3, 4)).positions() if w.contains(z)]
+    assert newton(w.center, a, rootwindow._NEWTON_MAX_ITER) is None
     assert abs(rootwindow._solve_isolated(w, a) - root) < 1e-12
+
+
+def test_grid_seed_keys_at_the_extremes():
+    # at Re z near 709.7 e^z is near 1e308 and no root lies in the cell;
+    # at z_0 = pi i, f' = 1 + e^z is 1.2e-16 and a = a_0 puts the double
+    # root there.  Neither grid raises or warns: the first cell yields
+    # nothing and the second its root
+    z0 = critical_point(0).z
+    cell = Window(-0.5, 0.5, math.pi - 0.5, math.pi + 0.5)
+    assert cell.center == z0
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        assert rootwindow._solve_isolated(Window(700.0, 709.7, -1.0, 1.0), 0j) is None
+        z = rootwindow._solve_isolated(cell, critical_value(0))
+    assert abs(z - z0) < 1e-7
 
 
 def test_isolated_root_just_outside_the_cell_is_not_claimed():
@@ -736,3 +762,57 @@ def test_wide_left_window_matches_oracle(a, re_min, im_min, height):
     ref = oracle_roots(a, TALL_BRANCHES, window=found.window)
     assert found.labels() == ref.labels()
     match_positions(found.positions(), ref.positions(), 1e-9)
+
+
+def _cell_around(root, left, right, down, up):
+    return Window(root.real - left, root.real + right, root.imag - down, root.imag + up)
+
+
+@settings(max_examples=200)
+@given(
+    a=st.complex_numbers(max_magnitude=4.0),
+    around=st.booleans(),
+    branch=st.integers(-8, 8),
+    sides=st.tuples(*[st.floats(1e-3, 1.0)] * 4),
+    re_max=st.floats(-30.0, 4.0),
+    im_min=st.floats(-300.0, 290.0),
+    width=st.floats(0.1, 40.0),
+    height=st.floats(0.1, 250.0),
+)
+def test_solve_isolated_claims_only_the_cells_root(
+    a, around, branch, sides, re_max, im_min, width, height
+):
+    # a cell around one oracle root, up to 16 x 6, or a cell anywhere,
+    # tall ones up to |Im z| = 300 included, that holds none: what Newton
+    # returns is that root, strictly inside the cell, or nothing
+    if around:
+        (root,) = oracle_roots(a, [branch]).positions()
+        left, right, down, up = sides
+        cell = _cell_around(root, 8.0 * left, 8.0 * right, 3.0 * down, 3.0 * up)
+    else:
+        cell = Window(re_max - width, re_max, im_min, min(im_min + height, 300.0))
+    roots = oracle_roots(a, TALL_BRANCHES, window=cell.expand(1e-9)).positions()
+    if len(roots) > 1 or (roots and not cell.expand(-1e-9).contains(roots[0])):
+        reject()  # not one cell of find_roots, whose edges keep off roots
+    z = rootwindow._solve_isolated(cell, a)
+    if z is not None:
+        assert cell.re_min < z.real < cell.re_max and cell.im_min < z.imag < cell.im_max
+        assert any(abs(z - r) < 1e-9 for r in roots)
+
+
+def test_solve_isolated_finds_the_root_of_one_root_cells():
+    # seeded cells as in the property above: 985 of the 1,000 draws hold
+    # exactly one root, and the grid finds it in all 985
+    rng = random.Random(2)
+    hits = cells = 0
+    for _ in range(1000):
+        a = complex(rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0))
+        (root,) = oracle_roots(a, [rng.randint(-8, 8)]).positions()
+        sides = [rng.uniform(1e-3, s) for s in (8.0, 8.0, 3.0, 3.0)]
+        cell = _cell_around(root, *sides)
+        if len(oracle_roots(a, TALL_BRANCHES, window=cell)) != 1:
+            continue
+        cells += 1
+        z = rootwindow._solve_isolated(cell, a)
+        hits += z is not None and abs(z - root) < 1e-9
+    assert cells > 900 and hits >= 0.95 * cells
