@@ -8,15 +8,16 @@ ratio of its end values.  All four edges are sampled in one array by
 one exp, and only the pieces whose discs fail are cut and sampled
 again.  A piece that still fails at the finest spacing marks a root on
 or next to an edge: Newton names it, and the contour is refused.
-find_roots recurses down to isolated roots: every cell is halved
-across its long side, and the cut moves off roots along a ladder of
-offsets until the first half is counted, 0 without a contour if its
-circumscribed disc passes the exclusion test.  The second half, bounded
-by certified contours, counts what the first leaves.  Newton polishes
-an isolated root to equation's residual rule, at any height, starting
-from the point of a 3 x 3 grid on its cell with the shortest Newton
-step; roots merging at a critical point, which no cut clears or which
-a cut isolates within rounding of it, become one cluster entry there.
+find_roots counts, then locates, and cuts only where locating fails: a
+cell of n roots runs Newton from a (2n+1) x 3 grid, and n disjoint
+certified discs strictly inside it hold all n.  Otherwise it is halved
+across its long side, the cut moving off roots along a ladder of
+offsets until the first half is counted (0 without a contour if the
+exclusion test clears it); the second half counts what the first
+leaves, and each keeps the discs inside it.  Roots are polished to
+equation's residual rule; roots merging at a critical point, which no
+cut clears or which a cut isolates within rounding of it, become one
+cluster entry there.
 This route never consults the closed-form oracle; the two are compared
 only in tests and in the CLI cross-check commands.
 """
@@ -26,15 +27,18 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from operator import itemgetter
 
 import numpy as np
 
 from .equation import (
     EXP_RE_MAX,
     critical_point,
+    exp_tail,
     nearest_critical,
     newton,
     require_finite,
+    rounding_floor,
 )
 from .errors import (
     BoundaryTooCloseError,
@@ -48,6 +52,7 @@ from .rootsets import NEAR_MERGE_RADIUS, LabeledRootSet, Window, canonical_root_
 BOUNDARY_CLEARANCE = 1e-9
 _EPS = sys.float_info.epsilon
 _NEWTON_MAX_ITER = 60
+_LOCATE_MAX_ITER = 12  # per seed of a grid that locates n >= 2 roots at once
 # first-pass pieces per edge; a piece that fails is cut into _COVER_SPLIT,
 # at most _CUTS times, down to the finest spacing edge / _FINEST = edge / 2^18
 _EDGE_SAMPLES = 64
@@ -240,22 +245,63 @@ def _count_with_jitter(a: complex, window: Window) -> tuple[int, Window]:
     )
 
 
+def _grid(win: Window, a: complex, n: int) -> tuple[list, float]:
+    """Seeds (step, z) at the cell fractions (i + 1/2)/m, 2n+1 along the long side
+    and 3 across, shortest Newton step |f - a| / |f'| first; and the shorter spacing."""
+    c, long = win.center, sorted(range(-n, n + 1), key=abs)  # 0, -1, 1, -2, 2, ...
+    ks, js = (long, (0, -1, 1)) if win.width >= win.height else ((0, -1, 1), long)
+    dx, dy = win.width / len(ks), win.height / len(js)
+    xs = [c.real + i * dx for i in ks]
+    # e^z = e^x (cos y + i sin y): one exp per column, one cos and sin per row
+    rows = [(y, math.cos(y), math.sin(y)) for y in (c.imag + j * dy for j in js)]
+    seeds = []
+    for x, ex in zip(xs, map(math.exp, xs)):
+        for y, cy, sy in rows:
+            er, ei = ex * cy, ex * sy
+            d, f = math.hypot(1.0 + er, ei), math.hypot(x + er - a.real, y + ei - a.imag)
+            seeds.append((f / d if d else math.inf, complex(x, y)))
+    seeds.sort(key=itemgetter(0))
+    return seeds, min(dx, dy)
+
+
 def _solve_isolated(win: Window, a: complex) -> complex | None:
-    """Newton from a 3 x 3 grid at 1/6, 1/2 and 5/6 of each side, shortest
-    Newton step |f - a| / |f'| first; None if no run ends inside the cell."""
-    c, dw, dh = win.center, win.width / 3, win.height / 3
-    grid = [c + complex(i * dw, j * dh) for i in (0, -1, 1) for j in (0, -1, 1)]
+    """Newton from the 3 x 3 grid at 1/6, 1/2 and 5/6 of each side, shortest
+    Newton step first; None if no run ends inside the cell."""
     # basins are strips: a long cell's centre is often in a neighbour's
-    step = [
-        abs(z + e - a) / d if (d := abs(1.0 + e)) else math.inf
-        for z, e in zip(grid, map(cmath.exp, grid))
-    ]
-    for k in sorted(range(len(grid)), key=step.__getitem__):
-        polished = newton(grid[k], a, _NEWTON_MAX_ITER)
+    for _, z0 in _grid(win, a, 1)[0]:
+        polished = newton(z0, a, _NEWTON_MAX_ITER)
         # strict containment: a neighbor cell's root must not be claimed
         if polished is not None and win.contains(polished[0]):
             return polished[0]
     return None
+
+
+def _holds(win: Window, z: complex, s: float) -> bool:
+    """True when the disc |w - z| <= s lies strictly inside the cell."""
+    return min(z.real - win.re_min, win.re_max - z.real,
+               z.imag - win.im_min, win.im_max - z.imag) > s
+
+
+def _locate(win: Window, a: complex, n: int, discs: list) -> list:
+    """The discs (z, s) given, then those from the cell's grid, up to n.
+    Newton from z0 ends at z, whose disc of radius s = 2 rho / |f'(z)|,
+    rho = residual + rounding_floor, holds one zero when exp_tail(|e^z|, s) <
+    rho (the tracker's step test); it is kept if strictly inside the cell
+    and clear of those kept.  Seeds stop at a step past the grid spacing."""
+    seeds, spacing = _grid(win, a, n)
+    for step, z0 in seeds:
+        if len(discs) == n or step > spacing:
+            break
+        if (hit := newton(z0, a, _LOCATE_MAX_ITER)) is not None:
+            z, r, d = hit
+            fa, ee = abs(d), math.exp(z.real)
+            rho = r + rounding_floor(abs(z), ee, abs(a), fa)
+            # no disc of radius 1 or more is kept: expm1 overflows past 709
+            s = 2.0 * rho / fa if fa > 2.0 * rho else math.inf
+            if (exp_tail(ee, s) < rho and _holds(win, z, s)
+                    and all(abs(z - w) > s + t for w, t in discs)):
+                discs = discs + [(z, s)]
+    return discs
 
 
 def _split_counted(win: Window, a: complex, expected: int):
@@ -289,12 +335,12 @@ def _split_counted(win: Window, a: complex, expected: int):
 def find_roots(a: complex, window: Window) -> LabeledRootSet:
     """All roots of z + e^z = a in the window, canonically labeled.
 
-    Subdivision isolates roots counted by count_roots: every cell is
-    halved across its long side (see _split_counted).  A first half
-    whose circumscribed disc the exclusion test clears holds no root, on
-    its edges either, and counts 0 without a contour; the second half
-    counts what the first leaves.  Isolated roots are polished by Newton
-    to residual max(1e-12, rounding_floor) and checked on return.  A
+    A counted cell is located from its seed grid (_locate; one root by
+    _solve_isolated) and halved across its long side only if that fails
+    (_split_counted), each half keeping the discs inside it.  The grid is
+    skipped on a cell longer than 2 pi (n + 1), and on one holding z_n
+    when a is near a_n.  Roots are polished by Newton to residual
+    max(1e-12, rounding_floor) and checked on return.  A
     cell of multiple roots that no cut splits, around a critical point
     z_n with |a - a_n| <= 1e-6, is a merge cluster: one entry at z_n
     carries the cluster multiplicity and is flagged near-merge.  So is a
@@ -310,23 +356,29 @@ def find_roots(a: complex, window: Window) -> LabeledRootSet:
     z_k = critical_point(k).z
     positions: list[complex] = []
     multiplicities: list[int] = []
-    stack: list[tuple[Window, int, int]] = [(w_eff, total, 0)]
+    stack: list[tuple[Window, int, int, list]] = [(w_eff, total, 0, [])]
     while stack:
-        win, cnt, depth = stack.pop()
+        win, cnt, depth, discs = stack.pop()
         if cnt == 0:
             continue
         if depth > _MAX_DEPTH:
             raise SubdivisionError(
                 f"subdivision depth {depth} exceeded near {win.center!r}"
             )
-        if cnt == 1:
-            z = _solve_isolated(win, a)
-            if z is not None:
-                positions.append(z)
-                multiplicities.append(1)
-                continue
+        if cnt == 1 and not discs:
+            discs = [(z, 0.0)] if (z := _solve_isolated(win, a)) is not None else []
+        # roots lie about 2 pi apart in Im, so a longer cell is mostly empty;
+        # roots merging at z_k are left to the cuts and the cluster fallback
+        elif (len(discs) < cnt and max(win.width, win.height) <= 2.0 * math.pi * (cnt + 1)
+                and not (dist <= _CLUSTER_DIST and win.contains(z_k))):
+            discs = _locate(win, a, cnt, discs)
+        if len(discs) == cnt:
+            positions.extend(z for z, _ in discs)
+            multiplicities.extend([1] * cnt)
+            continue
         try:
-            stack.extend((ch, n, depth + 1) for ch, n in _split_counted(win, a, cnt))
+            stack.extend((ch, n, depth + 1, [(z, s) for z, s in discs if _holds(ch, z, s)])
+                         for ch, n in _split_counted(win, a, cnt))
         except SubdivisionError:
             # every cut passes too close to roots merging at z_k: one entry there
             if cnt < 2 or dist > _CLUSTER_DIST or not win.contains(z_k):

@@ -42,16 +42,21 @@ def test_tracer_installs_every_name(tracer_module):
     [(18.0, 5, 1), (6.0, 3, 1)],
     ids=["W5", "W3"],
 )
-def test_tracer_sees_internal_count_roots_calls(tracer_module, im_max, roots, refused):
+def test_tracer_sees_internal_count_roots_calls(
+    tracer_module, monkeypatch, im_max, roots, refused
+):
     # find_roots calls count_roots through the module global the tracer
-    # rebinds.  W3 (10 x 12) is halved across Im at its centre: the cut
-    # Im z = 0 runs through the real root, and the first half's contour on
-    # it is refused and counted as a failed call; the next ladder rung cuts
-    # clear of it.  W5 (10 x 24) is halved at Im z = 6, and its lower half
-    # is W3 itself, so it sees the same one refusal.
+    # rebinds.  Its seed grid would place every root of W3 and W5 with no
+    # cut, so it is made to fail, and the windows are cut.  W3 (10 x 12) is
+    # halved across Im at its centre: the cut Im z = 0 runs through the
+    # real root, and the first half's contour on it is refused and counted
+    # as a failed call; the next ladder rung cuts clear of it.  W5 (10 x 24)
+    # is halved at Im z = 6, and its lower half is W3 itself, so it sees the
+    # same one refusal.
     from mono import rootwindow
     from mono.rootsets import Window
 
+    monkeypatch.setattr(rootwindow, "_locate", lambda win, a, n, discs: discs)
     t = tracer_module.Tracer()
     try:
         assert t.install() == []

@@ -20,7 +20,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 STEPS = {"group-w5": (2048, 8), "words-w19": (2850, 25), "roots-w19": (0, 0)}
 # count_roots calls and refused or unsettled contours per seed-1 pass;
 # words-w19 locates its roots in set-up, outside the pass
-CONTOURS = {"group-w5": (42, 7), "words-w19": (0, 0), "roots-w19": (482, 8)}
+CONTOURS = {"group-w5": (7, 0), "words-w19": (0, 0), "roots-w19": (24, 0)}
 
 
 @pytest.fixture

@@ -399,20 +399,18 @@ def _count_calls(monkeypatch):
 @pytest.mark.parametrize(
     "window, roots, calls, cleared, samples, runs",
     [
-        (Window(-5.0, 5.0, -60.0, 60.0), 19, 22, 1, (29, 6_252), 20),
-        (Window(-5.0, 5.0, -6.0, 18.0), 5, 6, 0, (10, 1_616), 6),
+        (Window(-5.0, 5.0, -60.0, 60.0), 19, 1, 0, (2, 708), 24),
+        (Window(-5.0, 5.0, -6.0, 18.0), 5, 1, 0, (1, 260), 5),
     ],
     ids=["W19", "W5"],
 )
 def test_subdivision_work(monkeypatch, window, roots, calls, cleared, samples, runs):
-    # contours counted per find_roots, a machine-independent cost.  Every
-    # cell is halved across its long side; the exclusion test clears 1 (0)
-    # of the 22 (5) first halves it is asked about, without a contour, and
-    # each second half takes the rest of its parent's count.  The contours
-    # evaluate 6,252 (1,616) boundary samples in 29 (10) batches.  Newton
-    # runs 20 (6) times: once per isolated root, from the grid point with
-    # the shortest Newton step, and once for the refused contour through
-    # the real root
+    # contours counted per find_roots, a machine-independent cost.  The
+    # window's one contour counts 19 (5) roots from 708 (260) boundary
+    # samples in 2 (1) batches, and its 39 x 3 (11 x 3) seed grid then
+    # places all of them in certified disjoint discs: no cell is cut, so
+    # the exclusion test is never asked.  Newton runs 24 (5) times, shortest
+    # Newton step first, each for at most 12 updates
     windows = _count_calls(monkeypatch)
     batches = _count_samples(monkeypatch)
     verdicts = []
@@ -431,6 +429,62 @@ def test_subdivision_work(monkeypatch, window, roots, calls, cleared, samples, r
     assert len(newton_runs) == runs
 
 
+@pytest.mark.parametrize(
+    "window, roots, calls, runs",
+    [
+        (Window(-5.0, 5.0, -2000.0, 2000.0), 47, 26, 113),
+        (Window(-5.0, 5.0, -300.0, 300.0), 47, 16, 156),
+        (Window(-30.0, 5.0, -60.0, 60.0), 19, 8, 46),
+    ],
+    ids=["tall-4000", "tall-600", "wide-left"],
+)
+def test_sparse_window_work(monkeypatch, window, roots, calls, runs):
+    # windows whose roots are few for their length, at a = 0.3 + 0.1i.  A
+    # cell longer than 2 pi (n + 1) skips its seed grid, and the halves of
+    # a cell whose grid fell short keep the discs it found inside them, so
+    # these take 26, 16 and 8 contours where cutting alone took 57, 51 and
+    # 19, for 113, 156 and 46 Newton runs where it took 101, 83 and 19
+    windows = _count_calls(monkeypatch)
+    newton_runs = []
+    polish = rootwindow.newton
+    monkeypatch.setattr(
+        rootwindow, "newton", lambda *args: newton_runs.append(args) or polish(*args)
+    )
+    assert len(find_roots(0.3 + 0.1j, window)) == roots
+    assert (len(windows), len(newton_runs)) == (calls, runs)
+
+
+def test_grid_leaves_a_cluster_cell_to_the_cuts():
+    # a is 3.3e-8 from a_3, so the cell holding z_3 skips its seed grid and
+    # is cut; the cut-only route ends in the cluster fallback, one double
+    # entry at z_3.  Located from a grid, the pair came out as two simple
+    # roots 2.6e-4 apart
+    z_3 = critical_point(3).z
+    a = critical_value(3) + complex(-4.96e-9, -3.2128e-8)
+    found = find_roots(a, Window(-0.68403, 1.82581, 14.3236, 29.3343))
+    assert [(e.z, e.multiplicity) for e in found.entries if abs(e.z - z_3) < 1e-3] == [(z_3, 2)]
+
+
+def test_grid_layout_and_keys():
+    # 2n + 1 seeds along the long side and 3 across, at the fractions
+    # (i + 1/2) / m; the keys, from an exp per column and a cos and sin per
+    # row, are the Newton steps |f - a| / |f'|, in increasing order
+    a, w = 0.3 + 0.1j, Window(-5.0, 5.0, -60.0, 60.0)
+    seeds, spacing = rootwindow._grid(w, a, 19)
+    assert spacing == 120.0 / 39  # the shorter of the two
+    expect = [(-5.0 + (i + 0.5) * 10.0 / 3, -60.0 + (j + 0.5) * 120.0 / 39)
+              for i in range(3) for j in range(39)]
+    assert np.allclose(sorted((z.real, z.imag) for _, z in seeds), sorted(expect), atol=1e-12)
+    assert [k for k, _ in seeds] == sorted(k for k, _ in seeds)
+    for k, z in seeds:
+        e = cmath.exp(z)
+        assert math.isclose(k, abs(z + e - a) / abs(1.0 + e), rel_tol=1e-14)
+    # one root: the 3 x 3 grid at 1/6, 1/2 and 5/6 of each side
+    assert {z for _, z in rootwindow._grid(Window(0.0, 3.0, 0.0, 6.0), a, 1)[0]} == {
+        complex(x, y) for x in (0.5, 1.5, 2.5) for y in (1.0, 3.0, 5.0)
+    }
+
+
 def test_elongated_cell_halved_across_long_side(monkeypatch):
     # 10 x 120 is halved across Im.  The centred cut Im z = 0 runs through
     # the real root, so its lower half is refused and the next ladder rung
@@ -446,9 +500,16 @@ def test_elongated_cell_halved_across_long_side(monkeypatch):
     assert upper == (Window(-5.0, 5.0, 3.96, 60.0), 9)
 
 
+def _grid_finds_nothing(monkeypatch):
+    """Make every seed grid of n >= 2 roots fail, so that each such cell is cut."""
+    monkeypatch.setattr(rootwindow, "_locate", lambda win, a, n, discs: discs)
+
+
 def test_overcounting_child_raises_without_trying_another_cut(monkeypatch):
     # the halves tile the parent: a first half that counts more roots
-    # than the parent holds means a broken certificate, not a cut to move
+    # than the parent holds means a broken certificate, not a cut to move.
+    # The grid would place all five roots, so it is made to fail
+    _grid_finds_nothing(monkeypatch)
     window = Window(-5.0, 5.0, -6.0, 18.0)
     windows = _count_calls(monkeypatch)
     counter = rootwindow.count_roots
@@ -479,7 +540,9 @@ def test_cluster_fallback_within_depth_limit(monkeypatch):
 
 def test_unsplittable_cell_away_from_critical_value_still_raises(monkeypatch):
     # the fallback needs |a - a_n| <= 1e-6: a simple root that the only
-    # cut runs through is no cluster, and the error names the refusal
+    # cut runs through is no cluster, and the error names the refusal.
+    # The grid would place both roots, so it is made to fail
+    _grid_finds_nothing(monkeypatch)
     a = critical_value(1) + 1e-3
     r = min(oracle_roots(a, range(-3, 4)).positions(), key=lambda z: abs(z - 9.38j))
     monkeypatch.setattr(rootwindow, "_SPLIT_OFFSETS", (0.0,))
@@ -511,6 +574,9 @@ def test_grid_seed_keys_at_the_extremes():
         warnings.simplefilter("error")
         assert rootwindow._solve_isolated(Window(700.0, 709.7, -1.0, 1.0), 0j) is None
         z = rootwindow._solve_isolated(cell, critical_value(0))
+        # a grid of two roots places neither: the double root's disc fails
+        assert rootwindow._locate(Window(700.0, 709.7, -1.0, 1.0), 0j, 2, []) == []
+        assert rootwindow._locate(cell, critical_value(0), 2, []) == []
     assert abs(z - z0) < 1e-7
 
 
@@ -816,3 +882,47 @@ def test_solve_isolated_finds_the_root_of_one_root_cells():
         z = rootwindow._solve_isolated(cell, a)
         hits += z is not None and abs(z - root) < 1e-9
     assert cells > 900 and hits >= 0.95 * cells
+
+
+@settings(max_examples=150)
+@given(
+    near=st.booleans(),
+    far=st.complex_numbers(max_magnitude=4.0),
+    n=st.integers(-8, 8),
+    log_dist=st.floats(-12.0, -2.0),
+    angle=st.floats(0.0, 2.0 * math.pi),
+    tall=st.booleans(),
+    short=st.floats(0.2, 6.0),
+    aspect=st.floats(1.0, 40.0),
+    fx=st.floats(0.0, 1.0),
+    fy=st.floats(0.0, 1.0),
+)
+def test_grid_discs_hold_distinct_oracle_roots(
+    near, far, n, log_dist, angle, tall, short, aspect, fx, fy
+):
+    # a within 1e-12..1e-2 of a_n and a cell around z_n, or a anywhere and
+    # a cell around the root on branch n; aspect 1-40, Re z <= 6 and
+    # |Im z| <= 300.  Each disc the grid returns lies strictly inside the
+    # cell around its own oracle root, so n discs hold all n roots
+    if near:
+        a = critical_value(n) + cmath.rect(10.0**log_dist, angle)
+        p = critical_point(n).z
+    else:
+        a = far
+        (p,) = oracle_roots(a, [n]).positions()
+    width, height = (short, aspect * short) if tall else (aspect * short, short)
+    re_min = min(p.real - fx * width, 6.0 - width)
+    im_min = min(max(p.imag - fy * height, -300.0), 300.0 - height)
+    cell = Window(re_min, re_min + width, im_min, im_min + height)
+    roots = oracle_roots(a, TALL_BRANCHES, window=cell.expand(1e-9)).positions()
+    if any(not cell.expand(-1e-9).contains(r) for r in roots):
+        reject()  # not a cell of find_roots, whose edges keep off roots
+    discs = rootwindow._locate(cell, a, len(roots), [])
+    assert len(discs) <= len(roots)
+    held = []
+    for z, s in discs:
+        assert rootwindow._holds(cell, z, s)
+        i = min(range(len(roots)), key=lambda i: abs(roots[i] - z))
+        assert abs(roots[i] - z) <= s + 1e-9
+        held.append(i)
+    assert len(set(held)) == len(held)
