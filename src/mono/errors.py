@@ -51,8 +51,8 @@ class ConvergenceError(NumericalError):
 
 class ResidualTooLargeError(NumericalError):
     """A contour's winding number could not be certified: boundary pieces
-    still fail the exclusion test at the finest spacing, or too many fail
-    at one cut, and Newton names no root next to an edge."""
+    still fail every test at the finest spacing, or too many fail at one
+    level, and Newton names no root next to an edge."""
 
 
 class SubdivisionError(NumericalError):

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, cmp_to_key
 
-import numpy as np
-
 from .equation import FAMILY, residual_bound
 from .errors import NumericalError, PreconditionError, UnmatchedRootError
 from .jsonio import complex_to_json
@@ -137,12 +135,8 @@ class LabeledRootSet:
     @cached_property
     def near_merge_pairs(self) -> tuple[tuple[int, int], ...]:
         es = self.entries
-        dist = _distance_matrix([e.z for e in es])
-        return tuple(
-            tuple(sorted((es[i].label, es[j].label)))
-            for i, j in np.argwhere(dist < NEAR_MERGE_RADIUS).tolist()
-            if i < j
-        )
+        close = _close_pairs([e.z for e in es], NEAR_MERGE_RADIUS)
+        return tuple(tuple(sorted((es[i].label, es[j].label))) for i, j in close)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -200,24 +194,35 @@ class LabeledRootSet:
         return d
 
 
-def _distance_matrix(ps, qs=None) -> np.ndarray:
-    """|ps[i] - qs[j]| for every i, j as one numpy matrix; without qs,
-    the distances among ps, with inf on the diagonal.
+def _close_pairs(zs, radius: float) -> list[tuple[int, int]]:
+    """Index pairs i < j with |zs[i] - zs[j]| < radius, sorted.
 
-    np.hypot, unlike np.abs, gives the floats Python's abs gives, to the
-    last bit.
+    A sweep over the points in order of Im z (roots lie about 2 pi apart
+    in Im) stops at the first one whose Im gap reaches the radius: abs of
+    a difference is never below the gap between its Im parts.
     """
-    p = np.array(ps, dtype=complex)
-    diff = p[:, None] - (p if qs is None else np.array(qs, dtype=complex))
-    dist = np.hypot(diff.real, diff.imag)
-    if qs is None:
-        dist.flat[:: len(p) + 1] = math.inf
-    return dist
+    order = sorted(range(len(zs)), key=lambda i: zs[i].imag)
+    pairs = []
+    for k, i in enumerate(order):
+        for j in order[k + 1:]:
+            if zs[j].imag - zs[i].imag >= radius:
+                break
+            if abs(zs[i] - zs[j]) < radius:
+                pairs.append((min(i, j), max(i, j)))
+    return sorted(pairs)
 
 
 def min_separation(zs) -> float:
-    """Smallest pairwise distance among zs; inf for fewer than two points."""
-    return float(_distance_matrix(zs).min(initial=math.inf))
+    """Smallest pairwise distance among zs; inf for fewer than two points.
+    The sweep of _close_pairs, its radius the smallest distance so far."""
+    zs = sorted(zs, key=lambda z: z.imag)
+    best = math.inf
+    for k, p in enumerate(zs):
+        for q in zs[k + 1:]:
+            if q.imag - p.imag >= best:
+                break
+            best = min(best, abs(q - p))
+    return best
 
 
 def match_positions(ps, qs, tol: float) -> tuple[list[int], float]:
@@ -233,7 +238,8 @@ def match_positions(ps, qs, tol: float) -> tuple[list[int], float]:
         raise UnmatchedRootError(f"{len(ps)} roots cannot match {len(qs)}")
     matched: list[int] = []
     worst = 0.0
-    for label, row in enumerate(_distance_matrix(ps, qs).tolist(), start=1):
+    for label, p in enumerate(ps, start=1):
+        row = [abs(p - q) for q in qs]
         j = row.index(min(row))
         d1 = row.pop(j)
         d2 = min(row, default=math.inf)

@@ -1,13 +1,13 @@
 """Contour-based root counting and location in rectangular windows.
 
 count_roots gets the number of roots inside the window as the winding
-number of f - a around its boundary, certified piece by piece: discs
-that an exclusion test proves root-free cover the boundary, and across
-each piece so covered arg(f - a) changes by the principal arg of the
-ratio of its end values.  All four edges are sampled in one array by
-one exp, and only the pieces whose discs fail are cut and sampled
-again.  A piece that still fails at the finest spacing marks a root on
-or next to an edge: Newton names it, and the contour is refused.
+number of f - a around its boundary, certified piece by piece: along a
+piece where e^z or z - a is at least twice the other, f - a turns as
+that term does; elsewhere discs that an exclusion test proves root-free
+cover the piece.  Each edge starts as one piece between two corners,
+and only the pieces that fail are halved.  A piece that still fails at
+the finest spacing marks a root on or next to an edge: Newton names it,
+and the contour is refused.
 find_roots counts, then locates, and cuts only where locating fails: a
 cell of n roots runs Newton from a (2n+1) x 3 grid, and n disjoint
 certified discs strictly inside it hold all n.  Otherwise it is halved
@@ -26,10 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from operator import itemgetter
-
-import numpy as np
 
 from .equation import (
     EXP_RE_MAX,
@@ -50,22 +47,16 @@ from .errors import (
 from .rootsets import NEAR_MERGE_RADIUS, LabeledRootSet, Window, canonical_root_set
 
 BOUNDARY_CLEARANCE = 1e-9
-_EPS = sys.float_info.epsilon
 _NEWTON_MAX_ITER = 60
 _LOCATE_MAX_ITER = 12  # per seed of a grid that locates n >= 2 roots at once
-# first-pass pieces per edge; a piece that fails is cut into _COVER_SPLIT,
-# at most _CUTS times, down to the finest spacing edge / _FINEST = edge / 2^18
-_EDGE_SAMPLES = 64
-_COVER_SPLIT = 8
-_CUTS = 4
-_FINEST = _EDGE_SAMPLES * _COVER_SPLIT**_CUTS
-# sample fractions along an edge, both corners included, and inside a piece
-_FIRST_U = np.arange(_EDGE_SAMPLES + 1) / _EDGE_SAMPLES
-_CUT_U = np.arange(1, _COVER_SPLIT) / _COVER_SPLIT
-# a cut with more failed pieces than this is not refined but refused:
-# -5,5,-1e6,1e6 fails 8,192 at its third cut, the benchmark's contours
-# at most 64 at any cut
-_COVER_MAX = 16 * _EDGE_SAMPLES
+# a piece no test certifies is halved, at most _HALVINGS times
+_HALVINGS = 18
+_FINEST = 2**_HALVINGS
+# a level with more failed pieces than this is not refined but refused;
+# the benchmark's contours fail at most 2 pieces at any level
+_COVER_MAX = 1024
+# a term that is this many times the other on a whole piece dominates it
+_DOMINANCE = 2.0
 # in halvings: the a_1 cluster on -1,2,-190,210 is reached at depth 37
 _MAX_DEPTH = 64
 # |a - a_n| up to which a multi-root cell at z_n that no cut splits is a cluster
@@ -80,26 +71,20 @@ _JITTER_TRIES = 10
 _REFUSE_DERIV_MIN = 1e-3
 
 
-def _ring_samples(z: np.ndarray, a: complex):
-    """f - a and e^z at the boundary points z, from one exp of the array."""
-    e = np.exp(z)
-    return z + e - a, e
-
-
-def _check_clearance(z: np.ndarray, fz: np.ndarray) -> None:
-    """Raise if |f - a| is under the clearance floor at a sample."""
-    mod = np.abs(fz)
-    k = mod.argmin()
-    if mod.flat[k] <= BOUNDARY_CLEARANCE:
+def _ring_samples(zs: list, a: complex) -> list:
+    """(z, f - a, e^z) at the boundary points zs; raises if |f - a| is
+    under the clearance floor at one."""
+    samples = [(z, z + e - a, e) for z, e in zip(zs, map(cmath.exp, zs))]
+    z, fz, _ = min(samples, key=lambda s: abs(s[1]))
+    if abs(fz) <= BOUNDARY_CLEARANCE:
         raise BoundaryTooCloseError(
-            f"|f - a| = {mod.flat[k]:.3g} on window boundary",
-            clearance=float(mod.flat[k]),
-            location=complex(z.flat[k]),
+            f"|f - a| = {abs(fz):.3g} on window boundary", clearance=abs(fz), location=z
         )
+    return samples
 
 
-def _excluded(z, fz, e, a: complex, r):
-    """True where the closed disc |w - z| <= r provably holds no root.
+def _excluded(z: complex, fz: complex, e: complex, a: complex, r: float) -> bool:
+    """True when the closed disc |w - z| <= r provably holds no root.
 
     The soft exclusion test T0 (Yap, Sagraloff & Sharma, CiE 2013; Becker,
     Sagraloff, Sharma & Yap, J. Symb. Comput. 86, 2018) with the exact
@@ -108,15 +93,10 @@ def _excluded(z, fz, e, a: complex, r):
     the computed f(z) - a is within rounding_floor of the true one.  So
     where |f(z) - a| exceeds their sum, f - a maps the disc into a disc
     around the computed f(z) - a that excludes 0.  fz is f(z) - a and e
-    is e^z, elementwise on arrays, r too; z enters only through |z|, so a
-    bound on |z| serves for a whole array.  Past r = EXP_RE_MAX, e^r
-    overflows to inf and the disc fails (under np.errstate for arrays).
+    is e^z; the caller keeps r <= EXP_RE_MAX, past which e^r overflows.
     """
     ee, fa = abs(e), abs(1.0 + e)
-    zm = abs(z)
-    # rounding_floor(zm, ee, |a|, fa) + fa r + exp_tail(ee, r), gathered by
-    # modulus so that an array takes few passes
-    return abs(fz) > fa * (r + _EPS * zm) + ee * (np.expm1(r) - r + _EPS) + _EPS * (zm + abs(a))
+    return abs(fz) > rounding_floor(abs(z), ee, abs(a), fa) + fa * r + exp_tail(ee, r)
 
 
 def _cell_excluded(win: Window, a: complex) -> bool:
@@ -124,23 +104,58 @@ def _cell_excluded(win: Window, a: complex) -> bool:
     m = win.center
     r = 0.5 * math.hypot(win.width, win.height)
     e = cmath.exp(m)
-    return r <= EXP_RE_MAX and bool(_excluded(m, m + e - a, e, a, r))
+    return r <= EXP_RE_MAX and _excluded(m, m + e - a, e, a, r)
 
 
-def _refuse_root_at(z0: complex, a: complex, corners: list, edges: list) -> None:
+def _distance(z: complex, p: complex, q: complex) -> float:
+    """Distance from z to the axis-parallel segment pq, by clamping z onto it."""
+    return abs(z - complex(min(max(z.real, min(p.real, q.real)), max(p.real, q.real)),
+                           min(max(z.imag, min(p.imag, q.imag)), max(p.imag, q.imag))))
+
+
+def _turn(s0: tuple, s1: tuple, a: complex) -> float | None:
+    """The change of arg(f - a) along the piece between the samples s0 and
+    s1, each (z, f - a, e^z); None if no test certifies it.
+
+    (R) e^z dominates: exp(min Re) >= 2 max |z - a| (|z - a| is convex, so
+    largest at an end).  (L) z - a dominates: dist(a, piece) >= 2 exp(max
+    Re), and a is off the piece by the clearance floor even if e^z is 0.
+    Then f - a = t g along the piece, t the dominant term, |g - 1| <= 1/2:
+    even after rounding g stays in the disc |g - 1| < 1, where |arg g| <
+    pi/6, so g turns by the difference of its end args.  arg e^z is Im z
+    exactly, and arg(z - a) turns by less than pi along a segment that
+    misses a, so by the principal arg of (z1 - a) / (z0 - a).  Otherwise
+    _excluded must clear the discs of radius half the piece around both
+    ends (one wider than EXP_RE_MAX fails): f - a maps each half of the
+    piece into a disc around its end value that excludes 0, and the two
+    overlap, so the turn is the principal arg of (f(z1) - a) / (f(z0) - a).
+    """
+    (z0, f0, e0), (z1, f1, e1) = s0, s1
+    if math.exp(min(z0.real, z1.real)) >= _DOMINANCE * max(abs(z0 - a), abs(z1 - a)):
+        return z1.imag - z0.imag + cmath.phase(f1 / e1) - cmath.phase(f0 / e0)
+    floor = max(_DOMINANCE * math.exp(max(z0.real, z1.real)), BOUNDARY_CLEARANCE)
+    if _distance(a, z0, z1) >= floor:
+        d0, d1 = z0 - a, z1 - a
+        return cmath.phase(d1 / d0) + cmath.phase(f1 / d1) - cmath.phase(f0 / d0)
+    r = 0.5 * abs(z1 - z0)
+    if r <= EXP_RE_MAX and _excluded(z0, f0, e0, a, r) and _excluded(z1, f1, e1, a, r):
+        return cmath.phase(f1 / f0)
+    return None
+
+
+def _refuse_root_at(z0: complex, a: complex, corners: list, ends: list) -> None:
     """Newton from z0; raise if it settles on a simple root within an
     edge's finest sample spacing."""
     hit = newton(z0, a, _NEWTON_MAX_ITER)
     if hit is None or abs(hit[2]) < _REFUSE_DERIV_MIN:
         return
     root = hit[0]
-    for c, d in zip(corners, edges):
-        t = min(max(((root - c) * d.conjugate()).real / abs(d) ** 2, 0.0), 1.0)
-        dist = abs(root - (c + t * d))
-        if dist < abs(d) / _FINEST:
+    for p, q in zip(corners, ends):
+        dist, finest = _distance(root, p, q), abs(q - p) / _FINEST
+        if dist < finest:
             raise BoundaryTooCloseError(
                 f"root at {root:.6g} lies {dist:.3g} from the window edge, "
-                f"under its finest sample spacing {abs(d) / _FINEST:.3g}",
+                f"under its finest sample spacing {finest:.3g}",
                 clearance=dist,
                 location=root,
             )
@@ -149,25 +164,21 @@ def _refuse_root_at(z0: complex, a: complex, corners: list, edges: list) -> None
 def count_roots(a: complex, window: Window) -> int:
     """Number of roots of z + e^z = a inside the window, by winding number.
 
-    The boundary is cut into pieces, 64 per edge at first, with both
-    corners sampled on each edge.  A piece of length h is certified when
-    _excluded clears the discs of radius h/2 around both its end samples:
-    f - a maps each half of the piece into a disc around its end value
-    that excludes 0, and the two discs overlap, so arg(f - a) changes
-    along the piece by the principal arg of f(z1) - a over f(z0) - a.
-    The winding number is the rounded sum of those changes over the
-    certified pieces.  A piece that fails is cut into _COVER_SPLIT and
-    only the new points are evaluated, down to the finest spacing edge
-    length / 2^18.
-
-    Pieces that still fail there, or a cut with more than _COVER_MAX
-    failed pieces, end the count: Newton runs from their start samples,
-    shortest Newton step |f|/|f'| first, and a simple root it finds
-    within one finest spacing of an edge is refused with
-    BoundaryTooCloseError, as is a sample where |f - a| dips below the
-    clearance floor; the caller should move the contour.  Otherwise
+    Each edge starts as one piece, sampled only at the window's corners.
+    The winding number is the rounded sum of the turns of arg(f - a) along
+    the pieces that _turn certifies: where e^z or z - a is at least twice
+    the other (Rouche's theorem piece by piece, as Johnson & Tucker, J.
+    Comput. Appl. Math. 228, 2009, certify whole contours), or where the
+    exclusion test clears discs around both ends.  A piece that fails is
+    halved and only its midpoint evaluated, down to the finest spacing
+    edge length / 2^18.  Pieces that still fail there, or a level with
+    more than _COVER_MAX failed pieces, end the count: Newton runs from
+    their start samples, shortest Newton step |f|/|f'| first, and a
+    simple root it finds within one finest spacing of an edge is refused
+    with BoundaryTooCloseError, as is a sample where |f - a| dips below
+    the clearance floor; the caller should move the contour.  Otherwise
     ResidualTooLargeError.  EvalRangeError for a window reaching past
-    EXP_RE_MAX, where e^z overflows.
+    EXP_RE_MAX, where e^z overflows, or where |f - a| does on the edge.
     """
     if window.re_max > EXP_RE_MAX:
         raise EvalRangeError(
@@ -176,50 +187,32 @@ def count_roots(a: complex, window: Window) -> int:
         )
     corners = window.corners()
     ends = corners[1:] + corners[:1]
-    edges = [q - p for p, q in zip(corners, ends)]
-    # one row per edge, both of its corners sampled: points z, f - a,
-    # e^z, and r, half the row's piece length
-    step = np.array(edges)[:, None]
-    z = np.array(corners)[:, None] + _FIRST_U * step
-    z[:, -1] = ends
-    r = abs(step) / (2 * _EDGE_SAMPLES)
-    zm = max(map(abs, corners))  # |z| is largest at a corner
-    fz, e = _ring_samples(z, a)
-    _check_clearance(z, fz)
-    winding = 0.0
-    # a bound that overflows, as e^r does past r = EXP_RE_MAX, fails its disc
-    with np.errstate(over="ignore", invalid="ignore"):
-        for cut in range(_CUTS + 1):
-            ok = _excluded(zm, fz, e, a, r)
-            ratio = fz[:, 1:] / fz[:, :-1]
-            turn = np.arctan2(ratio.imag, ratio.real)
-            if ok.all():
-                winding += float(turn.sum())
+    try:
+        samples = _ring_samples(corners, a)
+        pieces = list(zip(samples, samples[1:] + samples[:1]))
+        winding = 0.0
+        for level in range(_HALVINGS + 1):
+            turns = [_turn(s0, s1, a) for s0, s1 in pieces]
+            winding += sum(t for t in turns if t is not None)
+            failed = [p for p, t in zip(pieces, turns) if t is None]
+            if not failed:
                 break
-            certified = ok[:, :-1] & ok[:, 1:]
-            winding += float(turn[certified].sum())
-            failed = ~certified
-            z0, z1 = z[:, :-1][failed], z[:, 1:][failed]
-            f0, f1 = fz[:, :-1][failed], fz[:, 1:][failed]
-            e0, e1 = e[:, :-1][failed], e[:, 1:][failed]
-            if cut == _CUTS or z0.size > _COVER_MAX:
-                order = np.argsort(np.abs(f0) / np.abs(1.0 + e0), kind="stable")
-                for z_start in z0[order[:_COVER_MAX]].tolist():
-                    _refuse_root_at(z_start, a, corners, edges)
+            if level == _HALVINGS or len(failed) > _COVER_MAX:
+                # shortest Newton step first; 1 + e^z is never 0 in binary64
+                starts = [s0 for s0, _ in failed]
+                starts.sort(key=lambda s: abs(s[1]) / abs(1.0 + s[2]))
+                for z0, _, _ in starts[:_COVER_MAX]:
+                    _refuse_root_at(z0, a, corners, ends)
                 raise ResidualTooLargeError(
-                    f"winding number not certified: {z0.size} boundary pieces "
-                    f"fail the exclusion test at spacing {2.0 * float(r.min()):.3g} "
-                    f"(min |f - a| = {float(np.abs(f0).min()):.3g})"
+                    f"winding number not certified: {len(failed)} boundary pieces fail "
+                    f"at spacing {min(abs(s1[0] - s0[0]) for s0, s1 in failed):.3g} "
+                    f"(min |f - a| = {min(abs(s[1]) for s in starts):.3g})"
                 )
-            # cut each failed piece; only the new points are evaluated
-            zn = z0[:, None] + _CUT_U * (z1 - z0)[:, None]
-            fn, en = _ring_samples(zn, a)
-            _check_clearance(zn, fn)
-            z = np.hstack((z0[:, None], zn, z1[:, None]))
-            fz = np.hstack((f0[:, None], fn, f1[:, None]))
-            e = np.hstack((e0[:, None], en, e1[:, None]))
-            r = np.broadcast_to(r, failed.shape)[failed][:, None] / _COVER_SPLIT
-    if not math.isfinite(winding):  # f - a near 1e308 overflows the turn
+            mids = _ring_samples([0.5 * (s0[0] + s1[0]) for s0, s1 in failed], a)
+            pieces = [p for (s0, s1), m in zip(failed, mids) for p in ((s0, m), (m, s1))]
+    except OverflowError:  # |f - a| past 1e308
+        winding = math.nan
+    if not math.isfinite(winding):  # or f - a near 1e308 overflows a turn
         raise EvalRangeError(f"f - a overflows on the boundary of {window!r}")
     n = round(winding / (2.0 * math.pi))
     if n < 0:
@@ -229,7 +222,7 @@ def count_roots(a: complex, window: Window) -> int:
 
 def _count_with_jitter(a: complex, window: Window) -> tuple[int, Window]:
     """count_roots, expanding the window slightly when a root sits on or
-    too close to the edge for the disc cover to certify the count."""
+    too close to the edge for the contour's pieces to certify the count."""
     w = window
     for _ in range(_JITTER_TRIES):
         try:

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import mono
 from mono.cli import COMMANDS, main
 from mono.equation import critical_point
+from mono.lambertw import oracle_roots
 from mono.paths import CONTINUITY_TOL, circle_path
 from mono.rootsets import Window
 from mono.rootwindow import find_roots
@@ -317,8 +318,8 @@ def _config(tmp_path, text):
         lambda tmp: ["group", "--config", _config(tmp, '{"group": {"loops": [0, 1.7]}}')],
         lambda tmp: ["group", "--config", _config(tmp, '{"group": {"cap": 5}}')],
         lambda tmp: ["roots", "--a=0,0", "--window=-5,710,-1,1"],
-        # f - a near 1e308 on the edge Re z = 709.7 overflows the ratio of samples
-        lambda tmp: ["roots", "--a=0,0", "--window=-5,709.7,-30,30"],
+        # f - a past 1e308 on the edge Re z = 709.7 overflows its modulus
+        lambda tmp: ["roots", "--a=-1.7e308,0", "--window=-5,709.7,-30,30"],
         lambda tmp: ["roots", "--config", _config(tmp, '{"roots": {"a": true}}')],
         lambda tmp: ["roots", "--config", _config(tmp, '{"roots": {"window": [true, 5, -6, 6]}}')],
         lambda tmp: ["track", "--path", "keyhole", "--corridor-re=nan"],
@@ -334,7 +335,7 @@ def _config(tmp_path, text):
         "config-missing", "config-not-json", "config-loops-type",
         "config-int-type", "config-int-fraction", "config-int-list",
         "config-float-type", "config-bool-type", "config-loops-fraction", "config-unknown-key",
-        "window-exp-overflow", "window-near-exp-overflow", "config-complex-bool", "config-window-bool",
+        "window-exp-overflow", "boundary-f-overflow", "config-complex-bool", "config-window-bool",
         "corridor-nan", "corridor-inf", "circle-radius-nan", "critical-index-huge",
         "json-out-unwritable", "csv-out-unwritable", "out-dir-unwritable",
     ],
@@ -351,12 +352,13 @@ def test_bad_input_exits_two_without_traceback(capsys, tmp_path, argv):
     [
         (["roots", "--a=0,1e300"], 2, "precondition", "|n| = 1.59e+299 exceeds"),
         (["loop", "--n", str(10**23)], 2, "precondition", "|n| = 1e+23 exceeds 1000000"),
-        # on the edge Re z = 5, 2e6 long, the discs fail wherever e^z
-        # dominates: the count ends with Newton from the shortest steps,
-        # which finds the real root 5.58 inside, under the finest spacing 7.63
+        # on the edge Re z = 5, 2e6 long, pieces where neither term of
+        # f - a dominates fail down to the finest spacing 7.63: Newton from
+        # them finds 5.12469 - 168.045i, 0.116 outside the tenth expansion
         (
             ["roots", "--a=0,0", "--window=-5,5,-1e6,1e6"], 2, "precondition",
-            "lies 5.58 from the window edge, under its finest sample spacing 7.63",
+            "root at 5.12469-168.045j lies 0.116 from the window edge, "
+            "under its finest sample spacing 7.63",
         ),
         # the end angle of 20,000 turns misses the start by 3.5e-12
         (
@@ -460,6 +462,25 @@ def test_roots_above_height_130_match_oracle(capsys, window):
     assert code == 0
     assert d["compare"]["match"] is True
     assert d["compare"]["window"]["im_max"] == float(window.split(",")[3])
+
+
+@pytest.mark.parametrize(
+    "window, count",
+    [("-5,709.7,-30,30", 11), ("-5,5,-3e5,-1e5", 0)],
+    ids=["window-near-exp-overflow", "edge-long-far"],
+)
+def test_roots_on_dominated_edges_match_oracle(capsys, window, count):
+    # e^z is at least twice z - a along the edge Re z = 709.7, and z - a at
+    # least twice e^z along every edge of -5,5,-3e5,-1e5: those edges are
+    # certified whole, so neither window is refused or expanded, and each
+    # count is the oracle's
+    t0 = time.perf_counter()
+    code, d, _ = run(capsys, "roots", "--a=0,0", f"--window={window}")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    w = Window(*map(float, window.split(",")))
+    assert d["count"] == count == len(oracle_roots(0j, range(-64, 65), window=w))
+    assert d["window"] == w.to_json()
 
 
 def test_group_on_tall_window(capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mono import rootsets
 from mono.equation import RESIDUAL_TOL, critical_value
 from mono.errors import NumericalError, PreconditionError, UnmatchedRootError
 from mono.rootsets import (
@@ -178,7 +179,7 @@ def _point_lists(draw):
     if not zs or draw(st.booleans()):
         return zs
     # repeat some points exactly or one ulp away in one part, in half the
-    # lists only: a repeat pins the minimum to a value np.abs gets right too
+    # lists only: a repeat pins the minimum to a tiny or zero distance
     for i in draw(st.lists(st.integers(0, len(zs) - 1), max_size=5)):
         z = zs[i]
         zs.append(draw(st.sampled_from([
@@ -192,9 +193,21 @@ def _point_lists(draw):
 @settings(max_examples=300)
 @given(_point_lists())
 def test_min_separation_matches_pairwise_abs(zs):
-    # exact equality: the numpy matrix must give Python's abs to the bit
+    # exact equality: the sweep must give the scan's minimum to the bit
     want = math.inf
     for i, zi in enumerate(zs):
         for zj in zs[i + 1 :]:
             want = min(want, abs(zi - zj))
     assert min_separation(zs) == want
+
+
+@settings(max_examples=300)
+@given(_point_lists(), st.data())
+def test_close_pairs_match_pairwise_abs(zs, data):
+    # the sweep keeps exactly the pairs, in order, that a scan of every
+    # pair keeps; the radius is one of the distances, so one pair sits on
+    # it and must be left out
+    pairs = [(i, j) for i in range(len(zs)) for j in range(i + 1, len(zs))]
+    radius = data.draw(st.sampled_from(sorted({abs(zs[i] - zs[j]) for i, j in pairs}) or [1.0]))
+    want = [(i, j) for i, j in pairs if abs(zs[i] - zs[j]) < radius]
+    assert rootsets._close_pairs(zs, radius) == want

@@ -170,9 +170,9 @@ def _count_samples(monkeypatch):
     batches = []
     sampler = rootwindow._ring_samples
 
-    def counted(z, a):
-        batches.append(z.size)
-        return sampler(z, a)
+    def counted(zs, a):
+        batches.append(len(zs))
+        return sampler(zs, a)
 
     monkeypatch.setattr(rootwindow, "_ring_samples", counted)
     return batches
@@ -180,37 +180,54 @@ def _count_samples(monkeypatch):
 
 def test_edge_through_root_refused(monkeypatch):
     # the bottom edge Im z = 0 runs through the real root of z + e^z = 0:
-    # the two pieces around it fail down to the finest spacing, and Newton
-    # from them names the root
+    # the two pieces around it fail down to the finest spacing, each level
+    # evaluating their two midpoints, and Newton from them names the root
     batches = _count_samples(monkeypatch)
     with pytest.raises(BoundaryTooCloseError) as ei:
         count_roots(0j, Window(-1.0, 1.0, 0.0, 1.0))
-    assert batches == [260] + [2 * 7] * rootwindow._CUTS
+    assert batches == [4] + [2] * rootwindow._HALVINGS
     assert abs(ei.value.location - real_root()) < 1e-12
     assert ei.value.clearance < 1e-12
 
 
 def test_edge_root_between_samples_counted(monkeypatch):
     # 5.0058 - 149.19i lies 0.0058 inside the edge Re z = 5, under its
-    # finest spacing 4000 / 2^18 = 0.015, but no finest piece's end disc
-    # reaches it: the contour is certified, and the count is the oracle's
+    # finest spacing 4000 / 2^18 = 0.015, but no certified piece's end disc
+    # reaches it: the contour is certified, and the count is the oracle's.
+    # On that edge e^z dominates where |Im z| < 74 and z - a where |Im z|
+    # > 297; between, the pieces are halved, next to that root down to the
+    # finest spacing
     batches = _count_samples(monkeypatch)
     w = Window(-5.0, 5.0, -2000.0, 2000.0)
     assert count_roots(0j, w) == len(oracle_roots(0j, range(-64, 65), window=w)) == 47
-    assert batches == [260, 896, 3584, 840, 56]
+    assert batches == [4, 1, 2, 2, 2, 4, 6, 8, 16, 30, 58, 116, 194, 110, 46, 20, 8, 4, 4]
 
 
 def test_edge_cover_work_is_bounded(monkeypatch):
-    # on the edge Re z = 5, 2e6 long, discs fail wherever e^z dominates f:
-    # the third cut fails 8,192 pieces, more than _COVER_MAX, so the count
-    # ends there, and a root within one spacing of that edge is still
-    # found, here the real root
+    # on the edge Re z = 5, 2e6 long, e^z dominates where |Im z| < 74 and
+    # z - a where |Im z| > 297, so only the pieces between are halved.  At
+    # the finest spacing 7.63 some still fail, and Newton from them names
+    # the root 5.12469 - 168.045i, 0.125 outside that edge
     batches = _count_samples(monkeypatch)
     with pytest.raises(BoundaryTooCloseError) as ei:
         count_roots(0j, Window(-5.0, 5.0, -1e6, 1e6))
-    assert abs(ei.value.location - real_root()) < 1e-12
+    assert abs(ei.value.location - complex(5.1246949, -168.0447204)) < 1e-6
     assert ei.value.clearance < 2e6 / rootwindow._FINEST
-    assert batches == [260, 7 * 128, 7 * rootwindow._COVER_MAX]
+    assert batches == [4, 1] + [2] * 12 + [4, 6, 8, 16, 32]
+
+
+def test_cover_max_ends_the_count(monkeypatch):
+    # on the edge Re z = 12 neither term dominates where |Im z| is between
+    # 8.1e4 and 3.3e5, and the discs fail there: the 14th level fails more
+    # than _COVER_MAX pieces, so the count ends before the finest spacing,
+    # and Newton still names a root within one finest spacing of that edge
+    batches = _count_samples(monkeypatch)
+    with pytest.raises(BoundaryTooCloseError) as ei:
+        count_roots(0j, Window(-5.0, 12.0, -1e6, 1e6))
+    assert abs(ei.value.location.real - 12.0) <= ei.value.clearance < 2e6 / rootwindow._FINEST
+    # 14 levels of 19: only the cover bound ends a count before the last
+    assert batches == [4, 1, 2, 2, 4, 6, 10, 18, 32, 64, 128, 252, 502, 1002]
+    assert len(batches) <= rootwindow._HALVINGS
 
 
 def test_exclusion_discs_past_exp_range_are_not_cleared():
@@ -237,7 +254,7 @@ def test_root_off_a_corner_counted(monkeypatch):
     w = Window(x, x + 1.0, 0.6 * s, 1.0)
     batches = _count_samples(monkeypatch)
     assert count_roots(0j, w) == len(oracle_roots(0j, range(-3, 4), window=w)) == 0
-    assert batches == [260] + [2 * 7] * rootwindow._CUTS
+    assert batches == [4] + [2] * rootwindow._HALVINGS
 
 
 def _edge_distances(z, w):
@@ -374,6 +391,33 @@ def test_count_matches_oracle_or_refuses(
         assert any(dist < spacing for dist, spacing in _edge_distances(refused, w))
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    a=st.complex_numbers(max_magnitude=3.0),
+    width=st.floats(0.5, 40.0),
+    right=st.floats(-0.5, 5.5),
+    im_min=st.floats(-1e6, 1e6 - 1.0) | st.floats(-400.0, 300.0),
+    log_height=st.floats(0.0, 6.3),
+)
+def test_long_window_matches_oracle_or_refuses(a, width, right, im_min, log_height):
+    # windows up to 2e6 tall with |Im z| up to 1e6, left of Re z = 5.5,
+    # where every root has |Im z| < 260, so the oracle's branches hold
+    # them all; half start near the roots.  The count is the oracle's, or
+    # the contour is refused naming a root within one finest spacing of an
+    # edge
+    w = Window(right - width, right, im_min, min(im_min + 10.0**log_height, 1e6))
+    roots = oracle_roots(a, range(-64, 65)).positions()
+    try:
+        count, refused = count_roots(a, w), None
+    except BoundaryTooCloseError as exc:
+        count, refused = None, exc.location
+    if refused is None:
+        assert count == sum(w.contains(z) for z in roots)
+    else:
+        assert any(abs(z - refused) < 1e-9 for z in roots)
+        assert any(dist < finest for dist, finest in _edge_distances(refused, w))
+
+
 def test_nineteen_root_bundle_boundary_work(monkeypatch):
     # before the ring was refined in place and edge roots refused, this
     # call evaluated 2,812,540 boundary samples
@@ -399,18 +443,20 @@ def _count_calls(monkeypatch):
 @pytest.mark.parametrize(
     "window, roots, calls, cleared, samples, runs",
     [
-        (Window(-5.0, 5.0, -60.0, 60.0), 19, 1, 0, (2, 708), 24),
-        (Window(-5.0, 5.0, -6.0, 18.0), 5, 1, 0, (1, 260), 5),
+        (Window(-5.0, 5.0, -60.0, 60.0), 19, 1, 0, (4, 10), 24),
+        (Window(-5.0, 5.0, -6.0, 18.0), 5, 1, 0, (5, 13), 5),
     ],
     ids=["W19", "W5"],
 )
 def test_subdivision_work(monkeypatch, window, roots, calls, cleared, samples, runs):
     # contours counted per find_roots, a machine-independent cost.  The
-    # window's one contour counts 19 (5) roots from 708 (260) boundary
-    # samples in 2 (1) batches, and its 39 x 3 (11 x 3) seed grid then
-    # places all of them in certified disjoint discs: no cell is cut, so
-    # the exclusion test is never asked.  Newton runs 24 (5) times, shortest
-    # Newton step first, each for at most 12 updates
+    # window's one contour counts 19 (5) roots from 10 (13) boundary
+    # samples in 4 (5) batches: e^z dominates the right edge and z - a the
+    # left, and only the pieces of the other two are halved.  Its 39 x 3
+    # (11 x 3) seed grid then places all of them in certified disjoint
+    # discs: no cell is cut, so the exclusion test is never asked.  Newton
+    # runs 24 (5) times, shortest Newton step first, each for at most 12
+    # updates
     windows = _count_calls(monkeypatch)
     batches = _count_samples(monkeypatch)
     verdicts = []
@@ -455,12 +501,12 @@ def test_sparse_window_work(monkeypatch, window, roots, calls, runs):
 
 
 def test_grid_leaves_a_cluster_cell_to_the_cuts():
-    # a is 3.3e-8 from a_3, so the cell holding z_3 skips its seed grid and
+    # a is 6.5e-10 from a_3, so the cell holding z_3 skips its seed grid and
     # is cut; the cut-only route ends in the cluster fallback, one double
-    # entry at z_3.  Located from a grid, the pair came out as two simple
-    # roots 2.6e-4 apart
+    # entry at z_3.  At 3.3e-8 from a_3 the cuts now resolve the pair into
+    # its two simple roots, 2.6e-4 apart
     z_3 = critical_point(3).z
-    a = critical_value(3) + complex(-4.96e-9, -3.2128e-8)
+    a = critical_value(3) + complex(-9.92e-11, -6.4256e-10)
     found = find_roots(a, Window(-0.68403, 1.82581, 14.3236, 29.3343))
     assert [(e.z, e.multiplicity) for e in found.entries if abs(e.z - z_3) < 1e-3] == [(z_3, 2)]
 
@@ -570,7 +616,7 @@ def test_grid_seed_keys_at_the_extremes():
     z0 = critical_point(0).z
     cell = Window(-0.5, 0.5, math.pi - 0.5, math.pi + 0.5)
     assert cell.center == z0
-    with warnings.catch_warnings(), np.errstate(all="raise"):
+    with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert rootwindow._solve_isolated(Window(700.0, 709.7, -1.0, 1.0), 0j) is None
         z = rootwindow._solve_isolated(cell, critical_value(0))
