@@ -263,7 +263,7 @@ def _permutation_block(start, end) -> dict:
 
 
 def _report_block(report) -> dict:
-    keys = ("steps_accepted", "steps_rejected", "max_residual", "max_load")
+    keys = ("steps_accepted", "steps_rejected", "legs_reused", "max_residual", "max_load")
     return {key: getattr(report, key) for key in keys}
 
 

@@ -27,10 +27,9 @@ through each following whole segment while the summed reaches, joint
 gaps included (each at most paths.CONTINUITY_TOL, and counted on every
 segment's first step), still fit: a(t) stays within that sum of the a
 the step starts from, so the same test certifies the whole piece.  A
-rejected step halves back inside its own segment.  Labels share no
-time, and none needs to: a simple root's continuation is unique, so two
-labels that met would have started at the same root, and roots can
-collide only at a = a_n, where the discs shrink and stepping underflows.
+rejected step halves back inside its own segment.  A simple root's
+continuation is unique, so two labels that met would have started at
+the same root; roots collide only at a = a_n, where stepping underflows.
 report.max_load records the largest (rho_i + reach) / S(R_i) over
 accepted steps, which the certificate keeps below 1, and
 report.steps_accepted and steps_rejected count root-steps.
@@ -41,6 +40,23 @@ proves a zero within s of z', and when |z' - z_i| + s <= R_i, which puts
 that zero in disc i: it is the root that label i followed.
 report.max_residual and the trajectory keep the computed res.
 
+Retraced legs.  A lasso block P M P^-1 (_blocks: M closed, P walked back
+segment by segment) is tracked out and round, and back only where it
+must be.  Continuation along a reversed path is the inverse map, so a
+root that ends M on the root some label k held at the turn (P's end)
+ends the block on k's root at the block start, with no step.  A root at
+z, rho, a after M matches k when rho_k + |a - a_k| < S(R_k), which puts
+exactly one root of f = a in k's turn disc, and |z - z_k| + s <= R_k:
+the acceptance test's zero within s of z is that root.  Joint gaps are
+at most paths.CONTINUITY_TOL and lie inside certified discs of reach at
+least MIN_STEP, so moving a across them changes no root.  A root whose
+allowance S(R) - rho at the block start covers the block's summed reach
+crosses it in one step: its disc holds it all the way, so M fixes it
+and it is never another root's partner.  Every other root stops at the
+turn, so matching against their turn records is complete; a root with
+no match tracks P^-1 in full.  report.legs_reused counts the (root,
+return leg) pairs whose end came from a turn record.
+
 A step that fails the test (or whose corrector diverges) is rejected
 and halved.  A certified reach below MIN_STEP, which happens as the path
 runs into a critical value and two roots merge, aborts with
@@ -49,7 +65,8 @@ nearest critical value.  Bundles whose roots start closer than
 NEAR_CRITICAL_RADIUS are refused, and so is a loop that carries a root
 out of the start window.  record keeps each accepted step's root in
 report.trajectory, label by label in arc order; rows sit at step ends
-only, so a step that runs through a segment leaves no row on it.
+only, so a step that runs through a segment leaves no row on it, and a
+reused leg replays its partner's rows on P in reverse.
 """
 
 from __future__ import annotations
@@ -62,7 +79,7 @@ from dataclasses import dataclass, field
 from .equation import FAMILY, exp_tail, nearest_critical, newton, residual_bound, rounding_floor
 from .errors import PreconditionError, StepUnderflowError
 from .jsonio import atomic_write_text
-from .paths import ParamPath
+from .paths import CONTINUITY_TOL, ParamPath
 from .rootsets import LabeledRootSet, RootEntry, min_separation
 
 _CORRECTOR_MAX_ITER = 8
@@ -77,6 +94,7 @@ class TrackReport:
     steps_rejected: int = 0
     max_residual: float = 0.0
     max_load: float = 0.0
+    legs_reused: int = 0
     trajectory: list = field(default_factory=list)
     # trajectory rows: (arc_param, label, z, a, residual), label by label
 
@@ -125,15 +143,18 @@ def _underflow(what: str, label: int, arc: float, a: complex) -> StepUnderflowEr
     )
 
 
-def _track_root(label, z, d, rho, segments, a_cur, report, rows):
-    """Carry one root along the moving segments on its own step schedule
-    and return its end position; each accepted step adds a trajectory row
-    to rows, unless rows is None.  segments holds (index, segment, gap
-    from the previous end, gap plus the whole segment's reach)."""
+def _track_root(label, state, segments, report, rows):
+    """Carry one root, state (z, f'(z), rho, a), along the moving segments
+    on its own step schedule and return its end state; each accepted step
+    adds a trajectory row to rows, unless rows is None.  segments holds
+    (index, segment, gap plus the whole segment's reach); the gap to each
+    segment is taken from the root's own a."""
+    z, d, rho, a_cur = state
     disc = _disc(abs(d), math.exp(z.real), z.real)
     k = 0
     while k < len(segments):
-        i_seg, seg, gap, _ = segments[k]
+        i_seg, seg, _ = segments[k]
+        gap = abs(seg.point(0.0) - a_cur)
         u, du = 0.0, 1.0
         while u < 1.0:
             du = min(du, 1.0 - u)
@@ -159,9 +180,9 @@ def _track_root(label, z, d, rho, segments, a_cur, report, rows):
             # a piece that ends its segment runs on through whole ones that fit
             last = k
             while (u_next == 1.0 and last + 1 < len(segments)
-                   and reach + segments[last + 1][3] <= allowed):
+                   and reach + segments[last + 1][2] <= allowed):
                 last += 1
-                reach += segments[last][3]
+                reach += segments[last][2]
             a_next = segments[last][1].point(u_next)
             radius, bound = disc
             # sizing lets reach exceed its allowance by a relative 1e-7,
@@ -194,7 +215,25 @@ def _track_root(label, z, d, rho, segments, a_cur, report, rows):
                 rows.append((segments[k][0] + u, label, z, a_cur, res_new))
             du = min(du * _GROWTH, 1.0)
         k += 1
-    return z
+    return z, d, rho, a_cur
+
+
+def _blocks(segs):
+    """Lasso blocks (i0, i, j, j1) of segs, left to right: P = segs[i0:i],
+    a closed M = segs[i:j], and segs[j:j1] equal to P reversed."""
+    mate, later = [-1] * len(segs), {}
+    for k in range(len(segs) - 1, -1, -1):  # the nearest later reverse of each
+        mate[k], later[segs[k]] = later.get(segs[k].reversed(), -1), k
+    blocks, i0 = [], 0
+    while i0 < len(segs):
+        i, j = i0 + 1, mate[i0]
+        while i < j and segs[i].reversed() == segs[j - 1]:
+            i, j = i + 1, j - 1
+        found = i < j and abs(segs[j - 1].end - segs[i].start) <= CONTINUITY_TOL
+        if found:
+            blocks.append((i0, i, j, mate[i0] + 1))
+        i0 = mate[i0] + 1 if found else i0 + 1
+    return blocks
 
 
 def track_bundle(
@@ -212,7 +251,8 @@ def track_bundle(
         raise PreconditionError(
             f"path starts at {path.start!r} but bundle sits at {start.a!r}"
         )
-    starts = []
+    report = TrackReport()
+    states, rows = {}, {}
     for e in start.entries:
         if e.multiplicity != 1:
             raise PreconditionError(
@@ -225,8 +265,10 @@ def track_bundle(
         if r0 > bound:
             raise PreconditionError(f"label {e.label} starts with residual {r0:.3g}")
         res = abs(fz - path.start)  # tracking starts at path.start
-        starts.append((e.label, complex(e.z), d, res, res + tau))
-    dmin = min_separation([z for _, z, *_ in starts])
+        states[e.label] = (complex(e.z), d, res + tau, path.start)
+        if record:
+            rows[e.label] = [(0.0, e.label, complex(e.z), path.start, res)]
+    dmin = min_separation([z for z, *_ in states.values()])
     if dmin < NEAR_CRITICAL_RADIUS:
         raise PreconditionError(
             f"bundle separation {dmin:.3g} below "
@@ -237,17 +279,48 @@ def track_bundle(
     segments, a_end = [], path.start
     for i, seg in enumerate(path.segments):
         if (whole := seg.reach(0.0, 1.0)) != 0.0:
-            gap = abs(seg.point(0.0) - a_end)
-            segments.append((i, seg, gap, gap + whole))
+            segments.append((i, seg, abs(seg.point(0.0) - a_end) + whole))
             a_end = seg.point(1.0)
-    report = TrackReport()
-    rows = report.trajectory if record else None
-    entries = []
-    for lab, z, d, res, rho in starts:
-        if record:
-            rows.append((0.0, lab, z, path.start, res))
-        z_end = _track_root(lab, z, d, rho, segments, path.start, report, rows)
-        entries.append(RootEntry(lab, z_end))
+
+    def run(lab, state, lo, hi):
+        return _track_root(lab, state, segments[lo:hi], report, rows.get(lab))
+
+    done = 0
+    for i0, i, j, j1 in _blocks([seg for _, seg, _ in segments]) + [(len(segments),) * 4]:
+        if done < i0:  # the segments between blocks
+            for lab, state in states.items():
+                states[lab] = run(lab, state, done, i0)
+        if i0 == len(segments):
+            break
+        span, turns, done = sum(s[2] for s in segments[i0:j1]), {}, j1
+        for lab, (z, d, rho, _) in states.items():
+            if step_control(_disc(abs(d), math.exp(z.real), z.real), rho) >= span:
+                states[lab] = run(lab, states[lab], i0, j1)  # one step: M fixes it
+                continue
+            n0 = len(rows.get(lab, ()))
+            zk, dk, rk, ak = turn = run(lab, states[lab], i0, i)
+            # the block-start state, the rows on P, the turn state and disc
+            turns[lab] = (states[lab], rows.get(lab, [])[n0 - 1 : -1], turn,
+                          (zk, rk, ak, *_disc(abs(dk), math.exp(zk.real), zk.real)))
+        for lab, (_, _, turn, _) in turns.items():
+            z, d, rho, a = states[lab] = run(lab, turn, i, j)
+            s = 2.0 * rho / abs(d)
+            # the zero proved within s of z lies in k's one-root disc; M
+            # fixes most roots, so a root's own record is tried first
+            for k in (lab, *turns):
+                zk, rk, ak, radius, bound = turns[k][3]
+                if rk + abs(a - ak) < bound and abs(z - zk) + s <= radius:
+                    break
+            else:
+                states[lab] = run(lab, states[lab], j, j1)
+                continue
+            states[lab], p_rows = turns[k][:2]
+            report.legs_reused += 1
+            if record:  # the arc x on P is the arc flip - x on P reversed
+                flip = segments[i][0] + segments[j][0]
+                rows[lab] += [(flip - x, lab, *row) for x, _, *row in reversed(p_rows)]
+    entries = [RootEntry(lab, z) for lab, (z, *_) in states.items()]
+    report.trajectory = [row for lab in states for row in rows.get(lab, ())]
 
     # A window asserts "all roots in here"; transport to a different
     # parameter value voids that claim, so only closed paths keep it.

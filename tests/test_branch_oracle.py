@@ -29,11 +29,11 @@ from hypothesis import strategies as st
 from mono.equation import critical_value
 from mono.errors import PreconditionError
 from mono.lambertw import lambert_w
-from mono.paths import LineSegment, ParamPath, circle_path, concat, keyhole_loop
+from mono.paths import LineSegment, ParamPath, circle_path, composite_loop, concat, keyhole_loop
 from mono.permutation import extract_permutation
 from mono.rootsets import Window
 from mono.rootwindow import find_roots
-from mono.tracking import track_bundle
+from mono.tracking import _blocks, track_bundle
 
 W19 = Window(-5.0, 5.0, -60.0, 60.0)
 TWO_PI = 2.0 * math.pi
@@ -197,6 +197,57 @@ def test_tracked_permutation_matches_branch_oracle(bundles, case):
         return
     assert expected is not None
     assert extract_permutation(start, end).images == expected
+
+
+def _full_retrace(path):
+    """The same points with each segment of every way home split at its
+    midpoint: no segment retraces one on the way out, so no leg is reused."""
+    segs = list(path.segments)
+    for _, _, j, j1 in reversed(_blocks(segs)):
+        halves = []
+        for seg in segs[j:j1]:
+            mid = 0.5 * (seg.z0 + seg.z1)
+            halves += [type(seg)(seg.z0, mid), type(seg)(mid, seg.z1)]
+        segs[j:j1] = halves
+    return ParamPath(tuple(segs), path.encircles)
+
+
+@st.composite
+def _retraced(draw):
+    window = draw(st.sampled_from(["W5", "W19"]))
+    ns = list(_NS[window])
+    loop = st.sampled_from([keyhole_loop, composite_loop])
+    path = draw(st.one_of(st.builds(lambda f, n, rho: f(n, rho), loop, st.sampled_from(ns),
+                                    st.floats(0.1, 0.9)), _lasso(ns), _word(ns)))
+    # a composite loop keeps its circle clear by construction
+    assume(path.segments[0].kind == "image" or _clear_of_critical(path, range(-12, 12)))
+    full = _full_retrace(path)
+    assume(_blocks(list(path.segments)) and not _blocks(list(full.segments)))
+    return window, path, full
+
+
+def _track_or_refusal(start, path):
+    try:
+        return track_bundle(start, path)
+    except PreconditionError as exc:
+        assert "outside the window" in str(exc)
+        return str(exc).split(" to ")[0], None
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_retraced())
+def test_reused_legs_match_full_retracing(bundles, case):
+    # a way home taken from a partner's way out ends where tracking it
+    # step by step does, in no more steps
+    window, path, full = case
+    start = bundles[window]
+    (end, rep), (end_full, rep_full) = _track_or_refusal(start, path), _track_or_refusal(start, full)
+    if rep is None or rep_full is None:
+        assert end == end_full  # the same label refused, outside the window
+        return
+    assert extract_permutation(start, end) == extract_permutation(start, end_full)
+    assert max(abs(end.position(lab) - end_full.position(lab)) for lab in start.labels()) < 1e-10
+    assert rep.steps_accepted <= rep_full.steps_accepted and rep_full.legs_reused == 0
 
 
 def test_oracle_reads_the_keyhole_transpositions(bundle5):

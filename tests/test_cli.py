@@ -101,6 +101,8 @@ def test_track_closed_loop_permutation(capsys, tmp_path):
     assert code == 0
     assert d["permutation"]["cycle_string"] == "(1 3)"
     assert d["report"]["max_residual"] < 1e-12
+    # each of the three roots takes its way home from a partner's way out
+    assert d["report"]["legs_reused"] == 3
     header = csv.read_text().splitlines()[0]
     assert header == "arc_param,label,re_z,im_z,re_a,im_a,residual"
 
@@ -115,12 +117,12 @@ def test_track_closed_loop_permutation(capsys, tmp_path):
 )
 def test_track_below_two_roots_reports_cleanly(capsys, argv, n_roots):
     # a bundle of one root or none tracks like any other: exit 0, the
-    # four report fields, and the identity on its labels
+    # five report fields, and the identity on its labels
     code, d, err = run(capsys, "track", "--path", "circle", *argv)
     assert (code, err) == (0, "")
     assert len(d["start"]["roots"]) == n_roots
     report = d["report"]
-    assert set(report) == {"steps_accepted", "steps_rejected", "max_residual", "max_load"}
+    assert set(report) == {"steps_accepted", "steps_rejected", "legs_reused", "max_residual", "max_load"}
     assert (report["steps_accepted"] > 0) == (n_roots > 0)
     assert 0.0 <= report["max_load"] < 1.0 and 0.0 <= report["max_residual"] < 1e-12
     assert d["permutation"]["images"] == list(range(1, n_roots + 1))
@@ -176,6 +178,7 @@ def test_loop_local_swap(capsys):
     # small circle around a_1 swaps only the pair that merges at z_1
     assert d["permutation"]["cycle_string"] == "(3 4)"
     assert d["permutation"]["is_transposition"] is True
+    assert d["report"]["legs_reused"] == 0  # a circle has no leg to retrace
 
 
 def test_homotopy_check_agrees(capsys):
