@@ -8,12 +8,12 @@ cover the piece.  Each edge starts as one piece between two corners,
 and only the pieces that fail are halved.  A piece that still fails at
 the finest spacing marks a root on or next to an edge: Newton names it,
 and the contour is refused.
-find_roots counts, then locates, and cuts only where locating fails: a
-cell of n roots runs Newton from a (2n+1) x 3 grid, and n disjoint
-certified discs strictly inside it hold all n.  Otherwise it is halved
-across its long side, the cut moving off roots along a ladder of
-offsets until the first half is counted (0 without a contour if the
-exclusion test clears it); the second half counts what the first
+find_roots counts, then locates, and cuts only where locating fails:
+each cell of n roots, one or many, runs Newton from a (2n+1) x 3 grid,
+and n disjoint certified discs strictly inside it hold all n.  Otherwise
+it is halved across its long side, the cut moving off roots along a
+ladder of offsets until the first half is counted (0 without a contour
+if the exclusion test clears it); the second half counts what the first
 leaves, and each keeps the discs inside it.  Roots are polished to
 equation's residual rule; roots merging at a critical point, which no
 cut clears or which a cut isolates within rounding of it, become one
@@ -47,8 +47,7 @@ from .errors import (
 from .rootsets import NEAR_MERGE_RADIUS, LabeledRootSet, Window, canonical_root_set
 
 BOUNDARY_CLEARANCE = 1e-9
-_NEWTON_MAX_ITER = 60
-_LOCATE_MAX_ITER = 12  # per seed of a grid that locates n >= 2 roots at once
+_LOCATE_MAX_ITER = 12  # updates per Newton run: a grid seed, or an edge refusal
 # a piece no test certifies is halved, at most _HALVINGS times
 _HALVINGS = 18
 _FINEST = 2**_HALVINGS
@@ -146,7 +145,7 @@ def _turn(s0: tuple, s1: tuple, a: complex) -> float | None:
 def _refuse_root_at(z0: complex, a: complex, corners: list, ends: list) -> None:
     """Newton from z0; raise if it settles on a simple root within an
     edge's finest sample spacing."""
-    hit = newton(z0, a, _NEWTON_MAX_ITER)
+    hit = newton(z0, a, _LOCATE_MAX_ITER)
     if hit is None or abs(hit[2]) < _REFUSE_DERIV_MIN:
         return
     root = hit[0]
@@ -257,18 +256,6 @@ def _grid(win: Window, a: complex, n: int) -> tuple[list, float]:
     return seeds, min(dx, dy)
 
 
-def _solve_isolated(win: Window, a: complex) -> complex | None:
-    """Newton from the 3 x 3 grid at 1/6, 1/2 and 5/6 of each side, shortest
-    Newton step first; None if no run ends inside the cell."""
-    # basins are strips: a long cell's centre is often in a neighbour's
-    for _, z0 in _grid(win, a, 1)[0]:
-        polished = newton(z0, a, _NEWTON_MAX_ITER)
-        # strict containment: a neighbor cell's root must not be claimed
-        if polished is not None and win.contains(polished[0]):
-            return polished[0]
-    return None
-
-
 def _holds(win: Window, z: complex, s: float) -> bool:
     """True when the disc |w - z| <= s lies strictly inside the cell."""
     return min(z.real - win.re_min, win.re_max - z.real,
@@ -328,13 +315,13 @@ def _split_counted(win: Window, a: complex, expected: int):
 def find_roots(a: complex, window: Window) -> LabeledRootSet:
     """All roots of z + e^z = a in the window, canonically labeled.
 
-    A counted cell is located from its seed grid (_locate; one root by
-    _solve_isolated) and halved across its long side only if that fails
+    Every counted cell, one root or many, is located from its seed grid
+    (_locate) and halved across its long side only if that fails
     (_split_counted), each half keeping the discs inside it.  The grid is
-    skipped on a cell longer than 2 pi (n + 1), and on one holding z_n
-    when a is near a_n.  Roots are polished by Newton to residual
-    max(1e-12, rounding_floor) and checked on return.  A
-    cell of multiple roots that no cut splits, around a critical point
+    skipped on a cell longer than 2 pi (n + 1), and on a cell of two or
+    more roots holding z_n when a is near a_n.  Roots are polished by
+    Newton to residual max(1e-12, rounding_floor) and checked on return.
+    A cell of multiple roots that no cut splits, around a critical point
     z_n with |a - a_n| <= 1e-6, is a merge cluster: one entry at z_n
     carries the cluster multiplicity and is flagged near-merge.  So is a
     pair that a cut did isolate within 5e-5 of z_n.  Other resolved roots
@@ -358,12 +345,10 @@ def find_roots(a: complex, window: Window) -> LabeledRootSet:
             raise SubdivisionError(
                 f"subdivision depth {depth} exceeded near {win.center!r}"
             )
-        if cnt == 1 and not discs:
-            discs = [(z, 0.0)] if (z := _solve_isolated(win, a)) is not None else []
         # roots lie about 2 pi apart in Im, so a longer cell is mostly empty;
         # roots merging at z_k are left to the cuts and the cluster fallback
-        elif (len(discs) < cnt and max(win.width, win.height) <= 2.0 * math.pi * (cnt + 1)
-                and not (dist <= _CLUSTER_DIST and win.contains(z_k))):
+        if (len(discs) < cnt and max(win.width, win.height) <= 2.0 * math.pi * (cnt + 1)
+                and not (cnt > 1 and dist <= _CLUSTER_DIST and win.contains(z_k))):
             discs = _locate(win, a, cnt, discs)
         if len(discs) == cnt:
             positions.extend(z for z, _ in discs)

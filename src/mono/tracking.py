@@ -144,13 +144,12 @@ def _underflow(what: str, label: int, arc: float, a: complex) -> StepUnderflowEr
 
 
 def _track_root(label, state, segments, report, rows):
-    """Carry one root, state (z, f'(z), rho, a), along the moving segments
-    on its own step schedule and return its end state; each accepted step
-    adds a trajectory row to rows, unless rows is None.  segments holds
-    (index, segment, gap plus the whole segment's reach); the gap to each
-    segment is taken from the root's own a."""
-    z, d, rho, a_cur = state
-    disc = _disc(abs(d), math.exp(z.real), z.real)
+    """Carry one root, state (z, f'(z), rho, a, its disc (R, S(R))), along
+    the moving segments on its own step schedule and return its end state;
+    each accepted step adds a trajectory row to rows, unless rows is None.
+    segments holds (index, segment, gap plus the whole segment's reach);
+    the gap to each segment is taken from the root's own a."""
+    z, d, rho, a_cur, disc = state
     k = 0
     while k < len(segments):
         i_seg, seg, _ = segments[k]
@@ -215,7 +214,7 @@ def _track_root(label, state, segments, report, rows):
                 rows.append((segments[k][0] + u, label, z, a_cur, res_new))
             du = min(du * _GROWTH, 1.0)
         k += 1
-    return z, d, rho, a_cur
+    return z, d, rho, a_cur, disc
 
 
 def _blocks(segs):
@@ -265,7 +264,8 @@ def track_bundle(
         if r0 > bound:
             raise PreconditionError(f"label {e.label} starts with residual {r0:.3g}")
         res = abs(fz - path.start)  # tracking starts at path.start
-        states[e.label] = (complex(e.z), d, res + tau, path.start)
+        disc = _disc(abs(d), math.exp(e.z.real), e.z.real)
+        states[e.label] = (complex(e.z), d, res + tau, path.start, disc)
         if record:
             rows[e.label] = [(0.0, e.label, complex(e.z), path.start, res)]
     dmin = min_separation([z for z, *_ in states.values()])
@@ -293,22 +293,21 @@ def track_bundle(
         if i0 == len(segments):
             break
         span, turns, done = sum(s[2] for s in segments[i0:j1]), {}, j1
-        for lab, (z, d, rho, _) in states.items():
-            if step_control(_disc(abs(d), math.exp(z.real), z.real), rho) >= span:
+        for lab, (_, _, rho, _, disc) in states.items():
+            if step_control(disc, rho) >= span:
                 states[lab] = run(lab, states[lab], i0, j1)  # one step: M fixes it
                 continue
             n0 = len(rows.get(lab, ()))
-            zk, dk, rk, ak = turn = run(lab, states[lab], i0, i)
-            # the block-start state, the rows on P, the turn state and disc
-            turns[lab] = (states[lab], rows.get(lab, [])[n0 - 1 : -1], turn,
-                          (zk, rk, ak, *_disc(abs(dk), math.exp(zk.real), zk.real)))
-        for lab, (_, _, turn, _) in turns.items():
-            z, d, rho, a = states[lab] = run(lab, turn, i, j)
+            turn = run(lab, states[lab], i0, i)
+            # the block-start state, the rows on P and the turn state
+            turns[lab] = (states[lab], rows.get(lab, [])[n0 - 1 : -1], turn)
+        for lab, (_, _, turn) in turns.items():
+            z, d, rho, a, _ = states[lab] = run(lab, turn, i, j)
             s = 2.0 * rho / abs(d)
             # the zero proved within s of z lies in k's one-root disc; M
             # fixes most roots, so a root's own record is tried first
             for k in (lab, *turns):
-                zk, rk, ak, radius, bound = turns[k][3]
+                zk, _, rk, ak, (radius, bound) = turns[k][2]
                 if rk + abs(a - ak) < bound and abs(z - zk) + s <= radius:
                     break
             else:

@@ -47,7 +47,8 @@ def test_tracer_sees_internal_count_roots_calls(
 ):
     # find_roots calls count_roots through the module global the tracer
     # rebinds.  Its seed grid would place every root of W3 and W5 with no
-    # cut, so it is made to fail, and the windows are cut.  W3 (10 x 12) is
+    # cut, so every grid of two or more roots is made to fail, and the
+    # windows are cut down to one-root cells.  W3 (10 x 12) is
     # halved across Im at its centre: the cut Im z = 0 runs through the
     # real root, and the first half's contour on it is refused and counted
     # as a failed call; the next ladder rung cuts clear of it.  W5 (10 x 24)
@@ -56,7 +57,10 @@ def test_tracer_sees_internal_count_roots_calls(
     from mono import rootwindow
     from mono.rootsets import Window
 
-    monkeypatch.setattr(rootwindow, "_locate", lambda win, a, n, discs: discs)
+    locate = rootwindow._locate
+    monkeypatch.setattr(
+        rootwindow, "_locate", lambda w, a, n, discs: discs if n > 1 else locate(w, a, n, discs)
+    )
     t = tracer_module.Tracer()
     try:
         assert t.install() == []

@@ -312,7 +312,7 @@ def test_every_default_is_varied():
 
 # lines of src/mono/*.py: a change that grows or shrinks the package
 # changes this figure in its own diff, as it would a work pin
-SOURCE_LINES = 2_972
+SOURCE_LINES = 2_956
 
 
 def test_source_line_count():

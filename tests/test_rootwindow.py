@@ -440,6 +440,14 @@ def _count_calls(monkeypatch):
     return windows
 
 
+def _count_newton(monkeypatch):
+    """Wrap rootwindow's newton; returns the list of its calls' arguments."""
+    runs = []
+    polish = rootwindow.newton
+    monkeypatch.setattr(rootwindow, "newton", lambda *args: runs.append(args) or polish(*args))
+    return runs
+
+
 @pytest.mark.parametrize(
     "window, roots, calls, cleared, samples, runs",
     [
@@ -464,11 +472,7 @@ def test_subdivision_work(monkeypatch, window, roots, calls, cleared, samples, r
     monkeypatch.setattr(
         rootwindow, "_cell_excluded", lambda w, a: verdicts.append(test(w, a)) or verdicts[-1]
     )
-    newton_runs = []
-    polish = rootwindow.newton
-    monkeypatch.setattr(
-        rootwindow, "newton", lambda *args: newton_runs.append(args) or polish(*args)
-    )
+    newton_runs = _count_newton(monkeypatch)
     assert len(find_roots(0j, window)) == roots
     assert (len(windows), sum(verdicts)) == (calls, cleared)
     assert (len(batches), sum(batches)) == samples
@@ -478,8 +482,8 @@ def test_subdivision_work(monkeypatch, window, roots, calls, cleared, samples, r
 @pytest.mark.parametrize(
     "window, roots, calls, runs",
     [
-        (Window(-5.0, 5.0, -2000.0, 2000.0), 47, 26, 113),
-        (Window(-5.0, 5.0, -300.0, 300.0), 47, 16, 156),
+        (Window(-5.0, 5.0, -2000.0, 2000.0), 47, 32, 86),
+        (Window(-5.0, 5.0, -300.0, 300.0), 47, 16, 120),
         (Window(-30.0, 5.0, -60.0, 60.0), 19, 8, 46),
     ],
     ids=["tall-4000", "tall-600", "wide-left"],
@@ -488,14 +492,11 @@ def test_sparse_window_work(monkeypatch, window, roots, calls, runs):
     # windows whose roots are few for their length, at a = 0.3 + 0.1i.  A
     # cell longer than 2 pi (n + 1) skips its seed grid, and the halves of
     # a cell whose grid fell short keep the discs it found inside them, so
-    # these take 26, 16 and 8 contours where cutting alone took 57, 51 and
-    # 19, for 113, 156 and 46 Newton runs where it took 101, 83 and 19
+    # these take 32, 16 and 8 contours where cutting down to one-root cells
+    # took 63, 52 and 19, for 86, 120 and 46 Newton runs where it took 47,
+    # 47 and 19
     windows = _count_calls(monkeypatch)
-    newton_runs = []
-    polish = rootwindow.newton
-    monkeypatch.setattr(
-        rootwindow, "newton", lambda *args: newton_runs.append(args) or polish(*args)
-    )
+    newton_runs = _count_newton(monkeypatch)
     assert len(find_roots(0.3 + 0.1j, window)) == roots
     assert (len(windows), len(newton_runs)) == (calls, runs)
 
@@ -548,7 +549,10 @@ def test_elongated_cell_halved_across_long_side(monkeypatch):
 
 def _grid_finds_nothing(monkeypatch):
     """Make every seed grid of n >= 2 roots fail, so that each such cell is cut."""
-    monkeypatch.setattr(rootwindow, "_locate", lambda win, a, n, discs: discs)
+    locate = rootwindow._locate
+    monkeypatch.setattr(
+        rootwindow, "_locate", lambda w, a, n, discs: discs if n > 1 else locate(w, a, n, discs)
+    )
 
 
 def test_overcounting_child_raises_without_trying_another_cut(monkeypatch):
@@ -600,38 +604,37 @@ def test_unsplittable_cell_away_from_critical_value_still_raises(monkeypatch):
 def test_newton_seed_past_exp_range_did_not_stick():
     # the cell's centre sits 1e-3 right of z_0 = pi i, where f' ~ -1e-3:
     # Newton from it jumps to Re z ~ 1000 and would overflow e^z, so it
-    # finds nothing; the grid seeds still find the cell's one root
+    # finds nothing, and find_roots still places the cell's one root
     a = complex(-2.0, math.pi)
     w = Window(-1.2 + 1e-3, 1.2 + 1e-3, math.pi - 0.5, math.pi + 0.5)
     (root,) = [z for z in oracle_roots(a, range(-3, 4)).positions() if w.contains(z)]
-    assert newton(w.center, a, rootwindow._NEWTON_MAX_ITER) is None
-    assert abs(rootwindow._solve_isolated(w, a) - root) < 1e-12
+    assert newton(w.center, a, rootwindow._LOCATE_MAX_ITER) is None
+    (z,) = find_roots(a, w).positions()
+    assert abs(z - root) < 1e-12
 
 
 def test_grid_seed_keys_at_the_extremes():
     # at Re z near 709.7 e^z is near 1e308 and no root lies in the cell;
     # at z_0 = pi i, f' = 1 + e^z is 1.2e-16 and a = a_0 puts the double
-    # root there.  Neither grid raises or warns: the first cell yields
-    # nothing and the second its root
+    # root there.  No grid raises or warns, and none places a root: the
+    # first cell holds none, and the double root's disc fails
     z0 = critical_point(0).z
     cell = Window(-0.5, 0.5, math.pi - 0.5, math.pi + 0.5)
     assert cell.center == z0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert rootwindow._solve_isolated(Window(700.0, 709.7, -1.0, 1.0), 0j) is None
-        z = rootwindow._solve_isolated(cell, critical_value(0))
-        # a grid of two roots places neither: the double root's disc fails
-        assert rootwindow._locate(Window(700.0, 709.7, -1.0, 1.0), 0j, 2, []) == []
-        assert rootwindow._locate(cell, critical_value(0), 2, []) == []
-    assert abs(z - z0) < 1e-7
+        for n in (1, 2):
+            assert rootwindow._locate(Window(700.0, 709.7, -1.0, 1.0), 0j, n, []) == []
+            assert rootwindow._locate(cell, critical_value(0), n, []) == []
 
 
 def test_isolated_root_just_outside_the_cell_is_not_claimed():
     # the cell ends 5e-10 left of the real root: Newton from inside finds
     # that root, which belongs to the neighbouring cell, so nothing sticks
     x = real_root()
-    assert rootwindow._solve_isolated(Window(x - 1.0, x - 5e-10, -0.5, 0.5), 0j) is None
-    assert abs(rootwindow._solve_isolated(Window(x - 1.0, x + 5e-10, -0.5, 0.5), 0j) - x) < 1e-15
+    assert rootwindow._locate(Window(x - 1.0, x - 5e-10, -0.5, 0.5), 0j, 1, []) == []
+    ((z, _),) = rootwindow._locate(Window(x - 1.0, x + 5e-10, -0.5, 0.5), 0j, 1, [])
+    assert abs(z - x) < 1e-15
 
 
 # -- properties: find_roots against the oracle on edge cases --------------
@@ -880,60 +883,40 @@ def _cell_around(root, left, right, down, up):
     return Window(root.real - left, root.real + right, root.imag - down, root.imag + up)
 
 
-@settings(max_examples=200)
-@given(
-    a=st.complex_numbers(max_magnitude=4.0),
-    around=st.booleans(),
-    branch=st.integers(-8, 8),
-    sides=st.tuples(*[st.floats(1e-3, 1.0)] * 4),
-    re_max=st.floats(-30.0, 4.0),
-    im_min=st.floats(-300.0, 290.0),
-    width=st.floats(0.1, 40.0),
-    height=st.floats(0.1, 250.0),
-)
-def test_solve_isolated_claims_only_the_cells_root(
-    a, around, branch, sides, re_max, im_min, width, height
-):
-    # a cell around one oracle root, up to 16 x 6, or a cell anywhere,
-    # tall ones up to |Im z| = 300 included, that holds none: what Newton
-    # returns is that root, strictly inside the cell, or nothing
-    if around:
-        (root,) = oracle_roots(a, [branch]).positions()
-        left, right, down, up = sides
-        cell = _cell_around(root, 8.0 * left, 8.0 * right, 3.0 * down, 3.0 * up)
-    else:
-        cell = Window(re_max - width, re_max, im_min, min(im_min + height, 300.0))
-    roots = oracle_roots(a, TALL_BRANCHES, window=cell.expand(1e-9)).positions()
-    if len(roots) > 1 or (roots and not cell.expand(-1e-9).contains(roots[0])):
-        reject()  # not one cell of find_roots, whose edges keep off roots
-    z = rootwindow._solve_isolated(cell, a)
-    if z is not None:
-        assert cell.re_min < z.real < cell.re_max and cell.im_min < z.imag < cell.im_max
-        assert any(abs(z - r) < 1e-9 for r in roots)
-
-
-def test_solve_isolated_finds_the_root_of_one_root_cells():
-    # seeded cells as in the property above: 985 of the 1,000 draws hold
-    # exactly one root, and the grid finds it in all 985
+def _one_root_cells():
+    """(a, root, cell) for seeded cells up to 16 x 6 around one oracle root
+    that hold no other root: 985 of 1,000 draws."""
     rng = random.Random(2)
-    hits = cells = 0
     for _ in range(1000):
         a = complex(rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0))
         (root,) = oracle_roots(a, [rng.randint(-8, 8)]).positions()
         sides = [rng.uniform(1e-3, s) for s in (8.0, 8.0, 3.0, 3.0)]
         cell = _cell_around(root, *sides)
-        if len(oracle_roots(a, TALL_BRANCHES, window=cell)) != 1:
-            continue
+        if len(oracle_roots(a, TALL_BRANCHES, window=cell)) == 1:
+            yield a, root, cell
+
+
+def test_find_roots_places_the_root_of_one_root_cells(monkeypatch):
+    # each cell's contour counts 1.  The 905 cells no longer than 4 pi run
+    # their 3 x 3 grid, which places 730 of the roots; in the other 175
+    # the first seed's Newton step is past the grid spacing.  Those and
+    # the 80 longer cells are cut, with a contour for each first half the
+    # exclusion test does not clear, until a half's grid places the root
+    windows = _count_calls(monkeypatch)
+    newton_runs = _count_newton(monkeypatch)
+    cells = 0
+    for a, root, cell in _one_root_cells():
         cells += 1
-        z = rootwindow._solve_isolated(cell, a)
-        hits += z is not None and abs(z - root) < 1e-9
-    assert cells > 900 and hits >= 0.95 * cells
+        (z,) = find_roots(a, cell).positions()
+        assert abs(z - root) < 1e-9
+    assert (cells, len(windows), len(newton_runs)) == (985, 1135, 986)
 
 
 @settings(max_examples=150)
 @given(
-    near=st.booleans(),
+    where=st.sampled_from(["near", "far", "anywhere"]),
     far=st.complex_numbers(max_magnitude=4.0),
+    spot=st.tuples(st.floats(-30.0, 4.0), st.floats(-300.0, 300.0)),
     n=st.integers(-8, 8),
     log_dist=st.floats(-12.0, -2.0),
     angle=st.floats(0.0, 2.0 * math.pi),
@@ -944,18 +927,21 @@ def test_solve_isolated_finds_the_root_of_one_root_cells():
     fy=st.floats(0.0, 1.0),
 )
 def test_grid_discs_hold_distinct_oracle_roots(
-    near, far, n, log_dist, angle, tall, short, aspect, fx, fy
+    where, far, spot, n, log_dist, angle, tall, short, aspect, fx, fy
 ):
-    # a within 1e-12..1e-2 of a_n and a cell around z_n, or a anywhere and
-    # a cell around the root on branch n; aspect 1-40, Re z <= 6 and
-    # |Im z| <= 300.  Each disc the grid returns lies strictly inside the
-    # cell around its own oracle root, so n discs hold all n roots
-    if near:
+    # a within 1e-12..1e-2 of a_n and a cell around z_n, a anywhere and a
+    # cell around the root on branch n, or a cell around any point, which
+    # may hold no root and is then asked for one; aspect 1-40, Re z <= 6
+    # and |Im z| <= 300.  Each disc the grid returns lies strictly inside
+    # the cell around its own oracle root, so n discs hold all n roots
+    if where == "near":
         a = critical_value(n) + cmath.rect(10.0**log_dist, angle)
         p = critical_point(n).z
-    else:
+    elif where == "far":
         a = far
         (p,) = oracle_roots(a, [n]).positions()
+    else:
+        a, p = far, complex(*spot)
     width, height = (short, aspect * short) if tall else (aspect * short, short)
     re_min = min(p.real - fx * width, 6.0 - width)
     im_min = min(max(p.imag - fy * height, -300.0), 300.0 - height)
@@ -963,7 +949,7 @@ def test_grid_discs_hold_distinct_oracle_roots(
     roots = oracle_roots(a, TALL_BRANCHES, window=cell.expand(1e-9)).positions()
     if any(not cell.expand(-1e-9).contains(r) for r in roots):
         reject()  # not a cell of find_roots, whose edges keep off roots
-    discs = rootwindow._locate(cell, a, len(roots), [])
+    discs = rootwindow._locate(cell, a, len(roots) or 1, [])
     assert len(discs) <= len(roots)
     held = []
     for z, s in discs:
