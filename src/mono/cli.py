@@ -24,7 +24,6 @@ import sys
 
 from .equation import critical_point, nearest_critical
 from .errors import MonoError, NumericalError, PreconditionError, UnmatchedRootError
-from .figures import FIGURES
 from .jsonio import atomic_write_text, canonical_json, complex_to_json
 from .lambertw import oracle_roots
 from .paths import (
@@ -180,8 +179,9 @@ def cmd_critical(o) -> tuple[dict, int]:
         spacing_err = max(spacing_err, abs((q.a - p.a) - 2j * math.pi))
     return {
         "command": "critical",
+        # every critical point is first order (equation.critical_point)
         "points": [
-            {"n": p.n, "z": complex_to_json(p.z), "a": complex_to_json(p.a), "order": p.order}
+            {"n": p.n, "z": complex_to_json(p.z), "a": complex_to_json(p.a), "order": 1}
             for p in pts
         ],
         "spacing_2pi_max_error": spacing_err,
@@ -367,6 +367,8 @@ def cmd_group(o) -> tuple[dict, int]:
 
 
 def cmd_figures(o) -> tuple[dict, int]:
+    from .figures import FIGURES  # only this command draws, so only it loads figures
+
     names = list(FIGURES) if o.which == "all" else [w.strip() for w in o.which.split(",")]
     unknown = [n for n in names if n not in FIGURES]
     if unknown:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     EvalRangeError,
@@ -115,14 +115,10 @@ def newton(z: complex, a: complex, max_iter: int):
         z = z - fz / d
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
+class CriticalPoint(namedtuple("CriticalPoint", "n z a")):
     """Critical point z_n = (2n+1) pi i with its critical value a_n = z_n - 1."""
 
-    n: int
-    z: complex
-    a: complex
-    order: int = 1
+    __slots__ = ()
 
 
 def critical_height(n: int) -> float:

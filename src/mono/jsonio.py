@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 
 from .errors import PreconditionError
 
@@ -99,6 +98,8 @@ def atomic_write_text(path, text: str) -> str:
 
 
 def _replace(path: str, text: str) -> None:
+    import tempfile  # with random, a few ms of every start; only file output needs it
+
     d = os.path.dirname(path) or "."
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from operator import attrgetter
 
 from .equation import (
     critical_height,
@@ -48,13 +49,43 @@ KEYHOLE_CORRIDOR_RE = -2.0
 BASEPOINT = 0j
 # a piece shorter than this that still cannot clear a point puts it on the path
 _ON_PATH_TOL = 1e-9
+# sets a field of a segment, whose own __setattr__ refuses
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class LineSegment:
-    z0: complex
-    z1: complex
+class _Segment:
+    """An immutable record whose fields are its kind's __slots__, read as
+    fast as plain attributes by the tracker's per-step point and reach.
+    It equals, and hashes as, the tuple of its fields, but only within its
+    kind: tracking._blocks keys a dict by segment, and a line and an image
+    segment can share their end points."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = zip(self.__slots__, self._values(self))
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+
+class LineSegment(_Segment):
+    __slots__ = ("z0", "z1")
+    _values = attrgetter(*__slots__)
     kind = "line"
+
+    def __init__(self, z0: complex, z1: complex):
+        _set(self, "z0", z0)
+        _set(self, "z1", z1)
 
     def point(self, t: float) -> complex:
         return self.z0 + t * (self.z1 - self.z0)
@@ -78,19 +109,20 @@ class LineSegment:
         return {"kind": "line", "z0": complex_to_json(self.z0), "z1": complex_to_json(self.z1)}
 
 
-@dataclass(frozen=True)
-class ArcSegment:
+class ArcSegment(_Segment):
     """Circular arc center + r e^{i theta}, theta from theta0 to theta1."""
 
-    center: complex
-    radius: float
-    theta0: float
-    theta1: float
+    __slots__ = ("center", "radius", "theta0", "theta1")
+    _values = attrgetter(*__slots__)
     kind = "arc"
 
-    def __post_init__(self):
-        if not 0.0 < self.radius < math.inf:
-            raise PreconditionError(f"arc radius must be finite and positive, got {self.radius}")
+    def __init__(self, center: complex, radius: float, theta0: float, theta1: float):
+        if not 0.0 < radius < math.inf:
+            raise PreconditionError(f"arc radius must be finite and positive, got {radius}")
+        _set(self, "center", center)
+        _set(self, "radius", radius)
+        _set(self, "theta0", theta0)
+        _set(self, "theta1", theta1)
 
     def point(self, t: float) -> complex:
         th = self.theta0 + t * (self.theta1 - self.theta0)
@@ -127,13 +159,16 @@ class ArcSegment:
         }
 
 
-@dataclass(frozen=True)
-class ImageSegment:
+class ImageSegment(_Segment):
     """f(z) = z + e^z applied to the z-plane line from z0 to z1."""
 
-    z0: complex
-    z1: complex
+    __slots__ = ("z0", "z1")
+    _values = attrgetter(*__slots__)
     kind = "image"
+
+    def __init__(self, z0: complex, z1: complex):
+        _set(self, "z0", z0)
+        _set(self, "z1", z1)
 
     def point(self, t: float) -> complex:
         z = self.z0 + t * (self.z1 - self.z0)
@@ -189,8 +224,7 @@ def _bisect(fits):
             stack += [(tm, t1), (t0, tm)]
 
 
-@dataclass(frozen=True)
-class ParamPath:
+class ParamPath(namedtuple("ParamPath", "segments encircles", defaults=(None,))):
     """Piecewise path in the parameter plane.
 
     Consecutive segments must join within CONTINUITY_TOL, and the path
@@ -199,10 +233,10 @@ class ParamPath:
     around the single critical value a_n at radius rho >= 0.1.
     """
 
-    segments: tuple
-    encircles: tuple[int, float] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.segments:
             raise PreconditionError("path needs at least one segment")
         for s0, s1 in zip(self.segments, self.segments[1:]):
@@ -211,6 +245,7 @@ class ParamPath:
                 raise PathContinuityError(
                     f"segments join with gap {gap:.3g} > {CONTINUITY_TOL:g}"
                 )
+        return self
 
     @property
     def start(self) -> complex:

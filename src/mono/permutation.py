@@ -11,8 +11,7 @@ labels, for any label count.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .errors import PreconditionError
 from .rootsets import LabeledRootSet, match_positions
@@ -21,16 +20,16 @@ from .rootsets import LabeledRootSet, match_positions
 MATCH_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(namedtuple("Permutation", "images")):
     """images[i-1] is the image of label i."""
 
-    images: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise PreconditionError(f"not a permutation of 1..{n}: {self.images}")
+    def __new__(cls, images: tuple[int, ...]):
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
+            raise PreconditionError(f"not a permutation of 1..{n}: {images}")
+        return super().__new__(cls, images)
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -104,12 +103,8 @@ def is_transposition(p: Permutation) -> tuple[bool, tuple[int, int] | None]:
     return False, None
 
 
-@dataclass(frozen=True)
-class ClosureResult:
-    order: int
-    transitive: bool
-    cap_exceeded: bool
-    explored: int
+class ClosureResult(namedtuple("ClosureResult", "order transitive cap_exceeded explored")):
+    __slots__ = ()
 
 
 def group_order(gens) -> ClosureResult:

@@ -9,7 +9,7 @@ Labels are what monodromy permutations act on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property, cmp_to_key
 
 from .equation import FAMILY, residual_bound
@@ -20,21 +20,18 @@ NEAR_MERGE_RADIUS = 1e-4
 REAL_AXIS_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(namedtuple("Window", "re_min re_max im_min im_max")):
     """Closed axis-aligned rectangle in the z-plane."""
 
-    re_min: float
-    re_max: float
-    im_min: float
-    im_max: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for v in (self.re_min, self.re_max, self.im_min, self.im_max):
-            if not math.isfinite(v):
-                raise PreconditionError(f"window bounds must be finite, got {self}")
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if not all(map(math.isfinite, self)):
+            raise PreconditionError(f"window bounds must be finite, got {self}")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise PreconditionError(f"degenerate window {self}")
+        return self
 
     def contains(self, z: complex) -> bool:
         return self.re_min <= z.real <= self.re_max and self.im_min <= z.imag <= self.im_max
@@ -92,27 +89,21 @@ class Window:
         }
 
 
-@dataclass(frozen=True)
-class RootEntry:
-    label: int
-    z: complex
-    multiplicity: int = 1
+class RootEntry(namedtuple("RootEntry", "label z multiplicity", defaults=(1,))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class LabeledRootSet:
     """Roots of z + e^z = a with persistent labels.
 
     near_merge_pairs lists every pair of labels closer together than
     NEAR_MERGE_RADIUS.  Entries with multiplicity > 1 mark unresolved
     clusters at, or numerically indistinguishable from, a critical value.
+    The set is immutable, and equality and hashing ignore the window.
     """
 
-    a: complex
-    entries: tuple[RootEntry, ...]
-    window: Window | None = field(default=None, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, a: complex, entries: tuple[RootEntry, ...], window: Window | None = None):
+        self.__dict__.update(a=a, entries=entries, window=window)
         seen = set()
         for e in self.entries:
             if not isinstance(e.label, int) or e.label < 1:
@@ -131,6 +122,20 @@ class LabeledRootSet:
                         f"root {e.z!r} (label {e.label}) lies outside the "
                         f"declared window {self.window}"
                     )
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return type(other) is LabeledRootSet and (self.a, self.entries) == (other.a, other.entries)
+
+    def __hash__(self):
+        return hash((self.a, self.entries))
+
+    def __repr__(self):
+        return f"LabeledRootSet(a={self.a!r}, entries={self.entries!r}, window={self.window!r})"
 
     @cached_property
     def near_merge_pairs(self) -> tuple[tuple[int, int], ...]:

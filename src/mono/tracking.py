@@ -71,10 +71,8 @@ reused leg replays its partner's rows on P in reverse.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
-from dataclasses import dataclass, field
 
 from .equation import FAMILY, exp_tail, nearest_critical, newton, residual_bound, rounding_floor
 from .errors import PreconditionError, StepUnderflowError
@@ -88,19 +86,18 @@ NEAR_CRITICAL_RADIUS = 1e-3
 MIN_STEP = 1e-9
 
 
-@dataclass
 class TrackReport:
-    steps_accepted: int = 0
-    steps_rejected: int = 0
-    max_residual: float = 0.0
-    max_load: float = 0.0
-    legs_reused: int = 0
-    trajectory: list = field(default_factory=list)
-    # trajectory rows: (arc_param, label, z, a, residual), label by label
+    def __init__(self):
+        self.steps_accepted = self.steps_rejected = self.legs_reused = 0
+        self.max_residual = self.max_load = 0.0
+        # rows: (arc_param, label, z, a, residual), label by label
+        self.trajectory = []
 
     def to_csv(self, path) -> None:
         """Write trajectory rows to path as CSV with columns
         (arc_param, label, re_z, im_z, re_a, im_a, residual)."""
+        import csv  # only --csv-out writes a trajectory
+
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["arc_param", "label", "re_z", "im_z", "re_a", "im_a", "residual"])

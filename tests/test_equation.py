@@ -41,7 +41,6 @@ def test_critical_points_annihilate_derivative():
         cp = critical_point(n)
         assert abs(FAMILY.deriv(cp.z)) < 1e-12
         assert abs(FAMILY.eval(cp.z) - cp.a) < 1e-12
-        assert cp.order == 1
         # f'' = e^z stays on the unit circle, so never zero
         assert abs(abs(cmath.exp(cp.z)) - 1.0) < 1e-12
 
