@@ -8,7 +8,7 @@ self-power equation x^x = a to this family.
 
 It also holds the one residual rule, |f(z) - a| <= max(RESIDUAL_TOL,
 rounding_floor): newton stops on it, and every caller accepts by
-residual_bound.
+residual_bound; and the one root-disc certificate, zero_disc.
 """
 
 from __future__ import annotations
@@ -85,6 +85,20 @@ def exp_tail(ee: float, r: float) -> float:
     """E (e^r - 1 - r) with E = ee = |e^z|: the exact bound, on |u| <= r,
     of |f(z + u) - f(z) - f'(z) u| = |e^z (e^u - 1 - u)|."""
     return ee * (math.expm1(r) - r)
+
+
+def zero_disc(z: complex, r: float, d: complex, a: complex):
+    """(rho, s) when the disc |w - z| < s holds exactly one zero of f - a,
+    from r, the computed |f(z) - a|, and d = f'(z); else None, as always
+    where |d| <= 2 rho, so s < 1.  rho = r + rounding_floor bounds the exact
+    |f(z) - a|, and f(z + u) - a - d u = f(z) - a + e^z (e^u - 1 - u), so on
+    |u| = s = 2 rho / |d| it is below 2 rho = |d u| when exp_tail(|e^z|, s)
+    < rho: f - a has one zero in the disc, as d u has (Rouche)."""
+    fa, ee = abs(d), math.exp(z.real)
+    rho = r + rounding_floor(abs(z), ee, abs(a), fa)
+    if fa > 2.0 * rho and exp_tail(ee, s := 2.0 * rho / fa) < rho:
+        return rho, s
+    return None
 
 
 def newton(z: complex, a: complex, max_iter: int):

@@ -36,6 +36,7 @@ from .equation import (
     newton,
     require_finite,
     rounding_floor,
+    zero_disc,
 )
 from .errors import (
     BoundaryTooCloseError,
@@ -263,23 +264,17 @@ def _holds(win: Window, z: complex, s: float) -> bool:
 
 
 def _locate(win: Window, a: complex, n: int, discs: list) -> list:
-    """The discs (z, s) given, then those from the cell's grid, up to n.
-    Newton from z0 ends at z, whose disc of radius s = 2 rho / |f'(z)|,
-    rho = residual + rounding_floor, holds one zero when exp_tail(|e^z|, s) <
-    rho (the tracker's step test); it is kept if strictly inside the cell
-    and clear of those kept.  Seeds stop at a step past the grid spacing."""
+    """The discs (z, s) given, then those from the cell's grid, up to n:
+    Newton's end z with the one-zero disc that equation.zero_disc proves,
+    kept if it lies strictly inside the cell and clear of those kept.
+    Seeds stop at a step past the grid spacing."""
     seeds, spacing = _grid(win, a, n)
     for step, z0 in seeds:
         if len(discs) == n or step > spacing:
             break
-        if (hit := newton(z0, a, _LOCATE_MAX_ITER)) is not None:
-            z, r, d = hit
-            fa, ee = abs(d), math.exp(z.real)
-            rho = r + rounding_floor(abs(z), ee, abs(a), fa)
-            # no disc of radius 1 or more is kept: expm1 overflows past 709
-            s = 2.0 * rho / fa if fa > 2.0 * rho else math.inf
-            if (exp_tail(ee, s) < rho and _holds(win, z, s)
-                    and all(abs(z - w) > s + t for w, t in discs)):
+        if (hit := newton(z0, a, _LOCATE_MAX_ITER)) and (cert := zero_disc(*hit, a)):
+            z, s = hit[0], cert[1]
+            if _holds(win, z, s) and all(abs(z - w) > s + t for w, t in discs):
                 discs = discs + [(z, s)]
     return discs
 

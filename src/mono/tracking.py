@@ -6,13 +6,10 @@ first-order motion dz = da / f'(z), and corrects with full Newton to
 equation's residual rule.  A Rouche disc around the root sizes the step
 and certifies that its label does not change root on the way.
 
-The disc.  Around a root z_i of f(z) = z + e^z write E = |e^{z_i}|,
-F = |f'(z_i)|, u = w - z_i and rho_i = res_i + tau_i, the computed
-|f(z_i) - a| plus its rounding floor (equation.rounding_floor), which
-bounds the exact one.  Then f(w) - a = f(z_i) - a + f'(z_i) u +
-e^{z_i} (e^u - 1 - u) exactly, and the last term is at most
-exp_tail(E, R) on |u| = R, so whenever rho_i < S(R) = F R - exp_tail(E, R),
-f = a has exactly one zero in |u| < R and none on |u| = R (Rouche).
+The disc.  Around a root z_i with E = |e^{z_i}|, F = |f'(z_i)| and
+rho_i = res_i + tau_i >= |f(z_i) - a| (as in equation.zero_disc), the
+same expansion puts exactly one zero of f = a in |w - z_i| < R and none
+on |w - z_i| = R whenever rho_i < S(R) = F R - exp_tail(E, R) (Rouche).
 
 The step.  R_i = log1p(F / E) is the maximiser of S.  Let a piece of
 the path stay within `reach` of its start (segment.reach bounds the sup
@@ -34,10 +31,9 @@ report.max_load records the largest (rho_i + reach) / S(R_i) over
 accepted steps, which the certificate keeps below 1, and
 report.steps_accepted and steps_rejected count root-steps.
 
-Acceptance.  A corrected root z' with rho' = res' + tau' is accepted
-when exp_tail(|e^{z'}|, s) < rho' with s = 2 rho' / |f'(z')|, which
-proves a zero within s of z', and when |z' - z_i| + s <= R_i, which puts
-that zero in disc i: it is the root that label i followed.
+Acceptance.  A corrected root z' is accepted when equation.zero_disc
+proves a zero within s of it and |z' - z_i| + s <= R_i, which puts that
+zero in disc i: it is the root that label i followed.
 report.max_residual and the trajectory keep the computed res.
 
 Retraced legs.  A lasso block P M P^-1 (_blocks: M closed, P walked back
@@ -74,7 +70,7 @@ from __future__ import annotations
 import io
 import math
 
-from .equation import FAMILY, exp_tail, nearest_critical, newton, residual_bound, rounding_floor
+from .equation import FAMILY, nearest_critical, newton, residual_bound, zero_disc
 from .errors import PreconditionError, StepUnderflowError
 from .jsonio import atomic_write_text
 from .paths import CONTINUITY_TOL, ParamPath
@@ -184,28 +180,23 @@ def _track_root(label, state, segments, report, rows):
             # sizing lets reach exceed its allowance by a relative 1e-7,
             # so the piece's certificate is checked outright
             load = (rho + reach) / bound
-            corrected = None
+            cert = None
             if load < 1.0:
-                corrected = newton(z + (a_next - a_cur) / d, a_next, _CORRECTOR_MAX_ITER)
-            if corrected is not None:
-                z_new, res_new, d_new = corrected
-                fa, ee = abs(d_new), math.exp(z_new.real)
-                rho_new = res_new + rounding_floor(abs(z_new), ee, abs(a_next), fa)
-                s = 2.0 * rho_new / fa if fa else math.inf
-                # a zero lies within s of z_new, and so inside the disc
-                if not (exp_tail(ee, s) < rho_new and abs(z_new - z) + s <= radius):
-                    corrected = None
-            if corrected is None:
+                hit = newton(z + (a_next - a_cur) / d, a_next, _CORRECTOR_MAX_ITER)
+                if hit is not None:
+                    z_new, res_new, d_new = hit
+                    cert = zero_disc(z_new, res_new, d_new, a_next)
+            if cert is None or abs(z_new - z) + cert[1] > radius:
                 report.steps_rejected += 1
                 du *= 0.5
                 if reach * 0.5 < MIN_STEP:
                     raise _underflow("rejection halving fell below", label, i_seg + u, a_cur)
                 continue
             report.max_load = max(report.max_load, load)
+            z, d, rho = z_new, d_new, cert[0]
             report.max_residual = max(report.max_residual, res_new)
-            z, d, rho, disc = z_new, d_new, rho_new, _disc(fa, ee, z_new.real)
-            a_cur = a_next
-            u, gap, k = u_next, 0.0, last
+            disc = _disc(abs(d), math.exp(z.real), z.real)
+            u, gap, k, a_cur = u_next, 0.0, last, a_next
             report.steps_accepted += 1
             if rows is not None:
                 rows.append((segments[k][0] + u, label, z, a_cur, res_new))

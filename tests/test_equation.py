@@ -17,6 +17,7 @@ from mono.equation import (
     critical_height,
     critical_point,
     critical_value,
+    exp_tail,
     nearest_critical,
     newton,
     real_root,
@@ -24,6 +25,7 @@ from mono.equation import (
     to_b,
     to_x,
     to_z,
+    zero_disc,
 )
 from mono.lambertw import lambert_w
 
@@ -219,3 +221,38 @@ def test_rounding_floor_passes_residual_tol_near_height_67():
     for height, above in ((60.0, False), (75.0, True), (400.0, True)):
         z = complex(math.log(height), height)
         assert (_tau(z, 0j) > RESIDUAL_TOL) is above
+
+
+def test_zero_disc_refuses_at_a_critical_point():
+    # at fl(pi i), a = a_0, Newton stops at once with |f'| ~ 1.2e-16, far
+    # below 2 rho: s = 2 rho / |f'| would be about 27, and no disc is formed
+    cp = critical_point(0)
+    z, r, d = newton(cp.z, cp.a, 8)
+    assert 0.0 < abs(d) < 2e-16
+    assert 2.0 * (r + _tau(z, cp.a)) / abs(d) > 20.0
+    assert zero_disc(z, r, d, cp.a) is None
+
+
+def test_zero_disc_refuses_a_zero_derivative():
+    z = 0.5 + 1j
+    assert zero_disc(z, 0.0, 0j, FAMILY.eval(z)) is None
+
+
+@settings(max_examples=300)
+@given(
+    z=st.builds(complex, st.floats(-800.0, 30.0), st.floats(-1e4, 1e4)),
+    a=st.complex_numbers(max_magnitude=1e4),
+    log_r=st.floats(-20.0, 2.0),
+    log_q=st.floats(-16.0, 3.0),
+    phase=st.floats(-math.pi, math.pi),
+)
+def test_zero_disc_radius_is_below_one(z, a, log_r, log_q, phase):
+    # |f'| = 2 r (1 + q) from 2 r to 2,000 r: 2 rho = 2 (r + tau) lies
+    # on either side of it, and s comes within 1e-14 of 1
+    r = 10.0**log_r
+    got = zero_disc(z, r, cmath.rect(2.0 * r * (1.0 + 10.0**log_q), phase), a)
+    if got is not None:
+        rho, s = got
+        assert rho >= r
+        assert 0.0 < s < 1.0
+        assert exp_tail(math.exp(z.real), s) < rho

@@ -316,6 +316,55 @@ def test_every_default_is_varied():
     assert _unvaried_defaults(defining, callers) == []
 
 
+_DISC_PROOF = {"rounding_floor", "exp_tail"}
+
+
+def _disc_proof_calls(tree: ast.Module) -> list[str]:
+    """Calls of rounding_floor or exp_tail, under their own names or an
+    import alias, each with its enclosing top-level def or class."""
+    names = _DISC_PROOF | {
+        alias.asname
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in _DISC_PROOF and alias.asname
+    }
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) in names:
+                    found.append(f"line {node.lineno}: {owner}")
+    return found
+
+
+def test_disc_proof_call_detector():
+    tree = ast.parse(
+        "import m\nfrom m import exp_tail as et\n"
+        "def f(x):\n    return et(1.0, x)\n"
+        "class K:\n    def g(self):\n        return m.rounding_floor(1, 2, 3, 4)\n"
+        "def h():\n    return m.exp_tail\n"
+        "T = m.exp_tail(1.0, 0.5)\n"
+    )
+    assert _disc_proof_calls(tree) == ["line 4: f", "line 7: K", "line 10: <module>"]
+
+
+def test_one_root_disc_proof():
+    # rounding_floor and exp_tail are the parts of a disc proof: equation
+    # builds the one-zero disc from them (zero_disc) and rootwindow the
+    # root-free disc (_excluded); a third caller writes out a proof of its own
+    calls = [
+        f"{path.name} {call}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "equation.py"
+        for call in _disc_proof_calls(ast.parse(path.read_text()))
+        if not (path.name == "rootwindow.py" and call.endswith(": _excluded"))
+    ]
+    assert calls == []
+
+
 # lines of src/mono/*.py: a change that grows or shrinks the package
 # changes this figure in its own diff, as it would a work pin
 SOURCE_LINES = 2_987

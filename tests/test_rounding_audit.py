@@ -8,7 +8,8 @@ evaluates it) and from numpy's exp (a second libm), is compared with
 a.  The comparison is in mpf: rounding mpmath.iv endpoints back to
 binary64 would add rounding of its own and show false excesses.  The
 dominance test that certifies contour pieces in count_roots is replayed
-at 60 digits the same way.
+at 60 digits the same way, and so is zero_disc, the one-zero disc that
+root location and the tracker's acceptance test share.
 """
 
 import cmath
@@ -21,7 +22,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from mono import rootwindow
-from mono.equation import rounding_floor
+from mono.equation import newton, rounding_floor, zero_disc
 from mono.errors import BoundaryTooCloseError
 
 
@@ -90,3 +91,30 @@ def test_dominance_certificate_in_multiprecision(a, im, shift, log_length, verti
     fs = [z + cmath.exp(z) - a for z in zs]
     unwrapped = sum(cmath.phase(q / p) for p, q in zip(fs, fs[1:]))
     assert abs(turn - unwrapped) < 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.complex_numbers(max_magnitude=5.0),
+    k=st.integers(-160, 160),
+    log_dist=st.floats(-8.0, -1.5),
+    turn=st.floats(0.0, 1.0),
+)
+def test_zero_disc_in_multiprecision(a, k, log_dist, turn):
+    # oracle roots a - W_k(e^a) up to |Im z| ~ 1e3 (mpmath's W: the
+    # package's stops at |k| = 64), perturbed and polished by newton.
+    # At 60 digits, from the binary64 z and a, rho bounds the exact
+    # |f(z) - a|, and on |u| = s the exact |f'(z)| s less the exact tail
+    # |e^z| (e^s - 1 - s) exceeds it: Rouche puts one zero in the disc
+    root = a - complex(mpmath.lambertw(cmath.exp(a), k))
+    hit = newton(root + cmath.rect(10.0**log_dist, 2.0 * math.pi * turn), a, 8)
+    assert hit is not None
+    rho, s = zero_disc(*hit, a)
+    z = hit[0]
+    with mpmath.workdps(60):
+        x, y, ar, ai, rho, s = map(mpmath.mpf, (z.real, z.imag, a.real, a.imag, rho, s))
+        ex = mpmath.exp(x)
+        er, ei = ex * mpmath.cos(y), ex * mpmath.sin(y)
+        exact = mpmath.hypot(x + er - ar, y + ei - ai)
+        assert exact <= rho
+        assert mpmath.hypot(1 + er, ei) * s - ex * (mpmath.expm1(s) - s) > exact
