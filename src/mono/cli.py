@@ -25,7 +25,7 @@ import sys
 from .equation import critical_point, nearest_critical
 from .errors import MonoError, NumericalError, PreconditionError, UnmatchedRootError
 from .jsonio import atomic_write_text, canonical_json, complex_to_json
-from .lambertw import oracle_roots
+from .lambertw import MAX_BRANCH, oracle_roots
 from .paths import (
     DEFAULT_RHO,
     KEYHOLE_CORRIDOR_RE,
@@ -207,21 +207,30 @@ def cmd_roots(o) -> tuple[dict, int]:
 
 
 def cmd_oracle(o) -> tuple[dict, int]:
-    if o.k_from > o.k_to:
+    k_from, k_to = (-3 if o.k_from is None else o.k_from), (3 if o.k_to is None else o.k_to)
+    if k_from > k_to:
         raise PreconditionError("need k_from <= k_to")
-    rs = oracle_roots(o.a, range(o.k_from, o.k_to + 1), window=o.window)
+    rs = oracle_roots(o.a, range(k_from, k_to + 1), window=o.window)
     payload = {
         "command": "oracle",
         "a": complex_to_json(o.a),
-        "k_range": [o.k_from, o.k_to],
+        "k_range": [k_from, k_to],
         "count": len(rs),
         "roots": rs.to_json()["roots"],
         "near_merge_pairs": [list(p) for p in rs.near_merge_pairs],
     }
     code = EXIT_OK
     if o.compare:
-        cmp_window = o.window if o.window is not None else _parse_window(DEFAULT_WINDOW)
-        located = find_roots(o.a, cmp_window)
+        w = o.window if o.window is not None else _parse_window(DEFAULT_WINDOW)
+        if o.k_from is None and o.k_to is None:
+            # the branches whose roots can lie in w (|Im W| <= e^re_max, |Im W_k - 2k pi| <= 2 pi)
+            top = math.exp(min(w.re_max, 700.0))
+            lo, hi = max(o.a.imag - w.im_max, -top), min(o.a.imag - w.im_min, top)
+            k0, k1 = math.floor(lo / (2 * math.pi)) - 1, math.ceil(max(lo, hi) / (2 * math.pi)) + 1
+            if k0 < -MAX_BRANCH or k1 > MAX_BRANCH:
+                raise PreconditionError(f"the window needs branches {k0}..{k1}, past {MAX_BRANCH}")
+            rs = oracle_roots(o.a, range(k0, k1 + 1))
+        located = find_roots(o.a, w)
         inside = [e.z for e in rs if located.window.contains(e.z)]
         try:
             _, worst = match_positions(inside, [e.z for e in located.entries], 1e-9)
@@ -396,7 +405,7 @@ COMMANDS = {
     "roots": (cmd_roots, "locate roots in a window by contour counting",
               {"a": "0,0", "window": DEFAULT_WINDOW}),
     "oracle": (cmd_oracle, "closed-form roots a - W_k(e^a)",
-               {"a": "0,0", "k_from": -3, "k_to": 3, "window": None, "compare": False}),
+               {"a": "0,0", "k_from": None, "k_to": None, "window": None, "compare": False}),
     "track": (cmd_track, "transport a root bundle along a path",
               {"path": "keyhole", "n": 0, "rho": DEFAULT_RHO, "turns": 1,
                "corridor_re": KEYHOLE_CORRIDOR_RE, "center": "0,0", "window": DEFAULT_WINDOW,

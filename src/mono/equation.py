@@ -88,16 +88,16 @@ def exp_tail(ee: float, r: float) -> float:
 
 
 def zero_disc(z: complex, r: float, d: complex, a: complex):
-    """(rho, s) when the disc |w - z| < s holds exactly one zero of f - a,
-    from r, the computed |f(z) - a|, and d = f'(z); else None, as always
-    where |d| <= 2 rho, so s < 1.  rho = r + rounding_floor bounds the exact
-    |f(z) - a|, and f(z + u) - a - d u = f(z) - a + e^z (e^u - 1 - u), so on
-    |u| = s = 2 rho / |d| it is below 2 rho = |d u| when exp_tail(|e^z|, s)
-    < rho: f - a has one zero in the disc, as d u has (Rouche)."""
+    """(rho, s, |d|, |e^z|) when the disc |w - z| < s holds exactly one zero
+    of f - a, from r, the computed |f(z) - a|, and d = f'(z); else None, as
+    always where |d| <= 2 rho, so s < 1.  rho = r + rounding_floor bounds
+    the exact |f(z) - a|, and f(z + u) - a - d u = f(z) - a + e^z (e^u - 1 - u),
+    so on |u| = s = 2 rho / |d| it is below 2 rho = |d u| when
+    exp_tail(|e^z|, s) < rho: f - a has one zero in the disc, as d u has (Rouche)."""
     fa, ee = abs(d), math.exp(z.real)
     rho = r + rounding_floor(abs(z), ee, abs(a), fa)
     if fa > 2.0 * rho and exp_tail(ee, s := 2.0 * rho / fa) < rho:
-        return rho, s
+        return rho, s, fa, ee
     return None
 
 

@@ -237,18 +237,21 @@ def match_positions(ps, qs, tol: float) -> tuple[list[int], float]:
     distance.  Raises UnmatchedRootError (label: the 1-based position in
     ps; distance: its nearest distance) when the lengths differ, when a
     p has no q within tol, when a second q lies within ten times the
-    nearest distance (ambiguous), or when two ps take the same q.
+    nearest distance (ambiguous), or when two ps take the same q.  The
+    sweep of _close_pairs finds the qs within 10 tol of p, which decide.
     """
     if len(ps) != len(qs):
         raise UnmatchedRootError(f"{len(ps)} roots cannot match {len(qs)}")
-    matched: list[int] = []
-    worst = 0.0
+    near = [[(math.inf, -1)] * 2 for _ in ps]  # (distance, index) within 10 tol
+    for i, j in _close_pairs([*ps, *qs], math.nextafter(10.0 * tol, math.inf)):
+        if i < len(ps) <= j:
+            near[i].append((abs(ps[i] - qs[j - len(ps)]), j - len(ps)))
+    matched, worst = [], 0.0
     for label, p in enumerate(ps, start=1):
-        row = [abs(p - q) for q in qs]
-        j = row.index(min(row))
-        d1 = row.pop(j)
-        d2 = min(row, default=math.inf)
-        if d1 > tol or d2 <= 10.0 * d1 or j in matched:
+        (d1, j), (d2, _) = sorted(near[label - 1])[:2]
+        if d1 > tol or d2 <= 10.0 * d1 or j in matched:  # worded from the full row
+            row = [(abs(p - q), k) for k, q in enumerate(qs)] + [(math.inf, len(qs))]
+            (d1, j), (d2, _) = sorted(row)[:2]
             raise UnmatchedRootError(
                 f"root {label} has no unique match within {tol:g}: the nearest, "
                 f"{j + 1}{' (taken)' if j in matched else ''}, is {d1:.3g} away, "

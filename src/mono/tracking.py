@@ -18,17 +18,17 @@ S(R_i), Rouche puts exactly one root of f = a(t) in disc i for every t
 on the piece, and none on its boundary, so the root in disc i is the
 continuation of z_i: label i follows it.  The certificate is the root's
 own, so each root is sized by its own disc alone: step_control returns
-its largest reach, S(R_i) - rho_i, and every segment starts with the
-whole segment as the first try.  A piece that ends its segment runs on
-through each following whole segment while the summed reaches, joint
-gaps included (each at most paths.CONTINUITY_TOL, and counted on every
-segment's first step), still fit: a(t) stays within that sum of the a
-the step starts from, so the same test certifies the whole piece.  A
-rejected step halves back inside its own segment.  A simple root's
-continuation is unique, so two labels that met would have started at
-the same root; roots collide only at a = a_n, where stepping underflows.
-report.max_load records the largest (rho_i + reach) / S(R_i) over
-accepted steps, which the certificate keeps below 1, and
+its largest reach, S(R_i) - rho_i.  The first try on a segment is all of
+it, whose reach, start and end track_bundle computes once.  A piece that
+ends its segment runs on through each following whole segment while the
+summed reaches, joint gaps included (each at most paths.CONTINUITY_TOL,
+and counted on every segment's first step), still fit: a(t) stays within
+that sum of the a the step starts from, so the same test certifies the
+whole piece.  A rejected step halves back inside its own segment.  A
+simple root's continuation is unique, so two labels that met would have
+started at the same root; roots collide only at a = a_n, where stepping
+underflows.  report.max_load records the largest (rho_i + reach) / S(R_i)
+over accepted steps, which the certificate keeps below 1, and
 report.steps_accepted and steps_rejected count root-steps.
 
 Acceptance.  A corrected root z' is accepted when equation.zero_disc
@@ -38,20 +38,20 @@ report.max_residual and the trajectory keep the computed res.
 
 Retraced legs.  A lasso block P M P^-1 (_blocks: M closed, P walked back
 segment by segment) is tracked out and round, and back only where it
-must be.  Continuation along a reversed path is the inverse map, so a
-root that ends M on the root some label k held at the turn (P's end)
-ends the block on k's root at the block start, with no step.  A root at
-z, rho, a after M matches k when rho_k + |a - a_k| < S(R_k), which puts
-exactly one root of f = a in k's turn disc, and |z - z_k| + s <= R_k:
-the acceptance test's zero within s of z is that root.  Joint gaps are
-at most paths.CONTINUITY_TOL and lie inside certified discs of reach at
-least MIN_STEP, so moving a across them changes no root.  A root whose
-allowance S(R) - rho at the block start covers the block's summed reach
-crosses it in one step: its disc holds it all the way, so M fixes it
-and it is never another root's partner.  Every other root stops at the
-turn, so matching against their turn records is complete; a root with
-no match tracks P^-1 in full.  report.legs_reused counts the (root,
-return leg) pairs whose end came from a turn record.
+must be.  A root whose allowance S(R) - rho at the block start covers
+the block's summed reach is held by its disc throughout: M fixes it, it
+is no other root's partner, and it keeps its state with no step if its
+a is the block end's (else it crosses in one step).  The others stop at
+the turn (P's end), so the turn records are complete.  Continuation
+along a reversed path is the inverse map, so a root that ends M on the
+root some label k held at the turn ends the block on k's root at the
+block start, with no step.  A root at z, rho, a after M matches k when
+rho_k + |a - a_k| < S(R_k), which puts exactly one root of f = a in k's
+turn disc, and |z - z_k| + s <= R_k: the acceptance test's zero within
+s of z is that root.  Joint gaps are at most paths.CONTINUITY_TOL and
+lie inside certified discs of reach at least MIN_STEP, so moving a
+across them changes no root.  A root with no match tracks P^-1 in full;
+report.legs_reused counts each way home that a turn record gave.
 
 A step that fails the test (or whose corrector diverges) is rejected
 and halved.  A certified reach below MIN_STEP, which happens as the path
@@ -60,9 +60,9 @@ StepUnderflowError, carrying the label, its arc position and the
 nearest critical value.  Bundles whose roots start closer than
 NEAR_CRITICAL_RADIUS are refused, and so is a loop that carries a root
 out of the start window.  record keeps each accepted step's root in
-report.trajectory, label by label in arc order; rows sit at step ends
-only, so a step that runs through a segment leaves no row on it, and a
-reused leg replays its partner's rows on P in reverse.
+report.trajectory, label by label in arc order, at step ends only: a
+step through a segment leaves no row on it, a reused leg replays its
+partner's rows on P in reverse, and a root kept in place its last row.
 """
 
 from __future__ import annotations
@@ -140,26 +140,27 @@ def _track_root(label, state, segments, report, rows):
     """Carry one root, state (z, f'(z), rho, a, its disc (R, S(R))), along
     the moving segments on its own step schedule and return its end state;
     each accepted step adds a trajectory row to rows, unless rows is None.
-    segments holds (index, segment, gap plus the whole segment's reach);
-    the gap to each segment is taken from the root's own a."""
+    segments holds (index, segment, gap plus whole reach, whole reach,
+    start, end); the gap to each segment is taken from the root's own a."""
     z, d, rho, a_cur, disc = state
+    accepted, rejected, max_load, max_res = 0, 0, 0.0, 0.0
     k = 0
     while k < len(segments):
-        i_seg, seg, _ = segments[k]
-        gap = abs(seg.point(0.0) - a_cur)
+        i_seg, seg, _, whole, start, _ = segments[k]
+        gap = abs(start - a_cur)
         u, du = 0.0, 1.0
         while u < 1.0:
-            du = min(du, 1.0 - u)
+            du = 1.0 - u if du > 1.0 - u else du
             allowed = step_control(disc, rho)
             if not allowed >= MIN_STEP:  # NaN included
                 raise _underflow("cannot certify a step above", label, i_seg + u, a_cur)
             # geometric sizing: shrink du until the piece's reach fits
             for _ in range(80):
                 u_next = 1.0 if 1.0 - (u + du) < 1e-14 else u + du
-                reach = gap + seg.reach(u, u_next)
+                reach = gap + (whole if u == 0.0 and u_next == 1.0 else seg.reach(u, u_next))
                 if reach <= allowed * 1.0000001 or reach == 0.0:
                     break
-                du *= max(0.1, 0.9 * allowed / reach)
+                du *= shrink if (shrink := 0.9 * allowed / reach) > 0.1 else 0.1
             else:
                 raise StepUnderflowError(
                     f"label {label}: step sizing failed to settle",
@@ -175,33 +176,36 @@ def _track_root(label, state, segments, report, rows):
                    and reach + segments[last + 1][2] <= allowed):
                 last += 1
                 reach += segments[last][2]
-            a_next = segments[last][1].point(u_next)
-            radius, bound = disc
+            a_next = segments[last][5] if u_next == 1.0 else seg.point(u_next)
             # sizing lets reach exceed its allowance by a relative 1e-7,
             # so the piece's certificate is checked outright
-            load = (rho + reach) / bound
+            load = (rho + reach) / disc[1]
             cert = None
             if load < 1.0:
                 hit = newton(z + (a_next - a_cur) / d, a_next, _CORRECTOR_MAX_ITER)
                 if hit is not None:
                     z_new, res_new, d_new = hit
                     cert = zero_disc(z_new, res_new, d_new, a_next)
-            if cert is None or abs(z_new - z) + cert[1] > radius:
-                report.steps_rejected += 1
+            if cert is None or abs(z_new - z) + cert[1] > disc[0]:  # disc[0] is R_i
+                rejected += 1
                 du *= 0.5
                 if reach * 0.5 < MIN_STEP:
                     raise _underflow("rejection halving fell below", label, i_seg + u, a_cur)
                 continue
-            report.max_load = max(report.max_load, load)
-            z, d, rho = z_new, d_new, cert[0]
-            report.max_residual = max(report.max_residual, res_new)
-            disc = _disc(abs(d), math.exp(z.real), z.real)
+            max_load = load if load > max_load else max_load
+            max_res = res_new if res_new > max_res else max_res
+            z, d, (rho, _, fa, ee) = z_new, d_new, cert
+            disc = _disc(fa, ee, z.real)
             u, gap, k, a_cur = u_next, 0.0, last, a_next
-            report.steps_accepted += 1
+            accepted += 1
             if rows is not None:
                 rows.append((segments[k][0] + u, label, z, a_cur, res_new))
-            du = min(du * _GROWTH, 1.0)
+            du *= _GROWTH  # capped at 1 - u as the next try starts
         k += 1
+    report.steps_accepted += accepted
+    report.steps_rejected += rejected
+    report.max_load = max(report.max_load, max_load)
+    report.max_residual = max(report.max_residual, max_res)
     return z, d, rho, a_cur, disc
 
 
@@ -267,23 +271,27 @@ def track_bundle(
     segments, a_end = [], path.start
     for i, seg in enumerate(path.segments):
         if (whole := seg.reach(0.0, 1.0)) != 0.0:
-            segments.append((i, seg, abs(seg.point(0.0) - a_end) + whole))
-            a_end = seg.point(1.0)
+            a0, a1 = seg.point(0.0), seg.point(1.0)
+            segments.append((i, seg, abs(a0 - a_end) + whole, whole, a0, a1))
+            a_end = a1
 
     def run(lab, state, lo, hi):
         return _track_root(lab, state, segments[lo:hi], report, rows.get(lab))
 
     done = 0
-    for i0, i, j, j1 in _blocks([seg for _, seg, _ in segments]) + [(len(segments),) * 4]:
+    for i0, i, j, j1 in _blocks([s[1] for s in segments]) + [(len(segments),) * 4]:
         if done < i0:  # the segments between blocks
             for lab, state in states.items():
                 states[lab] = run(lab, state, done, i0)
         if i0 == len(segments):
             break
         span, turns, done = sum(s[2] for s in segments[i0:j1]), {}, j1
-        for lab, (_, _, rho, _, disc) in states.items():
-            if step_control(disc, rho) >= span:
-                states[lab] = run(lab, states[lab], i0, j1)  # one step: M fixes it
+        for lab, (_, _, rho, a, disc) in states.items():
+            if step_control(disc, rho) >= span:  # M fixes it
+                if a != segments[j1 - 1][5]:
+                    states[lab] = run(lab, states[lab], i0, j1)  # in one step
+                elif record:  # it stays put: its row is replayed at the block end
+                    rows[lab].append((segments[j1 - 1][0] + 1.0, *rows[lab][-1][1:]))
                 continue
             n0 = len(rows.get(lab, ()))
             turn = run(lab, states[lab], i0, i)

@@ -17,7 +17,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # accepted and rejected root-steps per seed-1 pass (each root keeps its own
 # step schedule); roots-w19 does no tracking
-STEPS = {"group-w5": (1216, 0), "words-w19": (2023, 0), "roots-w19": (0, 0)}
+STEPS = {"group-w5": (1216, 0), "words-w19": (1927, 0), "roots-w19": (0, 0)}
 # count_roots calls and refused or unsettled contours per seed-1 pass;
 # words-w19 locates its roots in set-up, outside the pass
 CONTOURS = {"group-w5": (7, 0), "words-w19": (0, 0), "roots-w19": (24, 0)}

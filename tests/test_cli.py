@@ -92,6 +92,29 @@ def test_oracle_compare_mismatch_exits_one(capsys):
     assert d["compare"]["match"] is False
 
 
+@pytest.mark.parametrize(
+    "window, located",
+    [("-5,5,-60,60", 19), ("-5,5,-6,18", 5), ("-5,5,-2000,2000", 47)],
+    ids=["tall", "default", "height-2000"],
+)
+def test_oracle_compare_takes_its_branches_from_the_window(capsys, window, located):
+    # with no --k-from or --k-to, the comparison takes every Lambert W
+    # branch whose roots can lie in the window (past Re z = 5 the roots
+    # rise no higher than e^5), while the listing keeps the default -3..3
+    code, d, _ = run(capsys, "oracle", "--a=0,0", f"--window={window}", "--compare")
+    assert code == 0
+    assert d["k_range"] == [-3, 3] and d["compare"]["match"] is True
+    assert d["compare"]["oracle_count_in_window"] == d["compare"]["contour_count"] == located
+
+
+def test_oracle_compare_refuses_branches_past_the_oracle(capsys):
+    # roots up to Re z = 10 reach heights of e^10, so a window 4,000 tall
+    # needs branches near |k| = 320, past lambert_w's 64: refused at once
+    code, d, err = run(capsys, "oracle", "--a=0,0", "--window=-5,10,-2000,2000", "--compare")
+    assert (code, d) == (2, None)
+    assert "needs branches -320..320, past 64" in err
+
+
 def test_track_closed_loop_permutation(capsys, tmp_path):
     csv = tmp_path / "t.csv"
     code, d, _ = run(

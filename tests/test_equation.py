@@ -252,7 +252,7 @@ def test_zero_disc_radius_is_below_one(z, a, log_r, log_q, phase):
     r = 10.0**log_r
     got = zero_disc(z, r, cmath.rect(2.0 * r * (1.0 + 10.0**log_q), phase), a)
     if got is not None:
-        rho, s = got
+        rho, s, _, _ = got
         assert rho >= r
         assert 0.0 < s < 1.0
         assert exp_tail(math.exp(z.real), s) < rho

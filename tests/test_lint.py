@@ -367,7 +367,7 @@ def test_one_root_disc_proof():
 
 # lines of src/mono/*.py: a change that grows or shrinks the package
 # changes this figure in its own diff, as it would a work pin
-SOURCE_LINES = 2_987
+SOURCE_LINES = 3_007
 
 
 def test_source_line_count():

@@ -130,6 +130,59 @@ def test_match_positions(ps, qs, label, distance):
     assert ei.value.distance == pytest.approx(distance, rel=1e-12)
 
 
+def _match_by_rows(ps, qs, tol):
+    """match_positions as a full table of distances: each p's whole row."""
+    if len(ps) != len(qs):
+        raise UnmatchedRootError(f"{len(ps)} roots cannot match {len(qs)}")
+    matched, worst = [], 0.0
+    for label, p in enumerate(ps, start=1):
+        row = [abs(p - q) for q in qs]
+        j = row.index(min(row))
+        d1 = row.pop(j)
+        d2 = min(row, default=math.inf)
+        if d1 > tol or d2 <= 10.0 * d1 or j in matched:
+            raise UnmatchedRootError(
+                f"root {label} has no unique match within {tol:g}: the nearest, "
+                f"{j + 1}{' (taken)' if j in matched else ''}, is {d1:.3g} away, "
+                f"the next {d2:.3g}",
+                label=label,
+                distance=d1,
+            )
+        matched.append(j)
+        worst = max(worst, d1)
+    return matched, worst
+
+
+# offsets at and either side of tol = 1e-9 and 10 tol, in both axes
+_OFFSETS = st.sampled_from([0.0, 1e-12, 1e-10, 1e-9, 3e-9, 1e-8, 2e-8, 1e-6])
+
+
+@settings(max_examples=400)
+@given(
+    grid=st.lists(st.tuples(st.integers(-3, 3), st.integers(-40, 40)), min_size=1, max_size=12),
+    moves=st.lists(st.tuples(_OFFSETS, _OFFSETS, st.booleans()), min_size=12, max_size=12),
+    perm=st.randoms(use_true_random=False),
+    scale=st.sampled_from([1e-9, 1e-8, 1.0, 1e3]),
+)
+def test_match_positions_agrees_with_the_full_table(grid, moves, perm, scale):
+    # the sweep decides from the qs within 10 tol of each p, and an error
+    # is worded from the full row: matches, worst distances, labels and
+    # messages are those of the whole table, ties and taken roots included
+    qs = [complex(x, y) * scale for x, y in grid]
+    ps = [q + complex(dx, -dy if flip else dy) for q, (dx, dy, flip) in zip(qs, moves)]
+    perm.shuffle(ps)
+    for tol in (1e-9, 0.0):
+        try:
+            want = _match_by_rows(ps, qs, tol)
+        except UnmatchedRootError as exc:
+            with pytest.raises(UnmatchedRootError) as ei:
+                match_positions(ps, qs, tol)
+            got = ei.value
+            assert (str(got), got.label, got.distance) == (str(exc), exc.label, exc.distance)
+        else:
+            assert match_positions(ps, qs, tol) == want
+
+
 def test_canonical_labels_sorted_by_height():
     positions = [2.0 + 5.0j, -0.5 + 0j, 1.0 - 3.0j]
     rs = canonical_root_set(0j, positions)

@@ -109,7 +109,7 @@ def test_zero_disc_in_multiprecision(a, k, log_dist, turn):
     root = a - complex(mpmath.lambertw(cmath.exp(a), k))
     hit = newton(root + cmath.rect(10.0**log_dist, 2.0 * math.pi * turn), a, 8)
     assert hit is not None
-    rho, s = zero_disc(*hit, a)
+    rho, s, _, _ = zero_disc(*hit, a)
     z = hit[0]
     with mpmath.workdps(60):
         x, y, ar, ai, rho, s = map(mpmath.mpf, (z.real, z.imag, a.real, a.imag, rho, s))

@@ -8,11 +8,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mono.equation import FAMILY, critical_point, critical_value
+from mono.equation import (
+    FAMILY,
+    RESIDUAL_TOL,
+    critical_point,
+    critical_value,
+    newton,
+    rounding_floor,
+    zero_disc,
+)
 from mono.errors import PreconditionError, StepUnderflowError
 from mono.lambertw import oracle_roots
 from mono.permutation import extract_permutation
 from mono.paths import (
+    ArcSegment,
+    ImageSegment,
     LineSegment,
     ParamPath,
     circle_path,
@@ -82,14 +92,15 @@ def test_step_law_is_deterministic(bundle5, n, steps):
 
 # rows per label on W19 at a = 0, after the start row: a root whose disc
 # covers several whole segments crosses them in one step, and 8 labels
-# cross the whole 7-segment keyhole around a_0 in one.  Every other label
-# reuses a way out for its way home, whose rows are replayed, not steps
+# are fixed by the whole 7-segment keyhole around a_0: they take no step,
+# and their start row is replayed at its end.  Every other label reuses a
+# way out for its way home, whose rows are replayed, not steps
 W19 = Window(-5.0, 5.0, -60.0, 60.0)
 _W19_ROWS = {
     0: (20, 1, 1, 1, 3, 3, 3, 5, 9, 1, 20, 5, 3, 3, 3, 1, 1, 1, 1),
     2: (32, 3, 5, 7, 7, 7, 9, 9, 17, 3, 27, 27, 32, 9, 7, 7, 5, 3, 3),
 }
-_W19_STEPS = {0: (60, 0, 11), 2: (127, 0, 19)}
+_W19_STEPS = {0: (52, 0, 11), 2: (127, 0, 19)}
 
 
 @pytest.mark.parametrize("n", list(_W19_ROWS))
@@ -101,6 +112,127 @@ def test_w19_root_steps_per_label(n):
     assert (rep.steps_accepted, rep.steps_rejected, rep.legs_reused) == _W19_STEPS[n]
     assert rep.legs_reused == sum(rows[lab] > 2 for lab in bundle.labels())
     assert rep.max_load < 1.0
+    # a fixed root's start row is replayed at the loop's end, where it stays
+    for lab in bundle.labels():
+        if rows[lab] == 2:
+            first, last = (row for row in rep.trajectory if row[1] == lab)
+            assert last == (len(keyhole_loop(n).segments), *first[1:])
+
+
+# calls per W19 keyhole, set-up included: Newton runs (one per root-step),
+# and reach and point on the path's segments.  A segment's whole reach,
+# start and end are computed once per bundle, and the first try on a
+# segment reads them; a root the keyhole fixes takes no step at all
+_W19_WORK = {0: (52, 59, 40), 2: (127, 155, 88)}
+
+
+@pytest.mark.parametrize("n", list(_W19_WORK))
+def test_w19_keyhole_work(n, monkeypatch):
+    bundle, loop = find_roots(0j, W19), keyhole_loop(n)
+    calls = Counter()
+
+    def counted(owner, name):
+        method = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(tracking, "newton")
+    for kind in (LineSegment, ArcSegment, ImageSegment):
+        counted(kind, "reach")
+        counted(kind, "point")
+    track_bundle(bundle, loop)
+    assert (calls["newton"], calls["reach"], calls["point"]) == _W19_WORK[n]
+
+
+def _moving_segments(path):
+    """The (index, segment, gap plus whole reach, whole reach, start, end)
+    entries track_bundle builds for the path's moving segments."""
+    out, a_end = [], path.start
+    for i, seg in enumerate(path.segments):
+        if (whole := seg.reach(0.0, 1.0)) != 0.0:
+            out.append((i, seg, abs(seg.point(0.0) - a_end) + whole, whole,
+                        seg.point(0.0), seg.point(1.0)))
+            a_end = seg.point(1.0)
+    return out
+
+
+def _state(z: complex, a: complex):
+    """A root's tracker state (z, f', rho, a, disc) at a root z of f = a,
+    from the same floats Newton and the start of track_bundle compute."""
+    e = cmath.exp(z)
+    rho, _, fa, ee = zero_disc(z, abs(z + e - a), 1.0 + e, a)
+    return z, 1.0 + e, rho, a, _disc(fa, ee, z.real)
+
+
+_BUNDLES = {}  # window -> its roots at a = 0, found once
+_WORD_WINDOWS = {
+    "W5": (W5, range(-1, 3)),
+    "W19": (W19, range(-8, 9)),
+    # roots above |z| = 67, where the rounding floor passes 1e-12 and the
+    # corrector may take an update before it stops
+    "high": (Window(-5.0, 5.0, 100.0, 150.0), range(-3, 4)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    which=st.sampled_from(sorted(_WORD_WINDOWS)),
+    letters=st.lists(st.tuples(st.integers(0, 16), st.booleans()), min_size=1, max_size=3),
+)
+def test_fixed_root_keeps_what_its_one_step_would_give(which, letters):
+    # a root whose allowance covers a whole keyhole is fixed by it, and
+    # track_bundle keeps its state: the one step the tracker took before
+    # lands on the same root, and on the same floats whenever the
+    # corrector stops at once.  Letter by letter, the word ends where the
+    # whole word does
+    window, ns = _WORD_WINDOWS[which]
+    if window not in _BUNDLES:
+        _BUNDLES[window] = find_roots(0j, window)
+    here = start = _BUNDLES[window]
+    word = []
+    for k, inverse in letters:
+        loop = keyhole_loop(ns[k % len(ns)])
+        loop = loop.reverse() if inverse else loop
+        segments = _moving_segments(loop)
+        span = sum(s[2] for s in segments)
+        after, _ = track_bundle(here, loop)
+        for e in here.entries:
+            state = _state(e.z, 0j)
+            if step_control(state[4], state[2]) < span:
+                continue
+            report = tracking.TrackReport()
+            z, d, *_ = one = tracking._track_root(e.label, state, segments, report, None)
+            assert (report.steps_accepted, report.steps_rejected) == (1, 0)
+            assert after.position(e.label) == e.z  # kept, with no step
+            assert abs(z - e.z) <= 1e-15 * abs(e.z) and abs(d - state[1]) <= 1e-15 * abs(d)
+            if abs(e.z + cmath.exp(e.z)) <= RESIDUAL_TOL:  # Newton stops at once
+                assert one == state
+        here, word = after, word + [loop]
+    end, _ = track_bundle(start, concat(*word))
+    assert end.positions() == here.positions()
+
+
+@settings(max_examples=200)
+@given(
+    k=st.integers(-60, 60),
+    log_dist=st.floats(-9.0, -2.0),
+    turn=st.floats(0.0, 1.0),
+)
+def test_one_pass_certificate_and_disc(k, log_dist, turn):
+    # the step's certificate and its next disc come from one zero_disc
+    # call, whose moduli are those _disc was given separately
+    root = oracle_roots(0j, [k]).positions()[0]
+    hit = newton(root + cmath.rect(10.0**log_dist, 2.0 * math.pi * turn), 0j, 8)
+    z, r, d = hit
+    rho, s, fa, ee = zero_disc(z, r, d, 0j)
+    assert (fa, ee) == (abs(d), math.exp(z.real))
+    assert rho == r + rounding_floor(abs(z), math.exp(z.real), 0.0, abs(d))
+    assert s == 2.0 * rho / abs(d)
+    assert _disc(fa, ee, z.real) == _disc(abs(d), math.exp(z.real), z.real)
 
 
 def test_joint_gap_counts_in_the_load(bundle3):
