@@ -24,7 +24,7 @@ import sys
 
 from .equation import critical_point, nearest_critical
 from .errors import MonoError, NumericalError, PreconditionError, UnmatchedRootError
-from .jsonio import atomic_write_text, canonical_json, complex_to_json
+from .jsonio import atomic_write_text, canonical_json
 from .lambertw import MAX_BRANCH, oracle_roots
 from .paths import (
     DEFAULT_RHO,
@@ -180,10 +180,7 @@ def cmd_critical(o) -> tuple[dict, int]:
     return {
         "command": "critical",
         # every critical point is first order (equation.critical_point)
-        "points": [
-            {"n": p.n, "z": complex_to_json(p.z), "a": complex_to_json(p.a), "order": 1}
-            for p in pts
-        ],
+        "points": [{"n": p.n, "z": p.z, "a": p.a, "order": 1} for p in pts],
         "spacing_2pi_max_error": spacing_err,
     }, EXIT_OK
 
@@ -193,10 +190,10 @@ def cmd_roots(o) -> tuple[dict, int]:
     n_crit, d_crit = nearest_critical(o.a)
     payload = {
         "command": "roots",
-        "a": complex_to_json(o.a),
+        "a": o.a,
         "count": rs.total_multiplicity(),
         "roots": rs.to_json()["roots"],
-        "near_merge_pairs": [list(p) for p in rs.near_merge_pairs],
+        "near_merge_pairs": rs.near_merge_pairs,
         "nearest_critical": {"n": n_crit, "distance": d_crit},
         "window": rs.window.to_json(),
     }
@@ -213,11 +210,11 @@ def cmd_oracle(o) -> tuple[dict, int]:
     rs = oracle_roots(o.a, range(k_from, k_to + 1), window=o.window)
     payload = {
         "command": "oracle",
-        "a": complex_to_json(o.a),
+        "a": o.a,
         "k_range": [k_from, k_to],
         "count": len(rs),
         "roots": rs.to_json()["roots"],
-        "near_merge_pairs": [list(p) for p in rs.near_merge_pairs],
+        "near_merge_pairs": rs.near_merge_pairs,
     }
     code = EXIT_OK
     if o.compare:
@@ -262,11 +259,11 @@ def _permutation_block(start, end) -> dict:
     perm = extract_permutation(start, end)
     is_t, pair = is_transposition(perm)
     return {
-        "images": list(perm.images),
-        "cycles": [list(c) for c in cycles(perm)],
+        "images": perm.images,
+        "cycles": cycles(perm),
         "cycle_string": perm.cycle_string(),
         "is_transposition": is_t,
-        "transposed_pair": list(pair) if pair else None,
+        "transposed_pair": pair,
         "is_identity": perm.is_identity(),
     }
 
@@ -304,7 +301,7 @@ def cmd_loop(o) -> tuple[dict, int]:
         "n": o.n,
         "rho": o.rho,
         "turns": o.turns,
-        "basepoint": complex_to_json(path.start),
+        "basepoint": path.start,
         "window": start.window.to_json(),
         "start": start.to_json(),
         "permutation": _permutation_block(start, end),
@@ -356,14 +353,12 @@ def cmd_group(o) -> tuple[dict, int]:
         end, _ = track_bundle(start, path)
         perm = extract_permutation(start, end)
         gens.append(perm)
-        gen_blocks.append(
-            {"n": n, "cycle_string": perm.cycle_string(), "images": list(perm.images)}
-        )
+        gen_blocks.append({"n": n, "cycle_string": perm.cycle_string(), "images": perm.images})
     closure = group_order(gens)
     payload = {
         "command": "group",
         "window": start.window.to_json(),
-        "labels": list(start.labels()),
+        "labels": start.labels(),
         "rho": o.rho,
         "corridor_re": o.corridor_re,
         "generators": gen_blocks,

@@ -13,7 +13,7 @@ import math
 
 from .equation import critical_height, critical_point, critical_value, real_root
 from .errors import PreconditionError
-from .jsonio import canonical_json, complex_to_json
+from .jsonio import canonical_json
 from .paths import DEFAULT_RHO, composite_loop, keyhole_loop
 from .rootsets import Window
 from .rootwindow import find_roots
@@ -143,7 +143,7 @@ def figure_parameter_path() -> str:
         ak = critical_value(k)
         cv.cross(ak.real, ak.imag)
         cv.text(ak.real + 0.1, ak.imag + 0.2, f"a_{k}")
-        marked.append(complex_to_json(ak))
+        marked.append(ak)
         k += 1
     cv.mark(0.0, 0.0, r=3.5, fill="#208040")
     cv.text(0.1, 0.3, "basepoint")
@@ -186,7 +186,7 @@ def figure_root_trajectories() -> str:
         "n": n,
         "rho": rho,
         "labels_moved": moved,
-        "start_roots": {str(e.label): complex_to_json(e.z) for e in start.entries},
+        "start_roots": {str(e.label): e.z for e in start.entries},
         "critical_points": [[0.0, critical_height(j)] for j in range(k)],
     }
     return cv.render()

@@ -4,6 +4,8 @@ Floats are rendered with %.17g (and a forced decimal point so they
 round-trip as floats), keys are sorted, and separators are fixed, so
 equal payloads serialize byte-identically and a serialize-parse-
 serialize round trip is a fixed point.  Nesting indents by two spaces.
+A complex number is written as the pair [re, im] of two such floats;
+this module is the one place that knows that format.
 """
 
 from __future__ import annotations
@@ -41,9 +43,7 @@ def _emit(obj, out: list[str], level: int) -> None:
     elif isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=True))
     elif isinstance(obj, complex):
-        raise PreconditionError(
-            "complex values must be split into [re, im] before serialization"
-        )
+        _emit([obj.real, obj.imag], out, level)
     elif isinstance(obj, dict):
         keys = list(obj.keys())
         if any(not isinstance(k, str) for k in keys):
@@ -69,11 +69,6 @@ def _emit(obj, out: list[str], level: int) -> None:
         out.append(pad + "]")
     else:
         raise PreconditionError(f"cannot canonicalize {type(obj).__name__}")
-
-
-def complex_to_json(z: complex) -> list[float]:
-    """A complex number as the [re, im] pair the payloads carry."""
-    return [z.real, z.imag]
 
 
 def canonical_json(obj) -> str:

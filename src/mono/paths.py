@@ -39,7 +39,6 @@ from .equation import (
     solve_increasing,
 )
 from .errors import PathContinuityError, PreconditionError
-from .jsonio import complex_to_json
 
 CONTINUITY_TOL = 1e-12
 MIN_LOOP_RADIUS = 0.1
@@ -54,7 +53,7 @@ _set = object.__setattr__
 
 
 class _Segment:
-    """An immutable record whose fields are its kind's __slots__, read as
+    """An immutable record whose _fields are its kind's __slots__, read as
     fast as plain attributes by the tracker's per-step point and reach.
     It equals, and hashes as, the tuple of its fields, but only within its
     kind: tracking._blocks keys a dict by segment, and a line and an image
@@ -74,13 +73,24 @@ class _Segment:
         return hash(self._values(self))
 
     def __repr__(self):
-        fields = zip(self.__slots__, self._values(self))
+        fields = zip(self._fields, self._values(self))
         return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    @property
+    def start(self) -> complex:
+        return self.point(0.0)
+
+    @property
+    def end(self) -> complex:
+        return self.point(1.0)
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, **dict(zip(self._fields, self._values(self)))}
 
 
 class LineSegment(_Segment):
-    __slots__ = ("z0", "z1")
-    _values = attrgetter(*__slots__)
+    __slots__ = _fields = ("z0", "z1")
+    _values = attrgetter(*_fields)
     kind = "line"
 
     def __init__(self, z0: complex, z1: complex):
@@ -103,17 +113,14 @@ class LineSegment(_Segment):
         return self.z1
 
     def reversed(self) -> "LineSegment":
-        return LineSegment(self.z1, self.z0)
-
-    def to_json(self) -> dict:
-        return {"kind": "line", "z0": complex_to_json(self.z0), "z1": complex_to_json(self.z1)}
+        return type(self)(self.z1, self.z0)
 
 
 class ArcSegment(_Segment):
     """Circular arc center + r e^{i theta}, theta from theta0 to theta1."""
 
-    __slots__ = ("center", "radius", "theta0", "theta1")
-    _values = attrgetter(*__slots__)
+    __slots__ = _fields = ("center", "radius", "theta0", "theta1")
+    _values = attrgetter(*_fields)
     kind = "arc"
 
     def __init__(self, center: complex, radius: float, theta0: float, theta1: float):
@@ -138,37 +145,17 @@ class ArcSegment(_Segment):
         phi = min(math.pi, abs(t1 - t0) * abs(self.theta1 - self.theta0))
         return 2.0 * self.radius * math.sin(0.5 * phi)
 
-    @property
-    def start(self) -> complex:
-        return self.point(0.0)
-
-    @property
-    def end(self) -> complex:
-        return self.point(1.0)
-
     def reversed(self) -> "ArcSegment":
         return ArcSegment(self.center, self.radius, self.theta1, self.theta0)
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "arc",
-            "center": complex_to_json(self.center),
-            "radius": self.radius,
-            "theta0": self.theta0,
-            "theta1": self.theta1,
-        }
 
+class ImageSegment(LineSegment):
+    """f(z) = z + e^z applied to the z-plane line from z0 to z1: a line's
+    fields, but its own kind, and its ends are images like any point."""
 
-class ImageSegment(_Segment):
-    """f(z) = z + e^z applied to the z-plane line from z0 to z1."""
-
-    __slots__ = ("z0", "z1")
-    _values = attrgetter(*__slots__)
+    __slots__ = ()
     kind = "image"
-
-    def __init__(self, z0: complex, z1: complex):
-        _set(self, "z0", z0)
-        _set(self, "z1", z1)
+    start, end = _Segment.start, _Segment.end
 
     def point(self, t: float) -> complex:
         z = self.z0 + t * (self.z1 - self.z0)
@@ -197,19 +184,6 @@ class ImageSegment(_Segment):
         e0 = cmath.exp(w0)
         return dz * min(coarse, abs(1.0 + e0) + abs(e0) * math.expm1(dz))
 
-    @property
-    def start(self) -> complex:
-        return self.point(0.0)
-
-    @property
-    def end(self) -> complex:
-        return self.point(1.0)
-
-    def reversed(self) -> "ImageSegment":
-        return ImageSegment(self.z1, self.z0)
-
-    def to_json(self) -> dict:
-        return {"kind": "image", "z0": complex_to_json(self.z0), "z1": complex_to_json(self.z1)}
 
 
 def _bisect(fits):

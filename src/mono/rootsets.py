@@ -14,7 +14,6 @@ from functools import cached_property, cmp_to_key
 
 from .equation import FAMILY, residual_bound
 from .errors import NumericalError, PreconditionError, UnmatchedRootError
-from .jsonio import complex_to_json
 
 NEAR_MERGE_RADIUS = 1e-4
 REAL_AXIS_TOL = 1e-9
@@ -81,12 +80,7 @@ class Window(namedtuple("Window", "re_min re_max im_min im_max")):
         ]
 
     def to_json(self) -> dict:
-        return {
-            "re_min": self.re_min,
-            "re_max": self.re_max,
-            "im_min": self.im_min,
-            "im_max": self.im_max,
-        }
+        return self._asdict()
 
 
 class RootEntry(namedtuple("RootEntry", "label z multiplicity", defaults=(1,))):
@@ -183,16 +177,9 @@ class LabeledRootSet:
 
     def to_json(self) -> dict:
         d = {
-            "a": complex_to_json(self.a),
-            "roots": [
-                {
-                    "label": e.label,
-                    "z": complex_to_json(e.z),
-                    "multiplicity": e.multiplicity,
-                }
-                for e in sorted(self.entries, key=lambda e: e.label)
-            ],
-            "near_merge_pairs": [list(p) for p in self.near_merge_pairs],
+            "a": self.a,
+            "roots": [e._asdict() for e in sorted(self.entries, key=lambda e: e.label)],
+            "near_merge_pairs": self.near_merge_pairs,
         }
         if self.window is not None:
             d["window"] = self.window.to_json()
@@ -215,19 +202,6 @@ def _close_pairs(zs, radius: float) -> list[tuple[int, int]]:
             if abs(zs[i] - zs[j]) < radius:
                 pairs.append((min(i, j), max(i, j)))
     return sorted(pairs)
-
-
-def min_separation(zs) -> float:
-    """Smallest pairwise distance among zs; inf for fewer than two points.
-    The sweep of _close_pairs, its radius the smallest distance so far."""
-    zs = sorted(zs, key=lambda z: z.imag)
-    best = math.inf
-    for k, p in enumerate(zs):
-        for q in zs[k + 1:]:
-            if q.imag - p.imag >= best:
-                break
-            best = min(best, abs(q - p))
-    return best
 
 
 def match_positions(ps, qs, tol: float) -> tuple[list[int], float]:

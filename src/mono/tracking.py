@@ -74,7 +74,7 @@ from .equation import FAMILY, nearest_critical, newton, residual_bound, zero_dis
 from .errors import PreconditionError, StepUnderflowError
 from .jsonio import atomic_write_text
 from .paths import CONTINUITY_TOL, ParamPath
-from .rootsets import LabeledRootSet, RootEntry, min_separation
+from .rootsets import LabeledRootSet, RootEntry, _close_pairs
 
 _CORRECTOR_MAX_ITER = 8
 _GROWTH = 1.6
@@ -260,8 +260,9 @@ def track_bundle(
         states[e.label] = (complex(e.z), d, res + tau, path.start, disc)
         if record:
             rows[e.label] = [(0.0, e.label, complex(e.z), path.start, res)]
-    dmin = min_separation([z for z, *_ in states.values()])
-    if dmin < NEAR_CRITICAL_RADIUS:
+    zs = [z for z, *_ in states.values()]
+    if close := _close_pairs(zs, NEAR_CRITICAL_RADIUS):
+        dmin = min(abs(zs[i] - zs[j]) for i, j in close)
         raise PreconditionError(
             f"bundle separation {dmin:.3g} below "
             f"NEAR_CRITICAL_RADIUS {NEAR_CRITICAL_RADIUS:g}"

@@ -6,6 +6,7 @@ installed console script works end to end.
 
 import cmath
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -243,6 +244,69 @@ def test_group_command_nineteen_roots(capsys):
     assert d["order"] == 120
     assert d["transitive"] is False
     assert d["cap_exceeded"] is False
+
+
+_EMPTY = hashlib.sha256(b"").hexdigest()
+_LOOPS_19 = "--loops=" + ",".join(map(str, range(-9, 9)))
+# argv: (exit code, sha256 of stdout, sha256 of stderr).  A change to any
+# payload byte shows here; a deliberate output change re-pins its digest
+# and says so.  The floats come from the platform's libm (glibc, x86-64).
+_GOLDEN = {
+    ("critical",): (
+        0, "2e35258cf49a3c3b4c6bf49ee5f957201ce9a87b7cd604a6bf98a578fda4d334", _EMPTY,
+    ),
+    ("roots",): (
+        0, "920fe8a5ea0b9b774f3098c6b95cbd95e86b6596e5a1eb8075dcaee0c848ba0c", _EMPTY,
+    ),
+    ("roots", "--window=-30,5,-60,60"): (
+        0, "965bf8eaa00765ca82d3514ea0ba055cbe27940d487de4680356f3e8c9eab81c", _EMPTY,
+    ),
+    ("roots", "--a=-1,3.141592653589793", "--window=-5,5,-60,60"): (
+        1, "49899c13e498df7c899888fd51c242326778c905e8e987d2ccc2065e299dec2e", _EMPTY,
+    ),
+    ("roots", "--a=-1,3.141592653589793", "--window=-5,5,-1e6,1e6"): (
+        2, _EMPTY, "3e3cff85d08e9ecda7b18b16a24ea4edb652cbc20610059733825b261c06e37d",
+    ),
+    ("oracle", "--compare"): (
+        0, "f824f2965654f3eac6f94f51d8d2262aa2297b44382d506de917d6d77a41fcfa", _EMPTY,
+    ),
+    ("track", "--path=keyhole", "--n=1"): (
+        0, "3005c7b53de363f4b6ed12ac2f77b9f7c3b433d43cb50795b71e783b0c1816ff", _EMPTY,
+    ),
+    ("track", "--path=composite", "--n=0"): (
+        0, "bf9d2fbdb44ba92a9e7bea21a941e26be33cb013648244349409398351e1ab42", _EMPTY,
+    ),
+    ("track", "--path=circle", "--center=0,3", "--rho=2"): (
+        0, "ed38ff21a6c9b328ae49f7c2355e0ba0850909682a4c24136952d20a415ffc0e", _EMPTY,
+    ),
+    ("loop", "--n=1"): (
+        0, "13b6294feda313f7ab6275e542d3f8287c877e665c886466686231e5b1843ac3", _EMPTY,
+    ),
+    ("homotopy-check", "--n=2"): (
+        0, "ed5895dbdeec99594ba839fdfbee7d9d5a7beaae2d04faf3e8efcccd88d8dd75", _EMPTY,
+    ),
+    ("homotopy-check", "--n=2", "--corridor-re=0.5"): (
+        1, "7dfb1505a59a7cfb9acaefb33b368ab601835c45b0fb69bb96096c5caa937296", _EMPTY,
+    ),
+    ("group", "--loops=-1,0,1,2", "--window=-5,5,-6,18"): (
+        0, "06dd2e26a6ee2b8c7040eb22dd28b911524c9670aa25f3dca43ebed464d32708", _EMPTY,
+    ),
+    ("group", "--loops=-1,0,1,2", "--window=-5,5,-6,18", "--corridor-re=0.5"): (
+        0, "4832da435b5f4f0974588c7b56075443b9e4997cb703a050921697eb73a21888", _EMPTY,
+    ),
+    ("group", _LOOPS_19, "--window=-5,5,-60,60"): (
+        0, "c601b06cc077dea0371ce15fd90c6dbadc009c8af1eaa798c0d51cf8ddb631a6", _EMPTY,
+    ),
+}
+
+
+def test_golden_cli_bytes(capsys):
+    got = {}
+    for argv in _GOLDEN:
+        code = main(list(argv))
+        out = capsys.readouterr()
+        got[argv] = (code, *(hashlib.sha256(s.encode()).hexdigest() for s in out))
+    assert got == _GOLDEN
 
 
 def test_figures_command(capsys, tmp_path, monkeypatch):

@@ -40,9 +40,16 @@ def test_ints_stay_ints():
     assert '"x": 3.0' in text
 
 
+def test_complex_is_an_re_im_pair():
+    for z in (1 + 2j, complex(-0.0, 0.5), complex(3.0, -0.0)):
+        assert canonical_json({"z": z}) == canonical_json({"z": [z.real, z.imag]})
+    assert canonical_json(complex(-0.0, -0.0)) == "[\n  -0.0,\n  -0.0\n]\n"
+
+
 def test_unsupported_types_rejected():
-    with pytest.raises(PreconditionError):
-        canonical_json({"z": 1 + 2j})
+    for z in (complex(math.nan, 1.0), complex(0.0, math.nan), complex(math.inf, 0.0)):
+        with pytest.raises(PreconditionError, match="non-finite"):
+            canonical_json({"z": z})
     with pytest.raises(PreconditionError):
         canonical_json({1: "non-string key"})
     with pytest.raises(PreconditionError):

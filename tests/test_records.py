@@ -8,7 +8,8 @@ import pytest
 
 from mono.equation import critical_point
 from mono.errors import PreconditionError
-from mono.paths import ArcSegment, ImageSegment, LineSegment, ParamPath
+from mono.jsonio import canonical_json
+from mono.paths import ArcSegment, ImageSegment, LineSegment, ParamPath, loop_around
 from mono.permutation import ClosureResult, Permutation
 from mono.rootsets import LabeledRootSet, RootEntry, Window
 from mono.tracking import _blocks
@@ -97,3 +98,49 @@ def test_record_contract(name):
         circle = ArcSegment(rec.end + 1.0, 1.0, math.pi, 3.0 * math.pi)
         assert _blocks([rec, circle, rec.reversed()]) == [(0, 1, 2, 3)]
         assert _blocks([rec, circle, other.reversed()]) == []
+
+
+W5_JSON = {"re_min": -5.0, "re_max": 5.0, "im_min": -6.0, "im_max": 18.0}
+LINE_JSON = {"kind": "line", "z0": [0.0, 0.0], "z1": [-2.0, 0.0]}
+
+# name: (record, its JSON as plain lists and floats); a complex field is
+# written as the pair [re, im]
+RECORD_JSON = {
+    "window": (W5, W5_JSON),
+    "line": (LINE, LINE_JSON),
+    "image": (RECORDS["image"][0], {**LINE_JSON, "kind": "image"}),
+    "arc": (
+        RECORDS["arc"][0],
+        {"kind": "arc", "center": [0.0, 1.0], "radius": 0.5, "theta0": 0.0, "theta1": 1.0},
+    ),
+    "path": (RECORDS["path"][0], {"segments": [LINE_JSON], "closed": False}),
+    "loop": (
+        loop_around(0, 0.5),
+        {
+            "segments": [{
+                "kind": "arc", "center": [-1.0, math.pi], "radius": 0.5,
+                "theta0": math.pi, "theta1": 3.0 * math.pi,
+            }],
+            "closed": True,
+            "encircles": {"n": 0, "radius": 0.5},
+        },
+    ),
+    "root set": (
+        LabeledRootSet(1j, (RootEntry(2, 2j), RootEntry(1, -0.5 + 1e-5j, 2)), W5),
+        {
+            "a": [0.0, 1.0],
+            "roots": [
+                {"label": 1, "z": [-0.5, 1e-5], "multiplicity": 2},
+                {"label": 2, "z": [0.0, 2.0], "multiplicity": 1},
+            ],
+            "near_merge_pairs": [],
+            "window": W5_JSON,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORD_JSON)
+def test_record_json(name):
+    rec, want = RECORD_JSON[name]
+    assert canonical_json(rec.to_json()) == canonical_json(want)

@@ -1,6 +1,7 @@
 """Windows, labeled root sets, and canonical labeling."""
 
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,6 @@ from mono.rootsets import (
     Window,
     canonical_root_set,
     match_positions,
-    min_separation,
 )
 
 
@@ -81,7 +81,7 @@ def test_close_entries_come_out_flagged():
         assert close.near_merge_pairs == ((1, 2),) and close.has_near_merge()
     apart = LabeledRootSet(0j, (RootEntry(1, 0j), RootEntry(2, complex(NEAR_MERGE_RADIUS, 0.0))))
     assert apart.near_merge_pairs == () and not apart.has_near_merge()
-    assert apart.to_json()["near_merge_pairs"] == []
+    assert apart.to_json()["near_merge_pairs"] == ()
 
 
 def test_near_merge_accessors():
@@ -89,7 +89,8 @@ def test_near_merge_accessors():
                RootEntry(3, 1.0 + 1.0j))
     rs = LabeledRootSet(0j, entries)
     assert rs.near_merge_pairs == ((1, 2),)
-    assert min_separation(rs.positions()) == pytest.approx(NEAR_MERGE_RADIUS / 3)
+    gap = min(abs(p - q) for p, q in combinations(rs.positions(), 2))
+    assert gap == pytest.approx(NEAR_MERGE_RADIUS / 3)
     assert rs.total_multiplicity() == 3
 
 
@@ -232,7 +233,7 @@ def _point_lists(draw):
     if not zs or draw(st.booleans()):
         return zs
     # repeat some points exactly or one ulp away in one part, in half the
-    # lists only: a repeat pins the minimum to a tiny or zero distance
+    # lists only: a repeat puts a tiny or zero distance among the pairs
     for i in draw(st.lists(st.integers(0, len(zs) - 1), max_size=5)):
         z = zs[i]
         zs.append(draw(st.sampled_from([
@@ -241,17 +242,6 @@ def _point_lists(draw):
             complex(z.real, math.nextafter(z.imag, -math.inf)),
         ])))
     return zs[:25]
-
-
-@settings(max_examples=300)
-@given(_point_lists())
-def test_min_separation_matches_pairwise_abs(zs):
-    # exact equality: the sweep must give the scan's minimum to the bit
-    want = math.inf
-    for i, zi in enumerate(zs):
-        for zj in zs[i + 1 :]:
-            want = min(want, abs(zi - zj))
-    assert min_separation(zs) == want
 
 
 @settings(max_examples=300)

@@ -31,7 +31,7 @@ from mono.paths import (
     keyhole_loop,
     loop_around,
 )
-from mono.rootsets import LabeledRootSet, RootEntry, Window, min_separation
+from mono.rootsets import LabeledRootSet, RootEntry, Window
 from mono.rootwindow import find_roots
 from mono import tracking
 from mono.tracking import _blocks, _disc, step_control, track_bundle
@@ -470,8 +470,9 @@ def test_start_roots_too_close_refused():
     a = critical_value(0) + 1e-8
     pair = oracle_roots(a, range(-2, 2), window=Window(-1.0, 1.0, 2.0, 4.0))
     assert len(pair) == 2 and not pair.has_near_merge()
-    assert min_separation(pair.positions()) == pytest.approx(2.0 * math.sqrt(2e-8), rel=1e-4)
-    with pytest.raises(PreconditionError, match="bundle separation"):
+    p, q = pair.positions()
+    assert abs(p - q) == pytest.approx(2.0 * math.sqrt(2e-8), rel=1e-4)
+    with pytest.raises(PreconditionError, match=f"bundle separation {abs(p - q):.3g} below"):
         track_bundle(pair, ParamPath((LineSegment(a, a + 0.1),)))
 
 
