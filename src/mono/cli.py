@@ -23,7 +23,7 @@ import os
 import sys
 
 from .equation import critical_point, nearest_critical
-from .errors import MonoError, NumericalError, PreconditionError, UnmatchedRootError
+from .errors import MonoError, PreconditionError, UnmatchedRootError
 from .jsonio import atomic_write_text, canonical_json
 from .lambertw import MAX_BRANCH, oracle_roots
 from .paths import (
@@ -458,15 +458,11 @@ def main(argv=None) -> int:
         text = canonical_json(payload)
         if getattr(args, "json_out", None):
             atomic_write_text(_out_path(args, args.json_out), text)
-    except PreconditionError as exc:
-        sys.stderr.write(f"precondition error: {exc}\n")
-        return EXIT_PRECONDITION
-    except NumericalError as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return EXIT_NUMERICAL
     except MonoError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NUMERICAL
+        # every error is a PreconditionError or a NumericalError
+        pre = isinstance(exc, PreconditionError)
+        sys.stderr.write(f"{'precondition error' if pre else 'numerical failure'}: {exc}\n")
+        return EXIT_PRECONDITION if pre else EXIT_NUMERICAL
     sys.stdout.write(text)
     return code
 

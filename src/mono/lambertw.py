@@ -154,15 +154,18 @@ def oracle_roots(a: complex, k_range, *, window=None):
 
     k_range is any iterable of branch indices (a builtin range works).
     Each root is residual-checked against |z + e^z - a| < ORACLE_RESIDUAL_TOL
-    before being admitted.  If a window is given, only roots inside it
-    are kept.  Returns a canonically labeled root set; labels follow the
-    shared convention (sorted by imaginary part, the real root, if any,
-    relabeled to 1).
+    before being admitted; an a whose e^a underflows to 0 is refused, since
+    every branch k != 0 is singular there.  If a window is given, only roots
+    inside it are kept.  Returns a canonically labeled root set; labels
+    follow the shared convention (sorted by imaginary part, the real root,
+    if any, relabeled to 1).
     """
     from .rootsets import canonical_root_set
 
     a = require_finite(a, "a")
     w = checked_exp(a)
+    if w == 0:
+        raise PreconditionError(f"e^a underflows to 0 at a = {a!r}: Re a must exceed about -745")
     ks = list(k_range)
     if not ks:
         raise PreconditionError("k_range is empty")

@@ -12,8 +12,7 @@ import math
 from collections import namedtuple
 from functools import cached_property, cmp_to_key
 
-from .equation import FAMILY, residual_bound
-from .errors import NumericalError, PreconditionError, UnmatchedRootError
+from .errors import PreconditionError, UnmatchedRootError
 
 NEAR_MERGE_RADIUS = 1e-4
 REAL_AXIS_TOL = 1e-9
@@ -161,19 +160,6 @@ class LabeledRootSet:
 
     def has_near_merge(self) -> bool:
         return bool(self.near_merge_pairs) or any(e.multiplicity > 1 for e in self.entries)
-
-    def validate_residuals(self) -> float:
-        """Worst |f(z) - a| over simple entries; raises if one breaks equation's residual rule."""
-        worst = 0.0
-        for e in self.entries:
-            if e.multiplicity > 1:
-                continue
-            r = abs(FAMILY.eval(e.z) - self.a)
-            worst = max(worst, r)
-            _, bound = residual_bound(e.z, self.a, FAMILY.deriv(e.z))
-            if r > bound:
-                raise NumericalError(f"label {e.label} residual {r:.3g} > {bound:.3g}")
-        return worst
 
     def to_json(self) -> dict:
         d = {

@@ -314,8 +314,8 @@ def find_roots(a: complex, window: Window) -> LabeledRootSet:
     (_locate) and halved across its long side only if that fails
     (_split_counted), each half keeping the discs inside it.  The grid is
     skipped on a cell longer than 2 pi (n + 1), and on a cell of two or
-    more roots holding z_n when a is near a_n.  Roots are polished by
-    Newton to residual max(1e-12, rounding_floor) and checked on return.
+    more roots holding z_n when a is near a_n.  Newton's stop is the residual
+    rule max(1e-12, rounding_floor), so a returned root is not re-checked.
     A cell of multiple roots that no cut splits, around a critical point
     z_n with |a - a_n| <= 1e-6, is a merge cluster: one entry at z_n
     carries the cluster multiplicity and is flagged near-merge.  So is a
@@ -367,10 +367,4 @@ def find_roots(a: complex, window: Window) -> LabeledRootSet:
             cluster = sum(m for m, c in zip(multiplicities, near) if c)
             positions = [z for z, c in zip(positions, near) if not c] + [z_k]
             multiplicities = [m for m, c in zip(multiplicities, near) if not c] + [cluster]
-    result = canonical_root_set(a, positions, multiplicities=multiplicities, window=w_eff)
-    if result.total_multiplicity() != total:
-        raise NumericalError(
-            f"located multiplicity {result.total_multiplicity()} != contour count {total}"
-        )
-    result.validate_residuals()
-    return result
+    return canonical_root_set(a, positions, multiplicities=multiplicities, window=w_eff)

@@ -67,10 +67,9 @@ partner's rows on P in reverse, and a root kept in place its last row.
 
 from __future__ import annotations
 
-import io
 import math
 
-from .equation import FAMILY, nearest_critical, newton, residual_bound, zero_disc
+from .equation import checked_exp, nearest_critical, newton, residual_bound, zero_disc
 from .errors import PreconditionError, StepUnderflowError
 from .jsonio import atomic_write_text
 from .paths import CONTINUITY_TOL, ParamPath
@@ -90,19 +89,12 @@ class TrackReport:
         self.trajectory = []
 
     def to_csv(self, path) -> None:
-        """Write trajectory rows to path as CSV with columns
-        (arc_param, label, re_z, im_z, re_a, im_a, residual)."""
-        import csv  # only --csv-out writes a trajectory
-
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["arc_param", "label", "re_z", "im_z", "re_a", "im_a", "residual"])
-        for arc, label, z, a, res in self.trajectory:
-            w.writerow(
-                [f"{arc:.9f}", label, repr(z.real), repr(z.imag),
-                 repr(a.real), repr(a.imag), f"{res:.3e}"]
-            )
-        atomic_write_text(path, buf.getvalue())
+        """Write trajectory rows to path as CSV, columns (arc_param, label, re_z, im_z,
+        re_a, im_a, residual): numbers, never quoted, rows ending in CRLF as csv's do."""
+        rows = ["arc_param,label,re_z,im_z,re_a,im_a,residual"]
+        rows += [f"{arc:.9f},{label},{z.real!r},{z.imag!r},{a.real!r},{a.imag!r},{res:.3e}"
+                 for arc, label, z, a, res in self.trajectory]
+        atomic_write_text(path, "\r\n".join(rows) + "\r\n")
 
 
 def _disc(fa: float, ee: float, re_z: float) -> tuple[float, float]:
@@ -250,7 +242,8 @@ def track_bundle(
                 f"label {e.label} is a multiplicity-{e.multiplicity} cluster; "
                 f"move the basepoint away from the critical value"
             )
-        fz, d = FAMILY.eval(e.z), FAMILY.deriv(e.z)
+        ez = checked_exp(e.z)
+        fz, d = e.z + ez, 1.0 + ez
         tau, bound = residual_bound(e.z, path.start, d)
         r0 = abs(fz - start.a)
         if r0 > bound:

@@ -116,6 +116,12 @@ def test_oracle_compare_refuses_branches_past_the_oracle(capsys):
     assert "needs branches -320..320, past 64" in err
 
 
+def test_oracle_refuses_a_whose_exponential_underflows(capsys):
+    code, d, err = run(capsys, "oracle", "--a=-800,0")
+    assert (code, d) == (2, None)
+    assert err.startswith("precondition error: e^a underflows to 0 at a = (-800+0j)")
+
+
 def test_track_closed_loop_permutation(capsys, tmp_path):
     csv = tmp_path / "t.csv"
     code, d, _ = run(
@@ -307,6 +313,41 @@ def test_golden_cli_bytes(capsys):
         out = capsys.readouterr()
         got[argv] = (code, *(hashlib.sha256(s.encode()).hexdigest() for s in out))
     assert got == _GOLDEN
+
+
+# written file: (argv that writes it, sha256 of its bytes); stdout names
+# the file's path, so the file itself is what is pinned
+_GOLDEN_FILES = {
+    "keyhole.csv": (
+        ("track", "--path=keyhole", "--n=0", "--window=-5,5,-60,60", "--csv-out=keyhole.csv"),
+        "e588205dddaf0f2306ca9bd34036e9f0bf34eee30051eebba8902d485028205d",
+    ),
+    "composite.csv": (
+        ("track", "--path=composite", "--n=1", "--csv-out=composite.csv"),
+        "ebba7c1a4c30e46923cef62b48c78a475cc71bc5537ceced65bf873f2944f20c",
+    ),
+    "fig_real_graph.svg": (
+        ("figures",), "9fe553fa59de6641cc3cd45d20e4fc0d301c6c01a262c12589ddbc21621004fb",
+    ),
+    "fig_parameter_path.svg": (
+        ("figures",), "345779bcf09cc69745efac7a10377ea31d5da32158c62f85d0c32ee4c10ccf22",
+    ),
+    "fig_root_trajectories.svg": (
+        ("figures",), "52b8e902571f3846d64b3cefdb2123bdbc82de1793febcea637860ec6fe88e73",
+    ),
+    "fig_keyhole.svg": (
+        ("figures",), "a35e5b82e9a25a40618259daaa6696ce3478bbf50b0a5db4dc9c05e2fba72bba",
+    ),
+}
+
+
+def test_golden_written_files(capsys, tmp_path):
+    for argv in dict.fromkeys(argv for argv, _ in _GOLDEN_FILES.values()):
+        assert main([*argv, f"--out-dir={tmp_path}"]) == 0
+    capsys.readouterr()
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in _GOLDEN_FILES}
+    assert got == {name: digest for name, (_, digest) in _GOLDEN_FILES.items()}
 
 
 def test_figures_command(capsys, tmp_path, monkeypatch):
@@ -586,7 +627,7 @@ def test_group_on_tall_window(capsys):
 _FLAG_VALUES = {
     "n_from": (["-2", "0", "3"], ["x", "1.5"]),
     "n_to": (["-3", "1", "4"], ["x"]),
-    "a": (["0,0", "0.3,-0.2", "-1,3.141592653589793"], ["nan,0", "foo", "1e300,0"]),
+    "a": (["0,0", "0.3,-0.2", "-1,3.141592653589793"], ["nan,0", "foo", "1e300,0", "-800,0"]),
     "k_from": (["-3", "0"], ["x"]),
     "k_to": (["-1", "2"], ["1.5"]),
     "window": (["-5,5,-6,6", "-5,5,-6,18", "-1,1,-1,1"], ["5,-5,0,1", "a,b,c,d", "-5,710,-1,1"]),
@@ -594,7 +635,7 @@ _FLAG_VALUES = {
     "n": (["-2", "-1", "0", "1", "2"], ["10000000", "x"]),
     "rho": (["0.3", "0.5", "2"], ["0.05", "4", "nan"]),
     "turns": (["-2", "-1", "0", "1", "2"], ["x"]),
-    "corridor_re": (["-2", "0.5", "0"], ["-1", "nan", "inf"]),
+    "corridor_re": (["-2", "0.5", "0"], ["-1", "nan", "inf", "1e308"]),
     "center": (["0,0", "0.5,0.5", "-1.5,3.141592653589793", "1e300,0"], ["x"]),
     "loops": (["-1,0,1,2", "0", "-2,2"], ["", "a", "0,1.5"]),
     "which": (["real_graph", "keyhole", "real_graph,keyhole"], ["nope"]),

@@ -11,7 +11,14 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from mono import rootwindow
-from mono.equation import FAMILY, critical_point, critical_value, newton, real_root
+from mono.equation import (
+    FAMILY,
+    critical_point,
+    critical_value,
+    newton,
+    real_root,
+    residual_bound,
+)
 from mono.errors import (
     BoundaryTooCloseError,
     NumericalError,
@@ -958,3 +965,33 @@ def test_grid_discs_hold_distinct_oracle_roots(
         assert abs(roots[i] - z) <= s + 1e-9
         held.append(i)
     assert len(set(held)) == len(held)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    near=st.booleans(),
+    n=st.integers(-150, 150),
+    log_dist=st.floats(-14.0, -5.0),
+    angle=st.floats(0.0, 2.0 * math.pi),
+    re_a=st.floats(-3.0, 3.0),
+    im_a=st.floats(-1000.0, 1000.0),
+    height=st.floats(10.0, 400.0),
+    offset=st.floats(-0.5, 0.5),
+)
+def test_returned_roots_meet_the_residual_rule_and_the_count(
+    near, n, log_dist, angle, re_a, im_a, height, offset
+):
+    # a within 1e-14..1e-5 of a_n, |n| <= 150, or |Im a| <= 1000, on a
+    # window 10-400 tall around Im a.  find_roots does not re-check what
+    # it returns: Newton's stop is the residual rule, and the cells'
+    # counts add up to the contour count
+    a = critical_value(n) + cmath.rect(10.0**log_dist, angle) if near else complex(re_a, im_a)
+    im_min = a.imag + (offset - 0.5) * height
+    try:
+        rs = find_roots(a, Window(-5.0, 8.0, im_min, im_min + height))
+    except BoundaryTooCloseError:
+        reject()  # a root on an edge after every jitter
+    for e in rs.entries:
+        if e.multiplicity == 1:
+            assert abs(FAMILY.eval(e.z) - a) <= residual_bound(e.z, a, FAMILY.deriv(e.z))[1]
+    assert rs.total_multiplicity() == count_roots(a, rs.window)
