@@ -189,13 +189,10 @@ def cmd_roots(o) -> tuple[dict, int]:
     rs = find_roots(o.a, o.window)
     n_crit, d_crit = nearest_critical(o.a)
     payload = {
+        **rs.to_json(),
         "command": "roots",
-        "a": o.a,
         "count": rs.total_multiplicity(),
-        "roots": rs.to_json()["roots"],
-        "near_merge_pairs": rs.near_merge_pairs,
         "nearest_critical": {"n": n_crit, "distance": d_crit},
-        "window": rs.window.to_json(),
     }
     if rs.has_near_merge():
         payload["warning"] = "near-merge: parameter is at or near a critical value"

@@ -8,12 +8,15 @@ self-power equation x^x = a to this family.
 
 It also holds the one residual rule, |f(z) - a| <= max(RESIDUAL_TOL,
 rounding_floor): newton stops on it, and every caller accepts by
-residual_bound; and the one root-disc certificate, zero_disc.
+residual_bound; and the two disc proofs, which no other module writes:
+zero_disc, the disc that holds exactly one root and the step disc
+around it, and excludes_zero, a disc that holds none.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from collections import namedtuple
@@ -73,12 +76,11 @@ def rounding_floor(zm: float, ee: float, am: float, fa: float) -> float:
     return _EPS * (zm + ee + am + zm * fa)
 
 
-def residual_bound(z: complex, a: complex, d: complex) -> tuple[float, float]:
-    """(tau, bound) at a root z of f = a with f'(z) = d: tau is
-    rounding_floor with |e^z| = exp(Re z), and bound = max(RESIDUAL_TOL,
-    tau) is the largest |f(z) - a| the residual rule accepts."""
-    tau = rounding_floor(abs(z), math.exp(z.real), abs(a), abs(d))
-    return tau, max(RESIDUAL_TOL, tau)
+def residual_bound(z: complex, a: complex, d: complex) -> float:
+    """The largest |f(z) - a| the residual rule accepts at a root z of
+    f = a with f'(z) = d: max(RESIDUAL_TOL, rounding_floor) with |e^z| =
+    exp(Re z)."""
+    return max(RESIDUAL_TOL, rounding_floor(abs(z), math.exp(z.real), abs(a), abs(d)))
 
 
 def exp_tail(ee: float, r: float) -> float:
@@ -88,17 +90,43 @@ def exp_tail(ee: float, r: float) -> float:
 
 
 def zero_disc(z: complex, r: float, d: complex, a: complex):
-    """(rho, s, |d|, |e^z|) when the disc |w - z| < s holds exactly one zero
-    of f - a, from r, the computed |f(z) - a|, and d = f'(z); else None, as
-    always where |d| <= 2 rho, so s < 1.  rho = r + rounding_floor bounds
-    the exact |f(z) - a|, and f(z + u) - a - d u = f(z) - a + e^z (e^u - 1 - u),
-    so on |u| = s = 2 rho / |d| it is below 2 rho = |d u| when
-    exp_tail(|e^z|, s) < rho: f - a has one zero in the disc, as d u has (Rouche)."""
+    """(rho, s, R, S(R)) from r, the computed |f(z) - a|, and d = f'(z), or
+    None.  rho = r + rounding_floor bounds the exact |f(z) - a|, and
+    f(z + u) - a - d u = f(z) - a + e^z (e^u - 1 - u), so f - a has exactly
+    one zero in |u| < t, as d u has (Rouche), wherever
+
+        rho < S(t) = |d| t - exp_tail(|e^z|, t)   on |u| = t.
+
+    Both radii come from that bound.  The one-zero disc takes t = s =
+    2 rho / |d|, where it reads exp_tail(|e^z|, s) < rho; else the result
+    is None, as always where |d| <= 2 rho, so s < 1.  The step disc takes
+    the maximiser of S, R = log1p(|d| / |e^z|), where e^R - 1 = |d| / |e^z|
+    gives S(R) = (|d| + |e^z|) R - |d|; where |e^z| is so small that the
+    quotient overflows, R is log(|d| + |e^z|) - Re z, the same number, so
+    that every disc is finite."""
     fa, ee = abs(d), math.exp(z.real)
     rho = r + rounding_floor(abs(z), ee, abs(a), fa)
     if fa > 2.0 * rho and exp_tail(ee, s := 2.0 * rho / fa) < rho:
-        return rho, s, fa, ee
+        q = fa / ee if ee else math.inf
+        radius = math.log1p(q) if q < math.inf else math.log(fa + ee) - z.real
+        return rho, s, radius, (fa + ee) * radius - fa
     return None
+
+
+def excludes_zero(z: complex, fz: complex, e: complex, a: complex, r: float) -> bool:
+    """True when the closed disc |w - z| <= r provably holds no root.
+
+    The soft exclusion test T0 (Yap, Sagraloff & Sharma, CiE 2013; Becker,
+    Sagraloff, Sharma & Yap, J. Symb. Comput. 86, 2018) with the exact
+    Taylor tail of f = z + e^z, whose derivatives past the first are all
+    e^z: on the disc |f(w) - f(z)| <= |f'(z)| r + exp_tail(|e^z|, r), and
+    the computed f(z) - a is within rounding_floor of the true one.  So
+    where |f(z) - a| exceeds their sum, f - a maps the disc into a disc
+    around the computed f(z) - a that excludes 0.  fz is f(z) - a and e
+    is e^z; the caller keeps r <= EXP_RE_MAX, past which e^r overflows.
+    """
+    ee, fa = abs(e), abs(1.0 + e)
+    return abs(fz) > rounding_floor(abs(z), ee, abs(a), fa) + fa * r + exp_tail(ee, r)
 
 
 def newton(z: complex, a: complex, max_iter: int):
@@ -190,18 +218,11 @@ def solve_increasing(g, dg, lo: float, hi: float) -> float:
     return x
 
 
-_REAL_ROOT: float | None = None
-
-
+@functools.cache
 def real_root() -> float:
     """Unique real solution of x + e^x = 0, in [-1, 0], where the function
     is strictly increasing; cached after the first call."""
-    global _REAL_ROOT
-    if _REAL_ROOT is None:
-        _REAL_ROOT = solve_increasing(
-            lambda x: x + math.exp(x), lambda x: 1.0 + math.exp(x), -1.0, 0.0
-        )
-    return _REAL_ROOT
+    return solve_increasing(lambda x: x + math.exp(x), lambda x: 1.0 + math.exp(x), -1.0, 0.0)
 
 
 def to_z(x: complex) -> complex:

@@ -44,29 +44,23 @@ def _emit(obj, out: list[str], level: int) -> None:
         out.append(json.dumps(obj, ensure_ascii=True))
     elif isinstance(obj, complex):
         _emit([obj.real, obj.imag], out, level)
-    elif isinstance(obj, dict):
-        keys = list(obj.keys())
-        if any(not isinstance(k, str) for k in keys):
-            raise PreconditionError("canonical JSON requires string keys")
-        if not keys:
-            out.append("{}")
+    elif isinstance(obj, (dict, list, tuple)):
+        if isinstance(obj, dict):
+            if any(not isinstance(k, str) for k in obj):
+                raise PreconditionError("canonical JSON requires string keys")
+            brackets = "{}"
+            items = [(json.dumps(k, ensure_ascii=True) + ": ", obj[k]) for k in sorted(obj)]
+        else:
+            brackets, items = "[]", [("", v) for v in obj]
+        if not items:
+            out.append(brackets)
             return
-        out.append("{\n")
-        for i, k in enumerate(sorted(keys)):
-            out.append(pad_in + json.dumps(k, ensure_ascii=True) + ": ")
-            _emit(obj[k], out, level + 1)
-            out.append(",\n" if i < len(keys) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(obj):
-            out.append(pad_in)
+        out.append(brackets[0] + "\n")
+        for i, (key, v) in enumerate(items):
+            out.append(pad_in + key)
             _emit(v, out, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
+            out.append(",\n" if i < len(items) - 1 else "\n")
+        out.append(pad + brackets[1])
     else:
         raise PreconditionError(f"cannot canonicalize {type(obj).__name__}")
 

@@ -31,11 +31,10 @@ from operator import itemgetter
 from .equation import (
     EXP_RE_MAX,
     critical_point,
-    exp_tail,
+    excludes_zero,
     nearest_critical,
     newton,
     require_finite,
-    rounding_floor,
     zero_disc,
 )
 from .errors import (
@@ -83,28 +82,12 @@ def _ring_samples(zs: list, a: complex) -> list:
     return samples
 
 
-def _excluded(z: complex, fz: complex, e: complex, a: complex, r: float) -> bool:
-    """True when the closed disc |w - z| <= r provably holds no root.
-
-    The soft exclusion test T0 (Yap, Sagraloff & Sharma, CiE 2013; Becker,
-    Sagraloff, Sharma & Yap, J. Symb. Comput. 86, 2018) with the exact
-    Taylor tail of f = z + e^z, whose derivatives past the first are all
-    e^z: on the disc |f(w) - f(z)| <= |f'(z)| r + exp_tail(|e^z|, r), and
-    the computed f(z) - a is within rounding_floor of the true one.  So
-    where |f(z) - a| exceeds their sum, f - a maps the disc into a disc
-    around the computed f(z) - a that excludes 0.  fz is f(z) - a and e
-    is e^z; the caller keeps r <= EXP_RE_MAX, past which e^r overflows.
-    """
-    ee, fa = abs(e), abs(1.0 + e)
-    return abs(fz) > rounding_floor(abs(z), ee, abs(a), fa) + fa * r + exp_tail(ee, r)
-
-
 def _cell_excluded(win: Window, a: complex) -> bool:
-    """_excluded on the disc around the cell's centre through its corners."""
+    """excludes_zero on the disc around the cell's centre through its corners."""
     m = win.center
     r = 0.5 * math.hypot(win.width, win.height)
     e = cmath.exp(m)
-    return r <= EXP_RE_MAX and _excluded(m, m + e - a, e, a, r)
+    return r <= EXP_RE_MAX and excludes_zero(m, m + e - a, e, a, r)
 
 
 def _distance(z: complex, p: complex, q: complex) -> float:
@@ -125,7 +108,7 @@ def _turn(s0: tuple, s1: tuple, a: complex) -> float | None:
     pi/6, so g turns by the difference of its end args.  arg e^z is Im z
     exactly, and arg(z - a) turns by less than pi along a segment that
     misses a, so by the principal arg of (z1 - a) / (z0 - a).  Otherwise
-    _excluded must clear the discs of radius half the piece around both
+    excludes_zero must clear the discs of radius half the piece around both
     ends (one wider than EXP_RE_MAX fails): f - a maps each half of the
     piece into a disc around its end value that excludes 0, and the two
     overlap, so the turn is the principal arg of (f(z1) - a) / (f(z0) - a).
@@ -138,7 +121,7 @@ def _turn(s0: tuple, s1: tuple, a: complex) -> float | None:
         d0, d1 = z0 - a, z1 - a
         return cmath.phase(d1 / d0) + cmath.phase(f1 / d1) - cmath.phase(f0 / d0)
     r = 0.5 * abs(z1 - z0)
-    if r <= EXP_RE_MAX and _excluded(z0, f0, e0, a, r) and _excluded(z1, f1, e1, a, r):
+    if r <= EXP_RE_MAX and excludes_zero(z0, f0, e0, a, r) and excludes_zero(z1, f1, e1, a, r):
         return cmath.phase(f1 / f0)
     return None
 

@@ -6,17 +6,16 @@ first-order motion dz = da / f'(z), and corrects with full Newton to
 equation's residual rule.  A Rouche disc around the root sizes the step
 and certifies that its label does not change root on the way.
 
-The disc.  Around a root z_i with E = |e^{z_i}|, F = |f'(z_i)| and
-rho_i = res_i + tau_i >= |f(z_i) - a| (as in equation.zero_disc), the
-same expansion puts exactly one zero of f = a in |w - z_i| < R and none
-on |w - z_i| = R whenever rho_i < S(R) = F R - exp_tail(E, R) (Rouche).
+The disc.  equation.zero_disc, given a root z_i, its computed residual
+res_i and f'(z_i), returns rho_i >= |f(z_i) - a| and the step disc, a
+radius R_i and a bound S(R_i): whenever rho_i < S(R_i), exactly one zero
+of f = a lies in |w - z_i| < R_i and none on |w - z_i| = R_i (Rouche).
 
-The step.  R_i = log1p(F / E) is the maximiser of S.  Let a piece of
-the path stay within `reach` of its start (segment.reach bounds the sup
-of |a(t) - a(u)| over the piece, not the chord).  When rho_i + reach <
-S(R_i), Rouche puts exactly one root of f = a(t) in disc i for every t
-on the piece, and none on its boundary, so the root in disc i is the
-continuation of z_i: label i follows it.  The certificate is the root's
+The step.  Let a piece of the path stay within `reach` of its start
+(segment.reach bounds the sup of |a(t) - a(u)| over the piece, not the
+chord).  When rho_i + reach < S(R_i), Rouche puts exactly one root of
+f = a(t) in disc i for every t on the piece, and none on its boundary,
+so the root in disc i is the continuation of z_i: label i follows it.  The certificate is the root's
 own, so each root is sized by its own disc alone: step_control returns
 its largest reach, S(R_i) - rho_i.  The first try on a segment is all of
 it, whose reach, start and end track_bundle computes once.  A piece that
@@ -67,8 +66,6 @@ partner's rows on P in reverse, and a root kept in place its last row.
 
 from __future__ import annotations
 
-import math
-
 from .equation import checked_exp, nearest_critical, newton, residual_bound, zero_disc
 from .errors import PreconditionError, StepUnderflowError
 from .jsonio import atomic_write_text
@@ -95,19 +92,6 @@ class TrackReport:
         rows += [f"{arc:.9f},{label},{z.real!r},{z.imag!r},{a.real!r},{a.imag!r},{res:.3e}"
                  for arc, label, z, a, res in self.trajectory]
         atomic_write_text(path, "\r\n".join(rows) + "\r\n")
-
-
-def _disc(fa: float, ee: float, re_z: float) -> tuple[float, float]:
-    """Radius R and bound S(R) of the Rouche disc around a root where
-    |f'| = fa, |e^z| = ee and Re z = re_z (module docstring).
-
-    R = log1p(F / E) solves e^R - 1 = F / E, so S(R) = (F + E) R - F
-    there.  Where |e^z| is so small that F / E overflows, R is taken as
-    log(F + E) - Re z, the same number, so that every disc is finite.
-    """
-    q = fa / ee if ee else math.inf
-    radius = math.log1p(q) if q < math.inf else math.log(fa + ee) - re_z
-    return radius, (fa + ee) * radius - fa
 
 
 def step_control(disc, rho) -> float:
@@ -186,8 +170,7 @@ def _track_root(label, state, segments, report, rows):
                 continue
             max_load = load if load > max_load else max_load
             max_res = res_new if res_new > max_res else max_res
-            z, d, (rho, _, fa, ee) = z_new, d_new, cert
-            disc = _disc(fa, ee, z.real)
+            z, d, rho, disc = z_new, d_new, cert[0], cert[2:]
             u, gap, k, a_cur = u_next, 0.0, last, a_next
             accepted += 1
             if rows is not None:
@@ -244,13 +227,15 @@ def track_bundle(
             )
         ez = checked_exp(e.z)
         fz, d = e.z + ez, 1.0 + ez
-        tau, bound = residual_bound(e.z, path.start, d)
         r0 = abs(fz - start.a)
-        if r0 > bound:
+        if r0 > residual_bound(e.z, path.start, d):
             raise PreconditionError(f"label {e.label} starts with residual {r0:.3g}")
         res = abs(fz - path.start)  # tracking starts at path.start
-        disc = _disc(abs(d), math.exp(e.z.real), e.z.real)
-        states[e.label] = (complex(e.z), d, res + tau, path.start, disc)
+        if (cert := zero_disc(e.z, res, d, path.start)) is None:
+            raise PreconditionError(
+                f"label {e.label} has no certified one-root disc at the path start"
+            )
+        states[e.label] = (complex(e.z), d, cert[0], path.start, cert[2:])
         if record:
             rows[e.label] = [(0.0, e.label, complex(e.z), path.start, res)]
     zs = [z for z, *_ in states.values()]

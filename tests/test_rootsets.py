@@ -101,7 +101,7 @@ def test_residual_validation():
         # every oracle root meets equation's residual rule
         residuals = [abs(FAMILY.eval(e.z) - rs.a) for e in rs.entries]
         for e, r in zip(rs.entries, residuals):
-            assert r <= residual_bound(e.z, rs.a, FAMILY.deriv(e.z))[1]
+            assert r <= residual_bound(e.z, rs.a, FAMILY.deriv(e.z))
         return max(residuals)
 
     assert worst(oracle_roots(0.3 + 0.4j, range(-1, 2))) <= RESIDUAL_TOL

@@ -826,7 +826,7 @@ def test_exclusion_never_clears_a_root(n, near, log_dist, far, angle, re, im, sn
     if snap < 1.0:
         m = min(roots, key=lambda z: abs(z - m)) + cmath.rect(2.0 * snap * r, angle)
     e = cmath.exp(m)
-    if rootwindow._excluded(m, m + e - a, e, a, r):
+    if rootwindow.excludes_zero(m, m + e - a, e, a, r):
         assert all(abs(z - m) > r for z in roots)
     # the square inscribed in that disc: a cleared cell counts 0 by contour
     s = r / math.sqrt(2.0)
@@ -993,5 +993,5 @@ def test_returned_roots_meet_the_residual_rule_and_the_count(
         reject()  # a root on an edge after every jitter
     for e in rs.entries:
         if e.multiplicity == 1:
-            assert abs(FAMILY.eval(e.z) - a) <= residual_bound(e.z, a, FAMILY.deriv(e.z))[1]
+            assert abs(FAMILY.eval(e.z) - a) <= residual_bound(e.z, a, FAMILY.deriv(e.z))
     assert rs.total_multiplicity() == count_roots(a, rs.window)

@@ -8,12 +8,14 @@ evaluates it) and from numpy's exp (a second libm), is compared with
 a.  The comparison is in mpf: rounding mpmath.iv endpoints back to
 binary64 would add rounding of its own and show false excesses.  The
 dominance test that certifies contour pieces in count_roots is replayed
-at 60 digits the same way, and so is zero_disc, the one-zero disc that
-root location and the tracker's acceptance test share.
+at 60 digits the same way, and so is zero_disc: the one-zero disc that
+root location and the tracker's acceptance test share, and the step
+disc that sizes the tracker's steps.
 """
 
 import cmath
 import math
+import sys
 from unittest import mock
 
 import mpmath
@@ -22,8 +24,10 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from mono import rootwindow
-from mono.equation import newton, rounding_floor, zero_disc
+from mono.equation import critical_point, newton, rounding_floor, zero_disc
 from mono.errors import BoundaryTooCloseError
+
+_EPS = sys.float_info.epsilon
 
 
 def _exact_residual(z: complex, a: complex):
@@ -75,7 +79,7 @@ def test_dominance_certificate_in_multiprecision(a, im, shift, log_length, verti
         s0, s1 = rootwindow._ring_samples([z0, z1], a)
     except BoundaryTooCloseError:
         reject()
-    with mock.patch.object(rootwindow, "_excluded", lambda *args: False):
+    with mock.patch.object(rootwindow, "excludes_zero", lambda *args: False):
         turn = rootwindow._turn(s0, s1, a)
     if turn is None:
         return
@@ -93,24 +97,56 @@ def test_dominance_certificate_in_multiprecision(a, im, shift, log_length, verti
     assert abs(turn - unwrapped) < 1e-9
 
 
+def _oracle(a: complex, k: int, dist: float, turn: float):
+    """(a, seed) with the oracle root a - W_k(e^a), perturbed by dist."""
+    root = a - complex(mpmath.lambertw(cmath.exp(a), k))
+    return a, root + cmath.rect(dist, 2.0 * math.pi * turn)
+
+
+def _near_critical(n: int, gap: float, turn: float, other: bool):
+    """(a, seed) with a at gap from a_n and seed the quadratic estimate
+    z_n + u of one of the two roots there: f = a_n - u^2 / 2 + O(u^3)."""
+    cp = critical_point(n)
+    a = cp.a + cmath.rect(gap, 2.0 * math.pi * turn)
+    u = cmath.sqrt(-2.0 * (a - cp.a))
+    return a, cp.z + (-u if other else u)
+
+
+_DISTS = st.floats(-8.0, -1.5).map(lambda x: 10.0**x)
+_TURNS = st.floats(0.0, 1.0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    a=st.complex_numbers(max_magnitude=5.0),
-    k=st.integers(-160, 160),
-    log_dist=st.floats(-8.0, -1.5),
-    turn=st.floats(0.0, 1.0),
+    draw=st.one_of(
+        st.builds(_oracle, st.complex_numbers(max_magnitude=5.0), st.integers(-160, 160),
+                  _DISTS, _TURNS),
+        st.builds(_oracle, st.builds(complex, st.floats(-700.0, -300.0),
+                                     st.floats(-1000.0, 1000.0)), st.just(0), _DISTS, _TURNS),
+        st.builds(_near_critical, st.integers(-50, 50),
+                  st.floats(-7.0, -1.0).map(lambda x: 10.0**x), _TURNS, st.booleans()),
+    )
 )
-def test_zero_disc_in_multiprecision(a, k, log_dist, turn):
-    # oracle roots a - W_k(e^a) up to |Im z| ~ 1e3 (mpmath's W: the
-    # package's stops at |k| = 64), perturbed and polished by newton.
+def test_zero_disc_in_multiprecision(draw):
+    # roots polished by newton from three kinds of seed: oracle roots
+    # a - W_k(e^a) up to |Im z| ~ 1e3 (mpmath's W: the package's stops at
+    # |k| = 64), perturbed; far-left roots a - W_0(e^a) with Re a in
+    # [-700, -300], where e^a is tiny but normal, perturbed; and one of
+    # the two roots 1e-7 to 1e-1 from a_n, where S(R) ~ F^2 / 2E cancels.
     # At 60 digits, from the binary64 z and a, rho bounds the exact
     # |f(z) - a|, and on |u| = s the exact |f'(z)| s less the exact tail
-    # |e^z| (e^s - 1 - s) exceeds it: Rouche puts one zero in the disc
-    root = a - complex(mpmath.lambertw(cmath.exp(a), k))
-    hit = newton(root + cmath.rect(10.0**log_dist, 2.0 * math.pi * turn), a, 8)
+    # |e^z| (e^s - 1 - s) exceeds it: Rouche puts one zero in the disc.
+    # The step disc's S(R) is F R - E (e^R - 1 - R) at its own R to within
+    # 4 eps ((F + E) R + F + R), with F = |f'(z)| and E = exp(Re z) the
+    # binary64 values the disc is computed from
+    a, seed = draw
+    hit = newton(seed, a, 8)
     assert hit is not None
-    rho, s, _, _ = zero_disc(*hit, a)
+    cert = zero_disc(*hit, a)
+    assert cert is not None
+    rho, s, radius, bound = cert
     z = hit[0]
+    fa, ee = abs(hit[2]), math.exp(z.real)
     with mpmath.workdps(60):
         x, y, ar, ai, rho, s = map(mpmath.mpf, (z.real, z.imag, a.real, a.imag, rho, s))
         ex = mpmath.exp(x)
@@ -118,3 +154,6 @@ def test_zero_disc_in_multiprecision(a, k, log_dist, turn):
         exact = mpmath.hypot(x + er - ar, y + ei - ai)
         assert exact <= rho
         assert mpmath.hypot(1 + er, ei) * s - ex * (mpmath.expm1(s) - s) > exact
+        f, e, r = map(mpmath.mpf, (fa, ee, radius))
+        s_exact = f * r - e * (mpmath.expm1(r) - r)
+        assert abs(bound - s_exact) <= 4 * _EPS * ((f + e) * r + f + r)

@@ -34,7 +34,7 @@ from mono.paths import (
 from mono.rootsets import LabeledRootSet, RootEntry, Window
 from mono.rootwindow import find_roots
 from mono import tracking
-from mono.tracking import _blocks, _disc, step_control, track_bundle
+from mono.tracking import _blocks, step_control, track_bundle
 
 from conftest import W3, W5
 
@@ -65,7 +65,8 @@ def test_step_control_caps(bundle3):
     # the tracker's disc is the maximiser of S, from the same closed form
     for z, disc in zip(zs, discs):
         e = cmath.exp(z)
-        assert _disc(abs(1.0 + e), abs(e), z.real) == pytest.approx(disc, rel=1e-12)
+        step_disc = zero_disc(z, abs(z + e - bundle3.a), 1.0 + e, bundle3.a)[2:]
+        assert step_disc == pytest.approx(disc, rel=1e-12)
     # each root's reach is its own margin S(R) - rho, and every one is
     # larger than the old fixed step
     for disc, res in zip(discs, residuals):
@@ -164,8 +165,8 @@ def _state(z: complex, a: complex):
     """A root's tracker state (z, f', rho, a, disc) at a root z of f = a,
     from the same floats Newton and the start of track_bundle compute."""
     e = cmath.exp(z)
-    rho, _, fa, ee = zero_disc(z, abs(z + e - a), 1.0 + e, a)
-    return z, 1.0 + e, rho, a, _disc(fa, ee, z.real)
+    cert = zero_disc(z, abs(z + e - a), 1.0 + e, a)
+    return z, 1.0 + e, cert[0], a, cert[2:]
 
 
 _BUNDLES = {}  # window -> its roots at a = 0, found once
@@ -224,15 +225,16 @@ def test_fixed_root_keeps_what_its_one_step_would_give(which, letters):
 )
 def test_one_pass_certificate_and_disc(k, log_dist, turn):
     # the step's certificate and its next disc come from one zero_disc
-    # call, whose moduli are those _disc was given separately
+    # call, from the moduli |f'(z)| and exp(Re z) by the closed form
+    # R = log1p(F / E), S(R) = (F + E) R - F
     root = oracle_roots(0j, [k]).positions()[0]
     hit = newton(root + cmath.rect(10.0**log_dist, 2.0 * math.pi * turn), 0j, 8)
     z, r, d = hit
-    rho, s, fa, ee = zero_disc(z, r, d, 0j)
-    assert (fa, ee) == (abs(d), math.exp(z.real))
-    assert rho == r + rounding_floor(abs(z), math.exp(z.real), 0.0, abs(d))
-    assert s == 2.0 * rho / abs(d)
-    assert _disc(fa, ee, z.real) == _disc(abs(d), math.exp(z.real), z.real)
+    rho, s, radius, bound = zero_disc(z, r, d, 0j)
+    fa, ee = abs(d), math.exp(z.real)
+    assert rho == r + rounding_floor(abs(z), ee, 0.0, fa)
+    assert s == 2.0 * rho / fa
+    assert (radius, bound) == (math.log1p(fa / ee), (fa + ee) * math.log1p(fa / ee) - fa)
 
 
 def test_joint_gap_counts_in_the_load(bundle3):
@@ -240,7 +242,7 @@ def test_joint_gap_counts_in_the_load(bundle3):
     # such a joint moves a by the gap too, and its load carries it
     start = LabeledRootSet(bundle3.a, tuple(e for e in bundle3 if e.label == 1))
     z = start.position(1)
-    bound = _disc(abs(FAMILY.deriv(z)), math.exp(z.real), z.real)[1]
+    _, bound = zero_disc(z, abs(FAMILY.eval(z) - start.a), FAMILY.deriv(z), start.a)[2:]
     loads = []
     for gap in (0.0, 0.9e-12j):
         path = ParamPath((LineSegment(0j, 0.01 + 0j), LineSegment(0.01 + gap, 0.02 + gap)))
@@ -425,7 +427,8 @@ def test_far_left_root_keeps_a_finite_disc():
     assert len(start) == 2
     far = start.position(1)
     assert far == -800.5
-    radius, bound = _disc(abs(FAMILY.deriv(far)), math.exp(far.real), far.real)
+    radius, bound = zero_disc(far, abs(FAMILY.eval(far) - start.a), FAMILY.deriv(far),
+                              start.a)[2:]
     assert radius == pytest.approx(800.5, rel=1e-15) and math.isfinite(bound)
     end, rep = track_bundle(start, circle_path(-800.0, 0.5, 1))
     assert (rep.steps_accepted, rep.steps_rejected) == (2, 0)
@@ -515,6 +518,17 @@ def test_multiplicity_entries_refused():
     rs = LabeledRootSet(0j, (RootEntry(1, -0.5671432904097838 + 0j, multiplicity=2),))
     with pytest.raises(PreconditionError):
         track_bundle(rs, keyhole_loop(0, 0.5))
+
+
+def test_start_root_without_a_disc_refused():
+    # f' = 0 at the critical point z_0, so zero_disc proves no disc around
+    # a root placed there: it is refused before any step, and so on a path
+    # that moves nothing
+    cp = critical_point(0)
+    start = LabeledRootSet(cp.a, (RootEntry(1, cp.z),))
+    for end in (cp.a + 0.1, cp.a):
+        with pytest.raises(PreconditionError, match="label 1 has no certified one-root disc"):
+            track_bundle(start, ParamPath((LineSegment(cp.a, end),)))
 
 
 _NEAR_CRITICAL = st.builds(
